@@ -20,16 +20,16 @@
 //! the ranking score (Dai & Genton eq. (5); their MS-plot reads the two
 //! components separately, which [`DirOutScores`] exposes).
 //!
-//! Both the outer per-grid-point cloud-scoring loop and the per-direction
-//! work inside each grid point run on the worker pool of
+//! The per-grid-point cloud scoring fans out over the worker pool of
 //! [`mfod_linalg::par`], with per-point blocks reassembled in grid order —
-//! scores are bit-for-bit identical at any pool size.
+//! scores are bit-for-bit identical at any pool size. The random
+//! projection directions depend only on `p` and the configuration, so
+//! each decomposition draws them once for all grid points, and each grid
+//! point runs its direction loop inline: the grid fan-out already feeds
+//! every thread.
 
 use crate::dataset::GriddedDataSet;
-use crate::projection::{
-    coordinate_median, projection_outlyingness_against_on, projection_outlyingness_on,
-    ProjectionConfig,
-};
+use crate::projection::{coordinate_median, outlyingness_along, Directions, ProjectionConfig};
 use crate::{FunctionalOutlierScorer, Result};
 use mfod_linalg::{par, vector, Matrix};
 
@@ -55,21 +55,22 @@ impl DirOut {
 
     /// [`DirOut::decompose`] on an explicit worker pool.
     ///
-    /// Every grid point's point cloud is scored independently (the RNG
-    /// direction stream is re-seeded per grid point), so the outer grid
-    /// loop fans out across `pool` and the per-point blocks are
-    /// reassembled in grid order — scores are bit-for-bit identical at
-    /// any pool size, and the first failing grid point in grid order is
-    /// the one reported, exactly as in the sequential loop.
+    /// Every grid point's point cloud is scored independently along the
+    /// same direction stream, drawn once per call, so the grid loop fans
+    /// out across `pool` and the per-point blocks are reassembled in grid
+    /// order — scores are bit-for-bit identical at any pool size, and
+    /// the first failing grid point in grid order is the one reported,
+    /// exactly as in the sequential loop.
     pub fn decompose_on(&self, pool: &par::Pool, data: &GriddedDataSet) -> Result<DirOutScores> {
         let dims = Dims {
             n: data.n(),
             m: data.m(),
             p: data.dim(),
         };
+        let directions = Directions::draw(data.dim(), &self.projection);
         decompose_pointwise_on(pool, dims, data.grid(), |j| {
             let cloud = data.point_cloud(j);
-            let outcome = projection_outlyingness_on(pool, &cloud, &self.projection)
+            let outcome = outlyingness_along(None, &directions, &cloud, None)
                 .map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &cloud, &cloud))
         })
@@ -145,16 +146,12 @@ impl DirOut {
             m: queries.m(),
             p: queries.dim(),
         };
+        let directions = Directions::draw(queries.dim(), &self.projection);
         decompose_pointwise_on(pool, dims, queries.grid(), |j| {
             let ref_cloud = reference.point_cloud(j);
             let query_cloud = queries.point_cloud(j);
-            let outcome = projection_outlyingness_against_on(
-                pool,
-                &ref_cloud,
-                &query_cloud,
-                &self.projection,
-            )
-            .map_err(|e| e.at_grid_point(j))?;
+            let outcome = outlyingness_along(None, &directions, &ref_cloud, Some(&query_cloud))
+                .map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &ref_cloud, &query_cloud))
         })
     }
@@ -471,6 +468,219 @@ mod tests {
         for (a, b) in seq_q.fo.iter().zip(&wide_q.fo) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Dir.out as it stood before the hoisted direction stream: every
+    /// grid point re-draws its directions, and every direction takes
+    /// `median` and then `mad_raw`, which recomputes the median.
+    mod reference {
+        use super::super::{decompose_pointwise_on, oriented_block, Dims};
+        use crate::projection::{ProjectionConfig, ProjectionOutcome};
+        use crate::{DepthError, DirOutScores, GriddedDataSet, Result};
+        use mfod_linalg::{par, vector, Matrix};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        fn standard_normal(rng: &mut StdRng) -> f64 {
+            let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+            let u2: f64 = rng.random();
+            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        }
+
+        fn outlyingness(
+            reference: &Matrix,
+            queries: Option<&Matrix>,
+            config: &ProjectionConfig,
+        ) -> Result<ProjectionOutcome> {
+            let (n_ref, p) = (reference.nrows(), reference.ncols());
+            let scored = queries.unwrap_or(reference);
+            if p == 1 {
+                let refs = reference.col(0);
+                let (med, mad) = (vector::median(&refs), vector::mad_raw(&refs));
+                if mad <= 0.0 || !mad.is_finite() {
+                    return Err(DepthError::DegenerateScale {
+                        context: match queries {
+                            None => format!("MAD of the {n_ref}-point univariate set is zero"),
+                            Some(_) => {
+                                format!("MAD of the {n_ref}-point univariate reference set is zero")
+                            }
+                        },
+                    });
+                }
+                return Ok(ProjectionOutcome {
+                    scores: scored
+                        .col(0)
+                        .iter()
+                        .map(|&x| (x - med).abs() / mad)
+                        .collect(),
+                    used_directions: 1,
+                    degenerate_directions: 0,
+                });
+            }
+            let total = config.n_directions + p;
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let mut out = vec![0.0; scored.nrows()];
+            let (mut used, mut degenerate) = (0usize, 0usize);
+            let mut dir = vec![0.0; p];
+            for d in 0..total {
+                if d < p {
+                    dir.fill(0.0);
+                    dir[d] = 1.0;
+                } else {
+                    for v in dir.iter_mut() {
+                        *v = standard_normal(&mut rng);
+                    }
+                    if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
+                        degenerate += 1;
+                        continue;
+                    }
+                }
+                let proj: Vec<f64> = (0..n_ref)
+                    .map(|i| vector::dot(reference.row(i), &dir))
+                    .collect();
+                let med = vector::median(&proj);
+                let mad = vector::mad_raw(&proj);
+                if mad <= 1e-300 || !mad.is_finite() {
+                    degenerate += 1;
+                    continue;
+                }
+                used += 1;
+                for (i, o) in out.iter_mut().enumerate() {
+                    let v = (vector::dot(scored.row(i), &dir) - med).abs() / mad;
+                    if v > *o {
+                        *o = v;
+                    }
+                }
+            }
+            if used == 0 {
+                return Err(DepthError::DegenerateDirections { attempted: total });
+            }
+            Ok(ProjectionOutcome {
+                scores: out,
+                used_directions: used,
+                degenerate_directions: degenerate,
+            })
+        }
+
+        pub fn decompose_against(
+            config: &ProjectionConfig,
+            reference: &GriddedDataSet,
+            queries: Option<&GriddedDataSet>,
+        ) -> Result<DirOutScores> {
+            let scored = queries.unwrap_or(reference);
+            let dims = Dims {
+                n: scored.n(),
+                m: scored.m(),
+                p: scored.dim(),
+            };
+            let pool = par::Pool::with_threads(1);
+            decompose_pointwise_on(&pool, dims, scored.grid(), |j| {
+                let ref_cloud = reference.point_cloud(j);
+                let query_cloud = queries.map(|q| q.point_cloud(j));
+                let outcome = outlyingness(&ref_cloud, query_cloud.as_ref(), config)
+                    .map_err(|e| e.at_grid_point(j))?;
+                Ok(oriented_block(
+                    &outcome,
+                    &ref_cloud,
+                    query_cloud.as_ref().unwrap_or(&ref_cloud),
+                ))
+            })
+        }
+    }
+
+    /// `n` curves in `p` channels; channel 1 is flat across every curve
+    /// on the first four grid points, so its axis direction degenerates
+    /// there.
+    fn channels(n: usize, m: usize, p: usize, seed: u64) -> GriddedDataSet {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let grid: Vec<f64> = (0..m).map(|j| j as f64 / (m - 1) as f64).collect();
+        let samples = (0..n)
+            .map(|i| {
+                let shift = if i == n - 1 { 2.5 } else { 0.3 * next() };
+                let mut s = Matrix::zeros(m, p);
+                for (j, &t) in grid.iter().enumerate() {
+                    for k in 0..p {
+                        let flat = k == 1 && j < 4;
+                        s[(j, k)] = if flat {
+                            1.0
+                        } else {
+                            (std::f64::consts::TAU * t + k as f64).sin() + shift + 0.1 * next()
+                        };
+                    }
+                }
+                s
+            })
+            .collect();
+        GriddedDataSet::new(grid, samples).unwrap()
+    }
+
+    fn assert_same(got: &DirOutScores, want: &DirOutScores, what: &str) {
+        assert_eq!(
+            got.degenerate_directions, want.degenerate_directions,
+            "{what}: degenerate"
+        );
+        assert_eq!(
+            got.attempted_directions, want.attempted_directions,
+            "{what}: attempted"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.fo), bits(&want.fo), "{what}: FO");
+        assert_eq!(bits(&got.vo), bits(&want.vo), "{what}: VO");
+        for (a, b) in got.mo.iter().zip(&want.mo) {
+            assert_eq!(bits(a), bits(b), "{what}: MO");
+        }
+    }
+
+    #[test]
+    fn hoisted_directions_match_the_per_point_loop_bit_for_bit() {
+        let config = ProjectionConfig {
+            n_directions: 40,
+            seed: 17,
+        };
+        let scorer = DirOut {
+            projection: config.clone(),
+        };
+        for p in [1usize, 2, 3] {
+            let data = channels(21, 15, p, p as u64);
+            let reference_set = data.subset(&(0..14).collect::<Vec<_>>()).unwrap();
+            let joint = reference::decompose_against(&config, &data, None).unwrap();
+            let against =
+                reference::decompose_against(&config, &reference_set, Some(&data)).unwrap();
+            if p > 1 {
+                assert!(joint.degenerate_directions > 0, "the flat axis degenerates");
+            }
+            for threads in [1usize, 8] {
+                let pool = par::Pool::with_threads(threads);
+                let what = format!("p = {p}, {threads} threads");
+                assert_same(&scorer.decompose_on(&pool, &data).unwrap(), &joint, &what);
+                assert_same(
+                    &scorer
+                        .decompose_against_on(&pool, &reference_set, &data)
+                        .unwrap(),
+                    &against,
+                    &format!("{what}, against"),
+                );
+            }
+            assert_eq!(scorer.score(&data).unwrap(), joint.fo);
+        }
+        // A grid point where every curve coincides fails the same way.
+        let mut samples: Vec<Matrix> = channels(9, 6, 2, 5).samples().to_vec();
+        for s in &mut samples {
+            s.row_mut(3).copy_from_slice(&[0.5, -0.5]);
+        }
+        let collapsed = GriddedDataSet::new(channels(9, 6, 2, 5).grid().to_vec(), samples).unwrap();
+        let want = reference::decompose_against(&config, &collapsed, None).unwrap_err();
+        assert_eq!(scorer.decompose(&collapsed).unwrap_err(), want);
+        assert!(
+            matches!(&want, crate::DepthError::AtGridPoint { grid_index: 3, .. }),
+            "{want:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::dataset::GriddedDataSet;
 use crate::error::DepthError;
 use crate::{FunctionalOutlierScorer, Result};
+use mfod_linalg::par;
 
 /// The FUNTA scorer.
 #[derive(Debug, Clone)]
@@ -32,6 +33,61 @@ impl Default for Funta {
     fn default() -> Self {
         Funta { trim: 0.0 }
     }
+}
+
+/// Every curve's values and segment slope angles for one FUNTA call.
+///
+/// A segment's slope depends only on (curve, segment, channel), so its
+/// `atan` is taken once here instead of twice per crossing in the pair
+/// scan. Storage is curve-major, then channel-major, so one (curve,
+/// channel) pair is two contiguous slices: `m` values and `m − 1` angles.
+struct SlopeTables {
+    dim: usize,
+    m: usize,
+    values: Vec<f64>,
+    angles: Vec<f64>,
+}
+
+impl SlopeTables {
+    /// Tables for every curve of `data`, with segment widths taken from
+    /// `grid`: [`Funta::score_against_on`] measures the slopes of both
+    /// sides on the queries' grid.
+    fn new(data: &GriddedDataSet, grid: &[f64]) -> Self {
+        let (dim, m) = (data.dim(), data.m());
+        let mut values = Vec::with_capacity(data.n() * dim * m);
+        let mut angles = Vec::with_capacity(data.n() * dim * (m - 1));
+        for x in data.samples() {
+            for k in 0..dim {
+                values.extend((0..m).map(|l| x[(l, k)]));
+                angles.extend((0..m - 1).map(|l| {
+                    let dt = grid[l + 1] - grid[l];
+                    ((x[(l + 1, k)] - x[(l, k)]) / dt).atan()
+                }));
+            }
+        }
+        SlopeTables {
+            dim,
+            m,
+            values,
+            angles,
+        }
+    }
+
+    /// Values and segment angles of curve `i`, channel `k`.
+    fn curve(&self, i: usize, k: usize) -> Curve<'_> {
+        let c = i * self.dim + k;
+        Curve {
+            values: &self.values[c * self.m..(c + 1) * self.m],
+            angles: &self.angles[c * (self.m - 1)..(c + 1) * (self.m - 1)],
+        }
+    }
+}
+
+/// One channel of one curve in a [`SlopeTables`].
+#[derive(Clone, Copy)]
+struct Curve<'a> {
+    values: &'a [f64],
+    angles: &'a [f64],
 }
 
 impl Funta {
@@ -51,62 +107,109 @@ impl Funta {
         Ok(Funta { trim })
     }
 
-    /// Collects the normalized intersection angles of curve `i` against all
-    /// other curves in channel `k`.
-    fn angles_for(&self, data: &GriddedDataSet, i: usize, k: usize) -> Vec<f64> {
-        let xi = data.sample(i);
+    /// [`FunctionalOutlierScorer::score`] on an explicit worker pool: the
+    /// curves fan out across `pool` and come back in index order, so the
+    /// scores are bit-for-bit identical at any pool size.
+    pub fn score_on(&self, pool: &par::Pool, data: &GriddedDataSet) -> Result<Vec<f64>> {
+        if data.n() < 2 {
+            return Err(DepthError::TooFewSamples {
+                got: data.n(),
+                need: 2,
+            });
+        }
+        let tables = SlopeTables::new(data, data.grid());
+        Ok(pool.map(data.n(), |i| {
+            self.outlyingness(data.dim(), |k, angles| {
+                let xi = tables.curve(i, k);
+                for j in (0..data.n()).filter(|&j| j != i) {
+                    angles_between(xi, tables.curve(j, k), angles);
+                }
+            })
+        }))
+    }
+
+    /// [`FunctionalOutlierScorer::score_against`] on an explicit worker
+    /// pool: the queries fan out across `pool` and come back in index
+    /// order, so the scores are bit-for-bit identical at any pool size.
+    pub fn score_against_on(
+        &self,
+        pool: &par::Pool,
+        reference: &GriddedDataSet,
+        queries: &GriddedDataSet,
+    ) -> Result<Vec<f64>> {
+        if reference.n() < 1 {
+            return Err(DepthError::TooFewSamples {
+                got: reference.n(),
+                need: 1,
+            });
+        }
+        if reference.m() != queries.m() || reference.dim() != queries.dim() {
+            return Err(DepthError::ShapeMismatch(
+                "reference and queries must share grid and channels".into(),
+            ));
+        }
+        let refs = SlopeTables::new(reference, queries.grid());
+        let tables = SlopeTables::new(queries, queries.grid());
+        Ok(pool.map(queries.n(), |i| {
+            self.outlyingness(queries.dim(), |k, angles| {
+                let xi = tables.curve(i, k);
+                for j in 0..reference.n() {
+                    angles_between(xi, refs.curve(j, k), angles);
+                }
+            })
+        }))
+    }
+
+    /// One curve's outlyingness: `collect(k, angles)` appends the curve's
+    /// normalized intersection angles in channel `k`, and the per-channel
+    /// aggregates are averaged over the `dim` channels. One angle buffer
+    /// serves every channel.
+    fn outlyingness(&self, dim: usize, collect: impl Fn(usize, &mut Vec<f64>)) -> f64 {
         let mut angles = Vec::new();
-        for j in 0..data.n() {
-            if j == i {
-                continue;
-            }
-            Self::angles_between(data.grid(), xi, data.sample(j), k, &mut angles);
+        let mut total = 0.0;
+        for k in 0..dim {
+            angles.clear();
+            collect(k, &mut angles);
+            total += self.aggregate(&mut angles);
         }
-        angles
+        total / dim as f64
     }
 
-    /// Appends the normalized intersection angles between two curves'
-    /// channel `k` to `angles`.
-    fn angles_between(
-        grid: &[f64],
-        xi: &mfod_linalg::Matrix,
-        xj: &mfod_linalg::Matrix,
-        k: usize,
-        angles: &mut Vec<f64>,
-    ) {
-        let m = grid.len();
-        for l in 0..m - 1 {
-            let d0 = xi[(l, k)] - xj[(l, k)];
-            let d1 = xi[(l + 1, k)] - xj[(l + 1, k)];
-            // Crossing inside segment l (strict sign change), or exact
-            // touch at the left endpoint counted once.
-            let crosses = (d0 > 0.0 && d1 < 0.0) || (d0 < 0.0 && d1 > 0.0) || d0 == 0.0;
-            if !crosses {
-                continue;
-            }
-            let dt = grid[l + 1] - grid[l];
-            let slope_i = (xi[(l + 1, k)] - xi[(l, k)]) / dt;
-            let slope_j = (xj[(l + 1, k)] - xj[(l, k)]) / dt;
-            // intersection angle between the two segments, in [0, π)
-            let gamma = (slope_i.atan() - slope_j.atan()).abs();
-            angles.push(gamma / std::f64::consts::PI);
-        }
-    }
-
-    fn aggregate(&self, mut angles: Vec<f64>) -> f64 {
+    fn aggregate(&self, angles: &mut [f64]) -> f64 {
         if angles.is_empty() {
             // a curve that never intersects anything yields no angle
             // information; FUNTA leaves it maximally deep
             return 0.0;
         }
-        if self.trim > 0.0 {
+        let kept: &[f64] = if self.trim > 0.0 {
             angles.sort_by(|a, b| a.total_cmp(b));
             let cut = ((angles.len() as f64) * self.trim).floor() as usize;
             if angles.len() > 2 * cut {
-                angles = angles[cut..angles.len() - cut].to_vec();
+                &angles[cut..angles.len() - cut]
+            } else {
+                angles
             }
+        } else {
+            angles
+        };
+        kept.iter().sum::<f64>() / kept.len() as f64
+    }
+}
+
+/// Appends the normalized intersection angles between two curves in one
+/// channel to `angles`, in segment order.
+fn angles_between(xi: Curve<'_>, xj: Curve<'_>, angles: &mut Vec<f64>) {
+    let mut d0 = xi.values[0] - xj.values[0];
+    for l in 0..xi.angles.len() {
+        let d1 = xi.values[l + 1] - xj.values[l + 1];
+        // Crossing inside segment l (strict sign change), or exact touch
+        // at the left endpoint counted once.
+        if (d0 > 0.0 && d1 < 0.0) || (d0 < 0.0 && d1 > 0.0) || d0 == 0.0 {
+            // intersection angle between the two segments, in [0, π)
+            let gamma = (xi.angles[l] - xj.angles[l]).abs();
+            angles.push(gamma / std::f64::consts::PI);
         }
-        angles.iter().sum::<f64>() / angles.len() as f64
+        d0 = d1;
     }
 }
 
@@ -124,23 +227,7 @@ impl FunctionalOutlierScorer for Funta {
     }
 
     fn score(&self, data: &GriddedDataSet) -> Result<Vec<f64>> {
-        if data.n() < 2 {
-            return Err(DepthError::TooFewSamples {
-                got: data.n(),
-                need: 2,
-            });
-        }
-        let mut scores = Vec::with_capacity(data.n());
-        for i in 0..data.n() {
-            // average the per-channel outlyingness over the p channels
-            let mut total = 0.0;
-            for k in 0..data.dim() {
-                let angles = self.angles_for(data, i, k);
-                total += self.aggregate(angles);
-            }
-            scores.push(total / data.dim() as f64);
-        }
-        Ok(scores)
+        self.score_on(par::global(), data)
     }
 
     fn score_against(
@@ -148,31 +235,7 @@ impl FunctionalOutlierScorer for Funta {
         reference: &GriddedDataSet,
         queries: &GriddedDataSet,
     ) -> Result<Vec<f64>> {
-        if reference.n() < 1 {
-            return Err(DepthError::TooFewSamples {
-                got: reference.n(),
-                need: 1,
-            });
-        }
-        if reference.m() != queries.m() || reference.dim() != queries.dim() {
-            return Err(DepthError::ShapeMismatch(
-                "reference and queries must share grid and channels".into(),
-            ));
-        }
-        let mut scores = Vec::with_capacity(queries.n());
-        for i in 0..queries.n() {
-            let xi = queries.sample(i);
-            let mut total = 0.0;
-            for k in 0..queries.dim() {
-                let mut angles = Vec::new();
-                for j in 0..reference.n() {
-                    Self::angles_between(queries.grid(), xi, reference.sample(j), k, &mut angles);
-                }
-                total += self.aggregate(angles);
-            }
-            scores.push(total / queries.dim() as f64);
-        }
-        Ok(scores)
+        self.score_against_on(par::global(), reference, queries)
     }
 }
 
@@ -301,6 +364,158 @@ mod tests {
         assert!(Funta::robust(-0.1).is_err());
         assert_eq!(Funta::new().name(), "funta");
         assert_eq!(Funta::robust(0.1).unwrap().name(), "rfunta");
+    }
+
+    /// The pairwise formulas as they stood before the slope tables: two
+    /// `atan`s per crossing, sequential over curves.
+    mod reference {
+        use crate::dataset::GriddedDataSet;
+        use mfod_linalg::Matrix;
+
+        fn angles_between(grid: &[f64], xi: &Matrix, xj: &Matrix, k: usize, out: &mut Vec<f64>) {
+            for l in 0..grid.len() - 1 {
+                let d0 = xi[(l, k)] - xj[(l, k)];
+                let d1 = xi[(l + 1, k)] - xj[(l + 1, k)];
+                let crosses = (d0 > 0.0 && d1 < 0.0) || (d0 < 0.0 && d1 > 0.0) || d0 == 0.0;
+                if !crosses {
+                    continue;
+                }
+                let dt = grid[l + 1] - grid[l];
+                let slope_i = (xi[(l + 1, k)] - xi[(l, k)]) / dt;
+                let slope_j = (xj[(l + 1, k)] - xj[(l, k)]) / dt;
+                let gamma = (slope_i.atan() - slope_j.atan()).abs();
+                out.push(gamma / std::f64::consts::PI);
+            }
+        }
+
+        fn aggregate(trim: f64, mut angles: Vec<f64>) -> f64 {
+            if angles.is_empty() {
+                return 0.0;
+            }
+            if trim > 0.0 {
+                angles.sort_by(|a, b| a.total_cmp(b));
+                let cut = ((angles.len() as f64) * trim).floor() as usize;
+                if angles.len() > 2 * cut {
+                    angles = angles[cut..angles.len() - cut].to_vec();
+                }
+            }
+            angles.iter().sum::<f64>() / angles.len() as f64
+        }
+
+        pub fn score(trim: f64, data: &GriddedDataSet) -> Vec<f64> {
+            (0..data.n())
+                .map(|i| {
+                    let mut total = 0.0;
+                    for k in 0..data.dim() {
+                        let mut angles = Vec::new();
+                        for j in (0..data.n()).filter(|&j| j != i) {
+                            angles_between(
+                                data.grid(),
+                                data.sample(i),
+                                data.sample(j),
+                                k,
+                                &mut angles,
+                            );
+                        }
+                        total += aggregate(trim, angles);
+                    }
+                    total / data.dim() as f64
+                })
+                .collect()
+        }
+
+        pub fn score_against(
+            trim: f64,
+            reference: &GriddedDataSet,
+            queries: &GriddedDataSet,
+        ) -> Vec<f64> {
+            (0..queries.n())
+                .map(|i| {
+                    let mut total = 0.0;
+                    for k in 0..queries.dim() {
+                        let mut angles = Vec::new();
+                        for j in 0..reference.n() {
+                            angles_between(
+                                queries.grid(),
+                                queries.sample(i),
+                                reference.sample(j),
+                                k,
+                                &mut angles,
+                            );
+                        }
+                        total += aggregate(trim, angles);
+                    }
+                    total / queries.dim() as f64
+                })
+                .collect()
+        }
+    }
+
+    /// Two-channel wiggly curves on an uneven grid (offset by `shift`),
+    /// with a duplicated curve so exact touches (`d0 == 0`) occur too.
+    fn wiggly(n: usize, m: usize, seed: u64, shift: f64) -> GriddedDataSet {
+        use mfod_linalg::Matrix;
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let grid: Vec<f64> = (0..m)
+            .map(|j| shift + j as f64 + 0.3 * (j as f64).sin())
+            .collect();
+        let mut samples: Vec<Matrix> = (0..n)
+            .map(|i| {
+                let (phase, amp) = (next() * 3.0, 1.0 + next());
+                let mut s = Matrix::zeros(m, 2);
+                for j in 0..m {
+                    let t = j as f64 / m as f64;
+                    s[(j, 0)] = amp * (std::f64::consts::TAU * t + phase).sin() + 0.2 * next();
+                    s[(j, 1)] = (i as f64 * 0.1 - 0.5) * t + 0.3 * next();
+                }
+                s
+            })
+            .collect();
+        samples[n - 1] = samples[0].clone();
+        GriddedDataSet::new(grid, samples).unwrap()
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: sample {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn slope_tables_match_the_pairwise_formula_bit_for_bit() {
+        let data = wiggly(23, 31, 7, 0.0);
+        let reference_set = wiggly(17, 31, 11, 0.0);
+        // same length, different grid: segment widths come from the queries
+        let queries = wiggly(9, 31, 13, 2.5);
+        for scorer in [Funta::new(), Funta::robust(0.2).unwrap()] {
+            let joint = reference::score(scorer.trim, &data);
+            let against = reference::score_against(scorer.trim, &reference_set, &queries);
+            for threads in [1usize, 8] {
+                let pool = par::Pool::with_threads(threads);
+                let what = format!("{} on {threads} threads", scorer.name());
+                assert_bits(&scorer.score_on(&pool, &data).unwrap(), &joint, &what);
+                assert_bits(
+                    &scorer
+                        .score_against_on(&pool, &reference_set, &queries)
+                        .unwrap(),
+                    &against,
+                    &format!("{what}, against"),
+                );
+            }
+            assert_bits(&scorer.score(&data).unwrap(), &joint, "global pool");
+            assert_bits(
+                &scorer.score_against(&reference_set, &queries).unwrap(),
+                &against,
+                "global pool, against",
+            );
+        }
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //! and in `R^p` via random directions, as used by the directional
 //! outlyingness baseline (Zuo 2003; Dai & Genton 2019).
 //!
-//! The random-direction approximation is the fit-side hot path of the
-//! Dir.out baseline (one call per grid point), so the per-direction work
-//! — project the cloud, take the median and MAD, fold the normalized
-//! residuals into the running maximum — fans out across the worker pool
-//! of [`mfod_linalg::par`]. The RNG-drawn direction stream is generated
-//! **sequentially before** the fan-out, and the per-direction maxima are
-//! folded back **in direction order**, so the scores are bit-for-bit
-//! identical to the plain sequential loop at any thread count.
+//! The random-direction approximation is the hot path of the Dir.out
+//! baseline (one call per grid point). Per direction it projects the
+//! cloud, takes the median, then the MAD on a reused scratch buffer, and
+//! folds the normalized residuals into the running maximum. The
+//! RNG-drawn direction stream depends only on `p` and the configuration,
+//! so it is drawn **sequentially, once** per call; Dir.out draws it once
+//! for all of its grid points. The public `*_on` functions fan contiguous
+//! direction blocks out across the worker pool of [`mfod_linalg::par`];
+//! Dir.out, whose grid-point fan-out already feeds every thread, runs the
+//! same loop inline as one block. Either way the per-direction maxima are
+//! folded **in direction order**, so the scores are bit-for-bit identical
+//! to the plain sequential loop at any thread count.
 
 use crate::error::DepthError;
 use crate::Result;
@@ -104,17 +108,8 @@ pub fn projection_outlyingness_on(
     cloud: &Matrix,
     config: &ProjectionConfig,
 ) -> Result<ProjectionOutcome> {
-    if cloud.nrows() == 0 {
-        return Err(DepthError::TooFewSamples { got: 0, need: 1 });
-    }
-    if cloud.ncols() == 1 {
-        return Ok(ProjectionOutcome {
-            scores: univariate_outlyingness(&cloud.col(0))?,
-            used_directions: 1,
-            degenerate_directions: 0,
-        });
-    }
-    outlyingness_over_directions(pool, cloud, None, config)
+    let directions = Directions::draw(cloud.ncols(), config);
+    outlyingness_along(Some(pool), &directions, cloud, None)
 }
 
 /// Approximates the projection outlyingness of each row of `queries`
@@ -147,120 +142,101 @@ pub fn projection_outlyingness_against_on(
     queries: &Matrix,
     config: &ProjectionConfig,
 ) -> Result<ProjectionOutcome> {
-    let n_ref = reference.nrows();
-    let p = reference.ncols();
-    if n_ref == 0 || queries.nrows() == 0 {
-        return Err(DepthError::TooFewSamples { got: 0, need: 1 });
-    }
-    if queries.ncols() != p {
-        return Err(DepthError::ShapeMismatch(format!(
-            "query dimension {} != reference dimension {p}",
-            queries.ncols()
-        )));
-    }
-    if p == 1 {
-        let refs = reference.col(0);
-        let med = vector::median(&refs);
-        let mad = vector::mad_raw(&refs);
-        if mad <= 0.0 || !mad.is_finite() {
-            return Err(DepthError::DegenerateScale {
-                context: format!("MAD of the {n_ref}-point univariate reference set is zero"),
-            });
-        }
-        return Ok(ProjectionOutcome {
-            scores: queries
-                .col(0)
-                .iter()
-                .map(|&x| (x - med).abs() / mad)
-                .collect(),
-            used_directions: 1,
-            degenerate_directions: 0,
-        });
-    }
-    outlyingness_over_directions(pool, reference, Some(queries), config)
+    let directions = Directions::draw(reference.ncols(), config);
+    outlyingness_along(Some(pool), &directions, reference, Some(queries))
 }
 
-/// Shared direction loop behind the joint and against variants: location
-/// and scale come from `reference`; scores are computed for `queries`
-/// when given, else for `reference` itself.
-///
-/// Stage 1 draws the direction stream sequentially (identical RNG
-/// consumption to the historical sequential loop), stage 2 fans the
-/// project + median + MAD work per direction across `pool`, stage 3 folds
-/// the per-direction residuals into the supremum in direction order.
-fn outlyingness_over_directions(
-    pool: &par::Pool,
-    reference: &Matrix,
-    queries: Option<&Matrix>,
-    config: &ProjectionConfig,
-) -> Result<ProjectionOutcome> {
-    let n_ref = reference.nrows();
-    let p = reference.ncols();
-    let n_out = queries.map_or(n_ref, Matrix::nrows);
-    let total = config.n_directions + p;
+/// The direction stream of a [`ProjectionConfig`] in `R^p`: the `p`
+/// coordinate axes, then every random draw that normalizes. It depends
+/// only on `p` and the configuration, never on the cloud, so one stream
+/// serves every cloud of that dimension. For `p = 1` it is empty: the
+/// exact univariate path needs no directions.
+pub(crate) struct Directions {
+    p: usize,
+    /// Unit directions, one after another (`count × p` values).
+    units: Vec<f64>,
+    count: usize,
+    /// Random draws too short to normalize, counted as degenerate.
+    short_draws: usize,
+    /// Directions attempted: `n_directions + p`.
+    attempted: usize,
+}
 
-    // Stage 1 (sequential): the direction stream. Axes first, then random
-    // unit vectors; draws that fail to normalize are counted as degenerate
-    // but still consume the same RNG values they always did.
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut dirs: Vec<Vec<f64>> = Vec::with_capacity(total);
-    let mut degenerate = 0usize;
-    let mut dir = vec![0.0; p];
-    for d in 0..total {
-        if d < p {
-            // coordinate axes first: cheap and often informative
-            dir.fill(0.0);
-            dir[d] = 1.0;
-        } else {
-            // isotropic Gaussian direction, normalized
-            for v in dir.iter_mut() {
-                *v = standard_normal(&mut rng);
-            }
-            if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
-                degenerate += 1;
-                continue;
-            }
+impl Directions {
+    /// Draws the stream: axes first, then random unit vectors. A draw
+    /// that fails to normalize is counted and skipped, but it still
+    /// consumes its RNG values, so the draws after it do not shift.
+    pub(crate) fn draw(p: usize, config: &ProjectionConfig) -> Directions {
+        let attempted = config.n_directions + p;
+        let mut directions = Directions {
+            p,
+            units: Vec::new(),
+            count: 0,
+            short_draws: 0,
+            attempted,
+        };
+        if p == 1 {
+            return directions;
         }
-        dirs.push(dir.clone());
+        directions.units.reserve(attempted * p);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut dir = vec![0.0; p];
+        for d in 0..attempted {
+            if d < p {
+                // coordinate axes first: cheap and often informative
+                dir.fill(0.0);
+                dir[d] = 1.0;
+            } else {
+                // isotropic Gaussian direction, normalized
+                for v in dir.iter_mut() {
+                    *v = standard_normal(&mut rng);
+                }
+                if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
+                    directions.short_draws += 1;
+                    continue;
+                }
+            }
+            directions.units.extend_from_slice(&dir);
+            directions.count += 1;
+        }
+        directions
     }
 
-    // Stage 2 (parallel): contiguous blocks of directions, each folding
-    // its residuals into a per-block partial supremum as it goes, so the
-    // transient memory is O(blocks × n) rather than O(directions × n).
-    // The block count follows the pool's stealing granularity
-    // (`task_chunks`, i.e. split-factor × threads) instead of the thread
-    // count, so a block whose directions all degenerate early cannot
-    // leave its thread idle while another grinds through expensive ones —
-    // idle threads steal the remaining blocks.
-    let n_dirs = dirs.len();
-    let n_blocks = pool.task_chunks(n_dirs).max(1);
-    let (base, extra) = (n_dirs / n_blocks, n_dirs % n_blocks);
-    let mut bounds = Vec::with_capacity(n_blocks + 1);
-    let mut start = 0usize;
-    bounds.push(0);
-    for b in 0..n_blocks {
-        start += base + usize::from(b < extra);
-        bounds.push(start);
-    }
-    let blocks: Vec<(Vec<f64>, usize, usize)> = pool.map(n_blocks, |b| {
-        let mut partial = vec![0.0; n_out];
+    /// Folds directions `range` into a partial supremum over the scored
+    /// points, returning it with the block's used and degenerate counts.
+    /// The projections keep row order; one scratch buffer takes the
+    /// median select and then the MAD select, both in place.
+    fn fold_block(
+        &self,
+        range: std::ops::Range<usize>,
+        reference: &Matrix,
+        queries: Option<&Matrix>,
+    ) -> (Vec<f64>, usize, usize) {
+        let n_ref = reference.nrows();
+        let mut partial = vec![0.0; queries.map_or(n_ref, Matrix::nrows)];
         let mut used = 0usize;
-        let mut block_degenerate = 0usize;
-        let mut proj_ref = vec![0.0; n_ref];
-        for u in &dirs[bounds[b]..bounds[b + 1]] {
-            for (i, pr) in proj_ref.iter_mut().enumerate() {
+        let mut degenerate = 0usize;
+        let mut proj = vec![0.0; n_ref];
+        let mut scratch = vec![0.0; n_ref];
+        for d in range {
+            let u = &self.units[d * self.p..(d + 1) * self.p];
+            for (i, pr) in proj.iter_mut().enumerate() {
                 *pr = vector::dot(reference.row(i), u);
             }
-            let med = vector::median(&proj_ref);
-            let mad = vector::mad_raw(&proj_ref);
+            scratch.copy_from_slice(&proj);
+            let med = vector::median_in_place(&mut scratch);
+            for (s, &pr) in scratch.iter_mut().zip(&proj) {
+                *s = (pr - med).abs();
+            }
+            let mad = vector::median_in_place(&mut scratch);
             if mad <= 1e-300 || !mad.is_finite() {
-                block_degenerate += 1;
+                degenerate += 1;
                 continue;
             }
             used += 1;
             match queries {
                 None => {
-                    for (o, &pr) in partial.iter_mut().zip(proj_ref.iter()) {
+                    for (o, &pr) in partial.iter_mut().zip(proj.iter()) {
                         let v = (pr - med).abs() / mad;
                         if v > *o {
                             *o = v;
@@ -277,15 +253,94 @@ fn outlyingness_over_directions(
                 }
             }
         }
-        (partial, used, block_degenerate)
-    });
+        (partial, used, degenerate)
+    }
+}
 
-    // Stage 3 (sequential): merge the block partials in block (= direction)
-    // order. The strictly-greater max update over the nonnegative finite
-    // residuals is associative, so the blocked fold is bit-for-bit
-    // identical to the one-direction-at-a-time sequential loop.
-    let mut out = vec![0.0; n_out];
+/// Shared body of the joint and against variants: location and scale
+/// come from `reference`; scores are computed for `queries` when given,
+/// else for `reference` itself. `directions` must be drawn for the
+/// cloud's dimension.
+///
+/// With `fan_out`, contiguous blocks of directions spread over that pool;
+/// without it, the loop runs inline on the calling thread as one block.
+/// The block partials fold in block (= direction) order, so both give
+/// the same bits.
+pub(crate) fn outlyingness_along(
+    fan_out: Option<&par::Pool>,
+    directions: &Directions,
+    reference: &Matrix,
+    queries: Option<&Matrix>,
+) -> Result<ProjectionOutcome> {
+    let n_ref = reference.nrows();
+    let p = reference.ncols();
+    if n_ref == 0 || queries.is_some_and(|q| q.nrows() == 0) {
+        return Err(DepthError::TooFewSamples { got: 0, need: 1 });
+    }
+    if let Some(q) = queries.filter(|q| q.ncols() != p) {
+        return Err(DepthError::ShapeMismatch(format!(
+            "query dimension {} != reference dimension {p}",
+            q.ncols()
+        )));
+    }
+    if p == 1 {
+        let scores = match queries {
+            None => univariate_outlyingness(&reference.col(0))?,
+            Some(q) => {
+                let refs = reference.col(0);
+                let med = vector::median(&refs);
+                let mad = vector::mad_raw(&refs);
+                if mad <= 0.0 || !mad.is_finite() {
+                    return Err(DepthError::DegenerateScale {
+                        context: format!(
+                            "MAD of the {n_ref}-point univariate reference set is zero"
+                        ),
+                    });
+                }
+                q.col(0).iter().map(|&x| (x - med).abs() / mad).collect()
+            }
+        };
+        return Ok(ProjectionOutcome {
+            scores,
+            used_directions: 1,
+            degenerate_directions: 0,
+        });
+    }
+    assert_eq!(directions.p, p, "directions drawn for another dimension");
+
+    // Each block folds its residuals into a partial supremum as it goes,
+    // so the transient memory is O(blocks × n) rather than
+    // O(directions × n). The block count follows the pool's stealing
+    // granularity (`task_chunks`, i.e. split-factor × threads) instead of
+    // the thread count, so a block whose directions all degenerate early
+    // cannot leave its thread idle while another grinds through
+    // expensive ones — idle threads steal the remaining blocks.
+    let n_dirs = directions.count;
+    let blocks = match fan_out {
+        None => vec![directions.fold_block(0..n_dirs, reference, queries)],
+        Some(pool) => {
+            let n_blocks = pool.task_chunks(n_dirs).max(1);
+            let (base, extra) = (n_dirs / n_blocks, n_dirs % n_blocks);
+            let mut bounds = Vec::with_capacity(n_blocks + 1);
+            let mut start = 0usize;
+            bounds.push(0);
+            for b in 0..n_blocks {
+                start += base + usize::from(b < extra);
+                bounds.push(start);
+            }
+            pool.map(n_blocks, |b| {
+                directions.fold_block(bounds[b]..bounds[b + 1], reference, queries)
+            })
+        }
+    };
+
+    // Merge the block partials in block (= direction) order. The
+    // strictly-greater max update over the nonnegative finite residuals
+    // is associative, so the blocked fold is bit-for-bit identical to the
+    // one-direction-at-a-time sequential loop.
+    let mut out = vec![0.0; queries.map_or(n_ref, Matrix::nrows)];
     let mut used = 0usize;
+    let mut degenerate = directions.short_draws;
     for (partial, block_used, block_degenerate) in blocks {
         used += block_used;
         degenerate += block_degenerate;
@@ -296,7 +351,9 @@ fn outlyingness_over_directions(
         }
     }
     if used == 0 {
-        return Err(DepthError::DegenerateDirections { attempted: total });
+        return Err(DepthError::DegenerateDirections {
+            attempted: directions.attempted,
+        });
     }
     Ok(ProjectionOutcome {
         scores: out,

@@ -277,7 +277,8 @@ impl OcSvm {
         self.fit_concrete_on(par::global(), train)
     }
 
-    /// [`OcSvm::fit_concrete`] on an explicit worker pool.
+    /// [`OcSvm::fit_concrete`] on an explicit worker pool: the one-ν case
+    /// of [`OcSvm::fit_nus_on`].
     ///
     /// The Gram matrix assembles one upper-triangular row stripe per
     /// training point across the pool, and for `n >= 512` the SMO pair
@@ -287,29 +288,64 @@ impl OcSvm {
     /// sequential loop, so the fitted model — support vectors, dual
     /// coefficients, ρ — is **bit-for-bit identical** at any pool size.
     pub fn fit_concrete_on(&self, pool: &Pool, train: &Matrix) -> Result<FittedOcSvm> {
-        self.fit_concrete_with(pool, train, SMO_PAR_MIN)
+        let mut fits = self.fit_nus_on(pool, train, &[self.nu])?;
+        fits.pop().expect("one fit per ν")
     }
 
-    /// Implementation with an explicit parallelism threshold so tests can
-    /// pin both the chunked (`par_min = 0`) and the sequential
-    /// (`par_min = usize::MAX`) inner loops onto the same problem and
-    /// assert bit parity between them.
-    fn fit_concrete_with(
+    /// Fits one model per ν in `nus` (`self.nu` is not used) on a single
+    /// kernel stage: γ and the Gram matrix depend only on `train`, so
+    /// they are resolved once and every ν runs only its own SMO solve.
+    /// Each model is bit for bit the one [`OcSvm::fit_concrete_on`]
+    /// returns for that ν.
+    ///
+    /// The outer error belongs to the shared stage (invalid features, a
+    /// ν outside `(0, 1]`, an invalid kernel); each inner one to its ν's
+    /// solve (an exhausted iteration budget).
+    pub fn fit_nus_on(
         &self,
         pool: &Pool,
         train: &Matrix,
+        nus: &[f64],
+    ) -> Result<Vec<Result<FittedOcSvm>>> {
+        self.fit_nus_with(pool, train, nus, SMO_PAR_MIN)
+    }
+
+    /// [`OcSvm::fit_nus_on`] with an explicit parallelism threshold so
+    /// tests can pin both the chunked (`par_min = 0`) and the sequential
+    /// (`par_min = usize::MAX`) inner loops onto the same problem and
+    /// assert bit parity between them.
+    fn fit_nus_with(
+        &self,
+        pool: &Pool,
+        train: &Matrix,
+        nus: &[f64],
         par_min: usize,
-    ) -> Result<FittedOcSvm> {
+    ) -> Result<Vec<Result<FittedOcSvm>>> {
         validate_features(train, 2)?;
-        if !(0.0 < self.nu && self.nu <= 1.0) {
+        if let Some(nu) = nus.iter().find(|&&nu| !(0.0 < nu && nu <= 1.0)) {
             return Err(DetectError::InvalidParameter(format!(
-                "nu must be in (0, 1], got {}",
-                self.nu
+                "nu must be in (0, 1], got {nu}"
             )));
         }
+        let stage = KernelStage::new(pool, self.resolve_kernel(train)?, train);
+        Ok(nus
+            .iter()
+            .map(|&nu| stage.solve(pool, nu, self.tol, self.max_iter, par_min))
+            .collect())
+    }
+}
+
+/// The ν-independent half of a fit: one training set, its resolved
+/// kernel and its Gram matrix `Q_ij = K(x_i, x_j)`.
+struct KernelStage<'a> {
+    train: &'a Matrix,
+    kernel: Kernel,
+    q: Matrix,
+}
+
+impl<'a> KernelStage<'a> {
+    fn new(pool: &Pool, kernel: Kernel, train: &'a Matrix) -> Self {
         let n = train.nrows();
-        let kernel = self.resolve_kernel(train)?;
-        let c = 1.0 / (self.nu * n as f64);
         // Gram matrix: upper-triangular row stripes, mirrored afterwards.
         // Stripe i costs n − i kernel evaluations, so contiguous chunks of
         // stripes would be badly imbalanced; pairing stripe k with stripe
@@ -340,10 +376,25 @@ impl OcSvm {
                 fill(n - 1 - k, s);
             }
         }
+        KernelStage { train, kernel, q }
+    }
+
+    /// The SMO stage for one ν on this stage's Gram matrix.
+    fn solve(
+        &self,
+        pool: &Pool,
+        nu: f64,
+        tol: f64,
+        max_iter: usize,
+        par_min: usize,
+    ) -> Result<FittedOcSvm> {
+        let (train, q) = (self.train, &self.q);
+        let n = train.nrows();
+        let c = 1.0 / (nu * n as f64);
         // Feasible start: fill ⌊1/C⌋ entries at the box bound, remainder on
         // the next one, so Σα = 1 and 0 <= α <= C.
         let mut alpha = vec![0.0; n];
-        let full = (self.nu * n as f64).floor() as usize;
+        let full = (nu * n as f64).floor() as usize;
         for a in alpha.iter_mut().take(full.min(n)) {
             *a = c;
         }
@@ -373,10 +424,10 @@ impl OcSvm {
                 PairScan::scan(0, n, &g, &alpha, c, eps_box)
             };
             let (i_up, g_up, j_low, g_low) = (pair.i_up, pair.g_up, pair.j_low, pair.g_low);
-            if i_up == usize::MAX || j_low == usize::MAX || g_low - g_up < self.tol {
+            if i_up == usize::MAX || j_low == usize::MAX || g_low - g_up < tol {
                 break;
             }
-            if iterations >= self.max_iter {
+            if iterations >= max_iter {
                 return Err(DetectError::NoConvergence {
                     algorithm: "ocsvm-smo",
                     iterations,
@@ -450,7 +501,7 @@ impl OcSvm {
         let support = train.submatrix(&sv_idx, &all_cols);
         let sv_alpha: Vec<f64> = sv_idx.iter().map(|&t| alpha[t]).collect();
         Ok(FittedOcSvm {
-            kernel,
+            kernel: self.kernel,
             support,
             alpha: sv_alpha,
             rho,
@@ -655,6 +706,12 @@ mod tests {
         assert_eq!(fitted.dim(), 2);
     }
 
+    /// The one-ν fit with an explicit SMO parallelism threshold.
+    fn fit_with(cfg: &OcSvm, pool: &Pool, x: &Matrix, par_min: usize) -> FittedOcSvm {
+        let mut fits = cfg.fit_nus_with(pool, x, &[cfg.nu], par_min).unwrap();
+        fits.pop().unwrap().unwrap()
+    }
+
     fn assert_fits_bit_equal(a: &FittedOcSvm, b: &FittedOcSvm, what: &str) {
         assert_eq!(a.dim, b.dim, "{what}: dim");
         assert_eq!(a.rho.to_bits(), b.rho.to_bits(), "{what}: rho");
@@ -679,8 +736,8 @@ mod tests {
         let x = ring_with_outlier();
         let cfg = OcSvm::with_nu(0.2).unwrap();
         let pool = Pool::with_threads(4);
-        let chunked = cfg.fit_concrete_with(&pool, &x, 0).unwrap();
-        let sequential = cfg.fit_concrete_with(&pool, &x, usize::MAX).unwrap();
+        let chunked = fit_with(&cfg, &pool, &x, 0);
+        let sequential = fit_with(&cfg, &pool, &x, usize::MAX);
         assert_fits_bit_equal(&chunked, &sequential, "chunked vs sequential");
     }
 
@@ -689,13 +746,9 @@ mod tests {
         let x = ring_with_outlier();
         let cfg = OcSvm::with_nu(0.15).unwrap();
         // chunked path pinned on at every pool size, including the global
-        let reference = cfg
-            .fit_concrete_with(&Pool::with_threads(1), &x, 0)
-            .unwrap();
+        let reference = fit_with(&cfg, &Pool::with_threads(1), &x, 0);
         for threads in [2usize, 3, 8] {
-            let fitted = cfg
-                .fit_concrete_with(&Pool::with_threads(threads), &x, 0)
-                .unwrap();
+            let fitted = fit_with(&cfg, &Pool::with_threads(threads), &x, 0);
             assert_fits_bit_equal(&fitted, &reference, &format!("{threads} threads"));
         }
         let global = cfg.fit_concrete(&x).unwrap();
@@ -727,8 +780,74 @@ mod tests {
         let pool = Pool::with_threads(4);
         // n >= SMO_PAR_MIN: the default threshold engages the chunked path
         let default_path = cfg.fit_concrete_on(&pool, &x).unwrap();
-        let sequential = cfg.fit_concrete_with(&pool, &x, usize::MAX).unwrap();
+        let sequential = fit_with(&cfg, &pool, &x, usize::MAX);
         assert_fits_bit_equal(&default_path, &sequential, "large-n default path");
+    }
+
+    #[test]
+    fn multi_nu_fit_matches_single_nu_fits() {
+        // One Gram matrix serves every solve: each ν's model, repeated ν
+        // included, is the one a fresh single-ν fit produces.
+        let x = ring_with_outlier();
+        let nus = [0.3, 0.05, 0.2, 1.0, 0.05];
+        let cfg = OcSvm::default();
+        for threads in [1usize, 3] {
+            let pool = Pool::with_threads(threads);
+            let fits = cfg.fit_nus_on(&pool, &x, &nus).unwrap();
+            assert_eq!(fits.len(), nus.len());
+            for (&nu, fit) in nus.iter().zip(fits) {
+                let single = OcSvm { nu, ..cfg.clone() }.fit_concrete(&x).unwrap();
+                assert_fits_bit_equal(&fit.unwrap(), &single, &format!("ν = {nu}, {threads}"));
+            }
+        }
+    }
+
+    #[test]
+    fn multi_nu_errors_split_shared_and_per_nu() {
+        let x = ring_with_outlier();
+        let pool = Pool::with_threads(2);
+        // Shared-stage failures fail the whole call, with the error the
+        // single-ν fit reports.
+        let cfg = OcSvm::default();
+        let bad_nu = OcSvm {
+            nu: 1.5,
+            ..cfg.clone()
+        };
+        assert_eq!(
+            cfg.fit_nus_on(&pool, &x, &[0.1, 1.5]).unwrap_err(),
+            bad_nu.fit_concrete(&x).unwrap_err()
+        );
+        let bad_kernel = OcSvm {
+            kernel: Some(Kernel::Rbf { gamma: -1.0 }),
+            ..Default::default()
+        };
+        assert_eq!(
+            bad_kernel.fit_nus_on(&pool, &x, &[0.1]).unwrap_err(),
+            bad_kernel.fit_concrete(&x).unwrap_err()
+        );
+        // A solve that runs out of iterations fails only its own ν; ν = 1
+        // starts at the optimum (every α at the bound 1/n).
+        let tight = OcSvm {
+            max_iter: 3,
+            ..Default::default()
+        };
+        let fits = tight.fit_nus_on(&pool, &x, &[0.1, 1.0]).unwrap();
+        assert_eq!(
+            fits[0].as_ref().unwrap_err(),
+            &DetectError::NoConvergence {
+                algorithm: "ocsvm-smo",
+                iterations: 3
+            }
+        );
+        let one = OcSvm {
+            nu: 1.0,
+            ..tight.clone()
+        };
+        assert_fits_bit_equal(
+            fits[1].as_ref().unwrap(),
+            &one.fit_concrete(&x).unwrap(),
+            "ν = 1",
+        );
     }
 
     #[test]

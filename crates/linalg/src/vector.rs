@@ -124,10 +124,16 @@ pub fn max(a: &[f64]) -> f64 {
 ///
 /// Uses `select_nth_unstable` for O(n) average complexity.
 pub fn median(a: &[f64]) -> f64 {
-    if a.is_empty() {
+    median_in_place(&mut a.to_vec())
+}
+
+/// [`median`] of a scratch buffer, reordering it in place instead of
+/// copying it: bit-for-bit the value [`median`] returns for the same
+/// slice.
+pub fn median_in_place(buf: &mut [f64]) -> f64 {
+    if buf.is_empty() {
         return f64::NAN;
     }
-    let mut buf: Vec<f64> = a.to_vec();
     let n = buf.len();
     let mid = n / 2;
     let (_, &mut hi, _) = buf.select_nth_unstable_by(mid, |x, y| x.total_cmp(y));

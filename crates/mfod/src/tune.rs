@@ -15,6 +15,7 @@ use crate::Result;
 use mfod_detect::{FittedDetector, OcSvm};
 use mfod_eval::{cv::par_eval_folds, KFold};
 use mfod_linalg::{par, Matrix};
+use std::convert::Infallible;
 
 /// ν tuner configuration.
 #[derive(Debug, Clone)]
@@ -51,6 +52,15 @@ pub struct NuSelection {
 impl NuTuner {
     /// Tunes ν on the training features (rows = samples) and returns the
     /// selection. The template's kernel settings are reused for every fold.
+    ///
+    /// The folds fan out across the global worker pool, and each fold
+    /// fits every candidate with [`OcSvm::fit_nus_on`]: γ and the Gram
+    /// matrix depend only on the fold's training rows, so they are built
+    /// once per fold, not once per candidate. Each candidate's flagged
+    /// counts are summed in fold order (integer sums), so the profile is
+    /// exactly that of a candidate-by-candidate loop, and so is a failure:
+    /// the first failing fold of the first failing candidate is the error
+    /// reported.
     pub fn tune(&self, template: &OcSvm, train: &Matrix) -> Result<NuSelection> {
         if self.candidates.is_empty() {
             return Err(MfodError::Pipeline("no ν candidates supplied".into()));
@@ -66,32 +76,38 @@ impl NuTuner {
         let kf = KFold::new(self.folds, self.seed)?;
         let folds = kf.folds(n)?;
         let cols: Vec<usize> = (0..train.ncols()).collect();
+        // Per fold, a (flagged, held-out) count or an error per candidate.
+        // A failed kernel stage fails every candidate, so its fold holds
+        // that one error, which the first candidate reaches and returns.
+        let Ok(mut per_fold) = par_eval_folds(par::global(), &folds, |_, tr, va| {
+            let tr_m = train.submatrix(tr, &cols);
+            let counts = match template.fit_nus_on(par::global(), &tr_m, &self.candidates) {
+                Err(e) => vec![Err(e.into())],
+                Ok(models) => models
+                    .into_iter()
+                    .map(|model| {
+                        let model = model?;
+                        let mut flagged = 0usize;
+                        for &i in va {
+                            // score > 0 ⟺ decision f(x) < 0 ⟺ flagged as outlier
+                            if model.score_one(train.row(i))? > 0.0 {
+                                flagged += 1;
+                            }
+                        }
+                        Ok((flagged, va.len()))
+                    })
+                    .collect::<Vec<Result<(usize, usize)>>>(),
+            };
+            Ok::<_, Infallible>(counts.into_iter())
+        });
         let mut profile = Vec::with_capacity(self.candidates.len());
         for &nu in &self.candidates {
-            // Folds are fitted and scored independently, so each candidate
-            // evaluates its folds across the worker pool; the flagged
-            // counts are summed in fold order (integer sums, so the
-            // objective is identical to the sequential loop's).
-            let fold_counts: Vec<(usize, usize)> =
-                par_eval_folds(par::global(), &folds, |_, tr, va| {
-                    let tr_m = train.submatrix(tr, &cols);
-                    let cfg = OcSvm {
-                        nu,
-                        ..template.clone()
-                    };
-                    let model = cfg.fit_concrete(&tr_m)?;
-                    let mut flagged = 0usize;
-                    for &i in va {
-                        // score > 0 ⟺ decision f(x) < 0 ⟺ flagged as outlier
-                        if model.score_one(train.row(i))? > 0.0 {
-                            flagged += 1;
-                        }
-                    }
-                    Ok::<_, MfodError>((flagged, va.len()))
-                })?;
-            let (flagged, total) = fold_counts
-                .iter()
-                .fold((0usize, 0usize), |(f, t), &(cf, ct)| (f + cf, t + ct));
+            let (mut flagged, mut total) = (0usize, 0usize);
+            for counts in &mut per_fold {
+                let (f, t) = counts.next().expect("a result per candidate")?;
+                flagged += f;
+                total += t;
+            }
             let fraction = flagged as f64 / total.max(1) as f64;
             profile.push((nu, (fraction - nu).abs()));
         }
@@ -209,6 +225,104 @@ mod tests {
         let b = t.tune(&OcSvm::default(), &x).unwrap();
         assert_eq!(a.nu, b.nu);
         assert_eq!(a.profile, b.profile);
+    }
+
+    /// The tuning loop as it stood before the shared kernel stage:
+    /// candidate-major, every (candidate, fold) pair fitting from scratch.
+    fn candidate_major(
+        tuner: &NuTuner,
+        template: &OcSvm,
+        train: &Matrix,
+    ) -> Result<Vec<(f64, f64)>> {
+        let folds = KFold::new(tuner.folds, tuner.seed)?.folds(train.nrows())?;
+        let cols: Vec<usize> = (0..train.ncols()).collect();
+        let mut profile = Vec::new();
+        for &nu in &tuner.candidates {
+            let fold_counts: Vec<(usize, usize)> =
+                par_eval_folds(par::global(), &folds, |_, tr, va| {
+                    let cfg = OcSvm {
+                        nu,
+                        ..template.clone()
+                    };
+                    let model = cfg.fit_concrete(&train.submatrix(tr, &cols))?;
+                    let mut flagged = 0usize;
+                    for &i in va {
+                        if model.score_one(train.row(i))? > 0.0 {
+                            flagged += 1;
+                        }
+                    }
+                    Ok::<_, MfodError>((flagged, va.len()))
+                })?;
+            let (flagged, total) = fold_counts
+                .iter()
+                .fold((0usize, 0usize), |(f, t), &(cf, ct)| (f + cf, t + ct));
+            profile.push((nu, (flagged as f64 / total.max(1) as f64 - nu).abs()));
+        }
+        Ok(profile)
+    }
+
+    #[test]
+    fn fold_fan_out_matches_the_candidate_major_loop() {
+        let bits = |p: &[(f64, f64)]| {
+            p.iter()
+                .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let scale = OcSvm {
+            gamma: mfod_detect::GammaSpec::Scale,
+            ..Default::default()
+        };
+        let cases = [
+            (
+                NuTuner::default(),
+                OcSvm::default(),
+                contaminated(100, 0.10, 8.0),
+            ),
+            (
+                NuTuner {
+                    candidates: vec![0.3, 0.02, 0.3, 0.5],
+                    folds: 3,
+                    seed: 9,
+                },
+                scale,
+                contaminated(61, 0.2, 4.0),
+            ),
+        ];
+        for (tuner, template, x) in &cases {
+            let want = candidate_major(tuner, template, x).unwrap();
+            let got = tuner.tune(template, x).unwrap();
+            assert_eq!(bits(&got.profile), bits(&want));
+            let best = want
+                .iter()
+                .copied()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            assert_eq!(
+                (got.nu.to_bits(), got.objective.to_bits()),
+                (best.0.to_bits(), best.1.to_bits())
+            );
+        }
+        // Failures: a solve that runs out of iterations (ν = 1 starts at
+        // its optimum, so the first candidate succeeds on every fold), and
+        // a kernel stage that fails on every fold.
+        let x = contaminated(60, 0.1, 6.0);
+        let tight = OcSvm {
+            max_iter: 2,
+            ..Default::default()
+        };
+        let bad_kernel = OcSvm {
+            kernel: Some(mfod_detect::Kernel::Rbf { gamma: 0.0 }),
+            ..Default::default()
+        };
+        let tuner = NuTuner {
+            candidates: vec![1.0, 0.1, 0.2],
+            ..Default::default()
+        };
+        for template in [tight, bad_kernel] {
+            let want = candidate_major(&tuner, &template, &x).unwrap_err();
+            let got = tuner.tune(&template, &x).unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]

@@ -208,9 +208,11 @@ impl HistogramSnapshot {
     }
 
     /// Upper-bound quantile: the inclusive upper edge of the bucket in
-    /// which the `ceil(p·count)`-th smallest value falls. `None` when
-    /// empty; `p` is clamped to `[0, 1]`. Monotone in `p` by
-    /// construction (the cumulative walk never moves backwards).
+    /// which the `ceil(p·count)`-th smallest value falls, clamped to the
+    /// recorded [`HistogramSnapshot::max`] (no value lies above it, while
+    /// the top bucket's edge can). `None` when empty; `p` is clamped to
+    /// `[0, 1]`. Monotone in `p` by construction (the cumulative walk
+    /// never moves backwards).
     pub fn quantile(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -221,14 +223,14 @@ impl HistogramSnapshot {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen = seen.saturating_add(b);
             if seen >= rank {
-                return Some(bucket_upper_edge(i));
+                return Some(bucket_upper_edge(i).min(self.max));
             }
         }
         // Unreachable when count == Σ buckets; tolerate torn concurrent
         // snapshots by falling back to the last non-empty bucket edge.
-        Some(bucket_upper_edge(
-            self.buckets.iter().rposition(|&b| b > 0).unwrap_or(0),
-        ))
+        Some(
+            bucket_upper_edge(self.buckets.iter().rposition(|&b| b > 0).unwrap_or(0)).min(self.max),
+        )
     }
 
     /// Convenience: `quantile(p)` as a [`Duration`] for nanosecond
@@ -324,9 +326,32 @@ mod tests {
         assert_eq!(s.max, 1000);
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
         assert_eq!(s.mean(), Some(1012.0 / 5.0));
-        // 1000 has bit length 10 → bucket 10, upper edge 1023.
-        assert_eq!(s.quantile(1.0), Some(1023));
+        // 1000 has bit length 10 → bucket 10, upper edge 1023, clamped
+        // to the recorded max.
+        assert_eq!(s.quantile(1.0), Some(1000));
         assert_eq!(s.quantile(0.0), Some(0));
+        // 8 falls in bucket 4 (edge 15), below the max: unclamped.
+        assert_eq!(s.quantile(0.8), Some(15));
+    }
+
+    #[test]
+    fn quantile_never_exceeds_the_max() {
+        // One sample at 42_700 sits in the bucket with edge 65_535: the
+        // report used to print a p50 above the max.
+        let h = Histogram::new();
+        h.record(42_700);
+        let s = h.snapshot();
+        for p in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(s.quantile(p), Some(42_700), "p = {p}");
+        }
+        for v in [3u64, 90, 2_500, 2_600, 70_000] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        for i in 0..=20 {
+            let p = i as f64 / 20.0;
+            assert!(s.quantile(p).unwrap() <= s.max, "p = {p}");
+        }
     }
 
     #[test]

@@ -91,6 +91,7 @@ proptest! {
             let truth = sorted[rank - 1];
             let q = s.quantile(p).unwrap();
             prop_assert!(q >= truth, "q({p}) = {q} below true quantile {truth}");
+            prop_assert!(q <= s.max, "q({p}) = {q} above the max {}", s.max);
             // The bucket edge over-estimates by at most 2x (log2 buckets).
             prop_assert!(q == 0 || q / 2 <= truth, "q({p}) = {q} more than 2x {truth}");
         }
