@@ -1,7 +1,7 @@
 //! Worker-pool scheduling throughput: the fine-grained **work-stealing**
-//! scheduler against the **contiguous** one-chunk-per-thread schedule,
-//! on a balanced and on a deliberately unbalanced ("straggler")
-//! workload.
+//! scheduler against the **contiguous** one-chunk-per-thread schedule (a
+//! split-1 pool, `Pool::with_config(threads, 1)`), on a balanced and on
+//! a deliberately unbalanced ("straggler") workload.
 //!
 //! The straggler workload gives item `i` an exponentially ramped cost,
 //! so the top eighth of the index range carries roughly half of the
@@ -73,19 +73,20 @@ fn assert_bits_eq(a: &[u64], b: &[u64], what: &str) {
 fn bench_schedulers(c: &mut Criterion) {
     let (n, unit) = if is_test_mode() { (48, 4) } else { (256, 48) };
     let pool = Pool::with_threads(POOL_THREADS);
+    let contiguous = Pool::with_config(POOL_THREADS, 1);
     let mut g = c.benchmark_group("pool");
     if !is_test_mode() {
         g.sample_size(10);
     }
     g.throughput(criterion::Throughput::Elements(n as u64));
     g.bench_function("balanced_contiguous", |b| {
-        b.iter(|| pool.map_contiguous(n, |i| balanced_item(i, unit)))
+        b.iter(|| contiguous.map(n, |i| balanced_item(i, unit)))
     });
     g.bench_function("balanced_stealing", |b| {
         b.iter(|| pool.map(n, |i| balanced_item(i, unit)))
     });
     g.bench_function("straggler_contiguous", |b| {
-        b.iter(|| pool.map_contiguous(n, |i| straggler_item(i, n, unit)))
+        b.iter(|| contiguous.map(n, |i| straggler_item(i, n, unit)))
     });
     g.bench_function("straggler_stealing", |b| {
         b.iter(|| pool.map(n, |i| straggler_item(i, n, unit)))
@@ -101,6 +102,7 @@ fn report_speedup(_c: &mut Criterion) {
     let (n, unit) = if smoke { (48, 4) } else { (256, 48) };
     let hw = max_threads();
     let pool = Pool::with_threads(POOL_THREADS);
+    let contiguous = Pool::with_config(POOL_THREADS, 1);
 
     // ---- parity before timing: both schedules, pool sizes 1/2/8 and
     // the global pool, on the workload stealing exists for -------------
@@ -110,7 +112,8 @@ fn report_speedup(_c: &mut Criterion) {
     for threads in [1usize, 2, POOL_THREADS] {
         let p = Pool::with_threads(threads);
         assert_bits_eq(&p.map(n, straggler), &reference, "stealing");
-        assert_bits_eq(&p.map_contiguous(n, straggler), &reference, "contiguous");
+        let c = Pool::with_config(threads, 1);
+        assert_bits_eq(&c.map(n, straggler), &reference, "contiguous");
     }
     assert_bits_eq(
         &mfod::linalg::par::par_map(n, straggler),
@@ -132,9 +135,9 @@ fn report_speedup(_c: &mut Criterion) {
             .min()
             .unwrap()
     };
-    let t_bal_contig = time(&|| pool.map_contiguous(n, balanced));
+    let t_bal_contig = time(&|| contiguous.map(n, balanced));
     let t_bal_steal = time(&|| pool.map(n, balanced));
-    let t_str_contig = time(&|| pool.map_contiguous(n, straggler));
+    let t_str_contig = time(&|| contiguous.map(n, straggler));
     let t_str_steal = time(&|| pool.map(n, straggler));
 
     let straggler_speedup = t_str_contig.as_secs_f64() / t_str_steal.as_secs_f64();

@@ -1,18 +1,25 @@
 //! Throughput of the online scoring subsystem: windows/sec through the
-//! `MicroBatcher` at batch sizes 1 / 16 / 128, in both scoring modes.
+//! `MicroBatcher` at batch sizes 1 / 16 / 128.
 //!
 //! Batch size 1 scores each window the moment it arrives (no intra-batch
 //! parallelism — the sequential baseline); larger batches trade bounded
-//! latency for parallel scoring across all cores. The `speedup` report at
+//! latency for parallel scoring across all cores. Before anything is
+//! timed, every batch size must return seqs `0..128` with scores bit-equal
+//! to `FittedPipeline::score` on the same windows. The `speedup` report at
 //! the end prints the measured parallel-vs-sequential ratio explicitly.
+//!
+//! `cargo bench -p mfod-bench --bench streaming -- --test` runs the smoke
+//! mode: the parity gate plus a short pass over every arm.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mfod::prelude::*;
-use mfod_stream::{BatchConfig, MicroBatcher, ScoringMode, StreamStats};
+use mfod_stream::{BatchConfig, MicroBatcher, ScoredWindow, StreamStats};
 use std::sync::Arc;
 use std::time::Instant;
 
 const N_WINDOWS: usize = 128;
+
+const BATCH_SIZES: [usize; 3] = [1, 16, 128];
 
 fn fixture() -> (Arc<FittedPipeline>, Vec<mfod::fda::RawSample>) {
     let data = EcgSimulator::new(EcgConfig {
@@ -46,41 +53,53 @@ fn drain(
     fitted: &Arc<FittedPipeline>,
     windows: &[mfod::fda::RawSample],
     batch_size: usize,
-    mode: ScoringMode,
-) -> usize {
-    let ts = windows[0].t.clone();
-    let window_ts = matches!(mode, ScoringMode::Frozen).then_some(ts.as_slice());
+) -> Vec<ScoredWindow> {
     let mut mb = MicroBatcher::new(
         Arc::clone(fitted),
         BatchConfig {
             batch_size,
-            mode,
             ..Default::default()
         },
-        window_ts,
         Arc::new(StreamStats::new()),
     )
     .unwrap();
-    let mut scored = 0;
+    let mut scored = Vec::with_capacity(windows.len());
     for w in windows {
-        scored += mb.submit(w.clone()).unwrap().len();
+        scored.extend(mb.submit(w.clone()).unwrap());
     }
-    scored + mb.flush().unwrap().len()
+    scored.extend(mb.flush().unwrap());
+    scored
+}
+
+/// The parity gate: at every batch size the drained stream is seqs
+/// `0..N_WINDOWS`, each scored bit-equal to the offline batch score.
+fn assert_parity(fitted: &Arc<FittedPipeline>, windows: &[mfod::fda::RawSample]) {
+    let offline = fitted.score(windows).unwrap();
+    for batch_size in BATCH_SIZES {
+        let scored = drain(fitted, windows, batch_size);
+        assert_eq!(scored.len(), N_WINDOWS, "batch {batch_size}: window count");
+        for (i, (s, want)) in scored.iter().zip(&offline).enumerate() {
+            assert_eq!(s.seq, i as u64, "batch {batch_size}: seq");
+            assert_eq!(
+                s.score.to_bits(),
+                want.to_bits(),
+                "batch {batch_size}: score of window {i}"
+            );
+        }
+    }
 }
 
 fn bench_micro_batching(c: &mut Criterion) {
     let (fitted, windows) = fixture();
+    assert_parity(&fitted, &windows);
     let mut g = c.benchmark_group("streaming");
     g.sample_size(10)
         .throughput(Throughput::Elements(N_WINDOWS as u64));
-    for &batch_size in &[1usize, 16, 128] {
+    for batch_size in BATCH_SIZES {
         g.bench_function(format!("exact/batch_{batch_size}"), |b| {
-            b.iter(|| drain(&fitted, &windows, batch_size, ScoringMode::Exact))
+            b.iter(|| drain(&fitted, &windows, batch_size))
         });
     }
-    g.bench_function("frozen/batch_128", |b| {
-        b.iter(|| drain(&fitted, &windows, 128, ScoringMode::Frozen))
-    });
     g.finish();
 }
 
@@ -106,12 +125,12 @@ fn report_speedup(_c: &mut Criterion) {
     let (fitted, windows) = fixture();
     let time = |batch_size: usize| {
         // warm-up, then best-of-3
-        drain(&fitted, &windows, batch_size, ScoringMode::Exact);
+        drain(&fitted, &windows, batch_size);
         (0..3)
             .map(|_| {
                 let t0 = Instant::now();
-                let scored = drain(&fitted, &windows, batch_size, ScoringMode::Exact);
-                assert_eq!(scored, N_WINDOWS);
+                let scored = drain(&fitted, &windows, batch_size);
+                assert_eq!(scored.len(), N_WINDOWS);
                 t0.elapsed()
             })
             .min()

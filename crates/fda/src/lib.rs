@@ -74,10 +74,9 @@ pub use grid::Grid;
 pub use polynomial::PolynomialBasis;
 pub use selcache::SelectionPlan;
 pub use smooth::{
-    BasisSelector, FitDiagnostics, FrozenSmoother, PenalizedLeastSquares, SelectionCriterion,
-    SelectionResult,
+    BasisSelector, FitDiagnostics, PenalizedLeastSquares, SelectionCriterion, SelectionResult,
 };
-pub use snapshot::{BasisSnapshot, FrozenSmootherSnapshot};
+pub use snapshot::BasisSnapshot;
 
 /// Crate-wide `Result` alias.
 pub type Result<T> = std::result::Result<T, FdaError>;
@@ -93,8 +92,7 @@ pub mod prelude {
     pub use crate::polynomial::PolynomialBasis;
     pub use crate::selcache::SelectionPlan;
     pub use crate::smooth::{
-        BasisSelector, FitDiagnostics, FrozenSmoother, PenalizedLeastSquares, SelectionCriterion,
-        SelectionResult,
+        BasisSelector, FitDiagnostics, PenalizedLeastSquares, SelectionCriterion, SelectionResult,
     };
-    pub use crate::snapshot::{BasisSnapshot, FrozenSmootherSnapshot};
+    pub use crate::snapshot::BasisSnapshot;
 }

@@ -15,10 +15,9 @@
 //! A [`SelectionPlan`] hoists all of that out of the per-curve loop:
 //! scoring one curve against one candidate is then a `Φᵀy` pass, two
 //! triangular solves and the fitted-values product — O(mL + L²) — plus an
-//! O(m) LOOCV/GCV sweep over the **cached** hat diagonal. The plan is the
-//! fit-time sibling of [`crate::smooth::FrozenSmoother`]: the smoother
-//! freezes one chosen candidate for serving, the plan freezes the whole
-//! selection ladder for fitting.
+//! O(m) LOOCV/GCV sweep over the **cached** hat diagonal. Fitting and
+//! scoring both select through a plan, so every curve still gets its own
+//! cross-validated winner.
 //!
 //! ## Exactness
 //!
@@ -191,8 +190,8 @@ impl SelectionPlan {
     /// The ladder sweep reuses three scratch buffers (`Φᵀy`,
     /// coefficients, fitted values) across candidates and defers the
     /// winner's datum and diagnostics materialization to the end, so
-    /// steady-state per-curve selection — the exact-mode streaming hot
-    /// path, one call per (window × channel) — performs no per-candidate
+    /// steady-state per-curve selection — the streaming hot path, one
+    /// call per (window × channel) — performs no per-candidate
     /// allocations. The floating-point operations, their order, the
     /// per-candidate coefficient-finiteness validation and the
     /// strict-improvement winner rule are unchanged, so results stay

@@ -243,114 +243,6 @@ pub(crate) fn diagnostics_from(
     }
 }
 
-impl PenalizedLeastSquares {
-    /// Specializes this smoother to a fixed observation grid `ts`,
-    /// precomputing the solve operator `S = (ΦᵀΦ + λR_q)⁻¹ Φᵀ`.
-    ///
-    /// This is the serving-path complement of [`PenalizedLeastSquares::fit`]:
-    /// offline fitting re-assembles and re-factorizes the normal equations
-    /// for every curve, which is wasted work in a streaming system where
-    /// every incoming window is observed at the *same* times. With the
-    /// operator frozen, smoothing a new curve is a single `L×m` matrix-
-    /// vector product.
-    pub fn freeze(&self, ts: &[f64]) -> Result<FrozenSmoother> {
-        if !vector::all_finite(ts) {
-            return Err(FdaError::NonFinite);
-        }
-        self.check_point_count(ts.len())?;
-        let (phi, chol) = self.factorize(ts)?;
-        let solve_op = chol.solve_matrix(&phi.transpose());
-        Ok(FrozenSmoother {
-            basis: Arc::clone(&self.basis),
-            ts: ts.to_vec(),
-            solve_op,
-        })
-    }
-}
-
-/// A penalized least-squares smoother frozen to a fixed observation grid:
-/// coefficients of a new curve are `α = S·y` with the cached operator `S`.
-///
-/// Numerical note: `S·y` and the factorized solve of [`PenalizedLeastSquares
-/// ::fit`] agree to solver round-off (≈1e-12 relative), not bit for bit —
-/// callers that need exact parity with the offline path must refit instead.
-#[derive(Clone)]
-pub struct FrozenSmoother {
-    basis: Arc<dyn Basis>,
-    ts: Vec<f64>,
-    /// `L × m` cached solve operator.
-    solve_op: Matrix,
-}
-
-impl std::fmt::Debug for FrozenSmoother {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenSmoother")
-            .field("basis", &self.basis.name())
-            .field("len", &self.basis.len())
-            .field("points", &self.ts.len())
-            .finish()
-    }
-}
-
-impl FrozenSmoother {
-    /// Rebuilds a frozen smoother from snapshot parts, re-validating the
-    /// shape invariants the freeze path guarantees (`solve_op` is
-    /// `L × m` for `L` basis functions and `m` observation times).
-    pub(crate) fn from_parts(
-        basis: Arc<dyn Basis>,
-        ts: Vec<f64>,
-        solve_op: Matrix,
-    ) -> Result<Self> {
-        if !vector::all_finite(&ts) {
-            return Err(FdaError::NonFinite);
-        }
-        if solve_op.shape() != (basis.len(), ts.len()) {
-            return Err(FdaError::InvalidParameter(format!(
-                "frozen solve operator is {}x{}, expected {}x{}",
-                solve_op.nrows(),
-                solve_op.ncols(),
-                basis.len(),
-                ts.len()
-            )));
-        }
-        Ok(FrozenSmoother {
-            basis,
-            ts,
-            solve_op,
-        })
-    }
-
-    /// The cached solve operator (snapshot serialization).
-    pub(crate) fn solve_op(&self) -> &Matrix {
-        &self.solve_op
-    }
-
-    /// The observation times this smoother is specialized to.
-    pub fn ts(&self) -> &[f64] {
-        &self.ts
-    }
-
-    /// The underlying basis.
-    pub fn basis(&self) -> &Arc<dyn Basis> {
-        &self.basis
-    }
-
-    /// Smooths observations taken at the frozen grid into a functional
-    /// datum. `ys` must have one value per frozen observation time.
-    pub fn smooth(&self, ys: &[f64]) -> Result<FunctionalDatum> {
-        if ys.len() != self.ts.len() {
-            return Err(FdaError::LengthMismatch {
-                t_len: self.ts.len(),
-                y_len: ys.len(),
-            });
-        }
-        if !vector::all_finite(ys) {
-            return Err(FdaError::NonFinite);
-        }
-        FunctionalDatum::new(Arc::clone(&self.basis), self.solve_op.matvec(ys))
-    }
-}
-
 /// Cross-validated selection of the B-spline basis size (and optionally λ),
 /// mirroring the paper's per-sample, per-channel leave-one-out procedure
 /// (Sec. 4.1).
@@ -401,21 +293,6 @@ impl Default for BasisSelector {
 }
 
 impl BasisSelector {
-    /// Rebuilds the penalized smoother corresponding to a selection
-    /// outcome `(size, lambda)` on the domain `[a, b]` — the bridge from a
-    /// recorded [`SelectionResult`] back to a reusable smoother (e.g. to
-    /// [`PenalizedLeastSquares::freeze`] it for serving).
-    pub fn smoother(
-        &self,
-        a: f64,
-        b: f64,
-        size: usize,
-        lambda: f64,
-    ) -> Result<PenalizedLeastSquares> {
-        let basis = crate::bspline::BSplineBasis::uniform(a, b, size, self.order)?;
-        PenalizedLeastSquares::new(basis, lambda, self.penalty_order)
-    }
-
     /// Selects the best B-spline fit for a single channel observed at
     /// `(ts, ys)`; the basis domain is `[min t, max t]`.
     ///
@@ -669,74 +546,6 @@ mod tests {
             .unwrap();
         assert!((fit.eval(0.5) - 2.0).abs() < 1e-10);
         assert!((fit.eval_deriv(0.3, 1) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn frozen_smoother_matches_fit() {
-        let (ts, ys) = sine_data(50, 0.2);
-        let basis = BSplineBasis::uniform(0.0, 1.0, 10, 4).unwrap();
-        let s = PenalizedLeastSquares::new(basis, 1e-4, 2).unwrap();
-        let offline = s.fit(&ts, &ys).unwrap();
-        let frozen = s.freeze(&ts).unwrap();
-        assert_eq!(frozen.ts().len(), 50);
-        assert_eq!(frozen.basis().len(), 10);
-        assert!(format!("{frozen:?}").contains("FrozenSmoother"));
-        let online = frozen.smooth(&ys).unwrap();
-        for (a, b) in offline.coefs().iter().zip(online.coefs()) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-        // A second curve through the same operator.
-        let ys2: Vec<f64> = ts
-            .iter()
-            .map(|&t| (std::f64::consts::TAU * t).cos())
-            .collect();
-        let offline2 = s.fit(&ts, &ys2).unwrap();
-        let online2 = frozen.smooth(&ys2).unwrap();
-        for (a, b) in offline2.coefs().iter().zip(online2.coefs()) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
-        }
-    }
-
-    #[test]
-    fn frozen_smoother_rejects_bad_inputs() {
-        let (ts, _) = sine_data(30, 0.0);
-        let basis = BSplineBasis::uniform(0.0, 1.0, 8, 4).unwrap();
-        let s = PenalizedLeastSquares::new(basis, 1e-4, 2).unwrap();
-        assert!(matches!(
-            s.freeze(&[0.0, f64::NAN]),
-            Err(FdaError::NonFinite)
-        ));
-        let frozen = s.freeze(&ts).unwrap();
-        assert!(matches!(
-            frozen.smooth(&[1.0, 2.0]),
-            Err(FdaError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            frozen.smooth(&vec![f64::NAN; 30]),
-            Err(FdaError::NonFinite)
-        ));
-        // λ = 0 with too few points for the basis must refuse to freeze.
-        let basis = BSplineBasis::uniform(0.0, 1.0, 10, 4).unwrap();
-        let s0 = PenalizedLeastSquares::new(basis, 0.0, 2).unwrap();
-        assert!(matches!(
-            s0.freeze(&[0.0, 0.5, 1.0]),
-            Err(FdaError::BasisTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn selector_smoother_roundtrip() {
-        let (ts, ys) = sine_data(40, 0.1);
-        let sel = BasisSelector::default();
-        let r = sel.select(&ts, &ys).unwrap();
-        let rebuilt = sel.smoother(0.0, 1.0, r.size, r.lambda).unwrap();
-        assert_eq!(rebuilt.basis().len(), r.size);
-        assert_eq!(rebuilt.lambda(), r.lambda);
-        // Refitting with the rebuilt smoother reproduces the selected curve.
-        let refit = rebuilt.fit(&ts, &ys).unwrap();
-        for (a, b) in refit.coefs().iter().zip(r.datum.coefs()) {
-            assert!((a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

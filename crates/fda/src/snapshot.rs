@@ -1,5 +1,5 @@
-//! Snapshot forms of the fda layer: basis configurations, the
-//! cross-validated selector and frozen smoothing operators.
+//! Snapshot forms of the fda layer: basis configurations and the
+//! cross-validated selector.
 //!
 //! Bases are trait objects at runtime, so persistence goes through a
 //! concrete tagged union, [`BasisSnapshot`], produced by the
@@ -16,9 +16,8 @@ use crate::bspline::BSplineBasis;
 use crate::error::FdaError;
 use crate::fourier::FourierBasis;
 use crate::polynomial::PolynomialBasis;
-use crate::smooth::{BasisSelector, FrozenSmoother, SelectionCriterion};
+use crate::smooth::{BasisSelector, SelectionCriterion};
 use crate::Result;
-use mfod_linalg::Matrix;
 use mfod_persist::{Decode, Decoder, Encode, Encoder, PersistError};
 use std::sync::Arc;
 
@@ -187,65 +186,10 @@ impl Decode for BasisSelector {
     }
 }
 
-/// Snapshot of a [`FrozenSmoother`]: the basis, the frozen observation
-/// grid and the cached `L × m` solve operator, all stored bit-exactly —
-/// a restored smoother's [`FrozenSmoother::smooth`] is a product with the
-/// *same* operator matrix, hence bit-identical coefficients.
-#[derive(Debug, Clone)]
-pub struct FrozenSmootherSnapshot {
-    /// The basis of the smoothed expansions.
-    pub basis: BasisSnapshot,
-    /// Observation times the operator is frozen to.
-    pub ts: Vec<f64>,
-    /// The cached solve operator `S = (ΦᵀΦ + λR)⁻¹ Φᵀ`.
-    pub solve_op: Matrix,
-}
-
-impl FrozenSmootherSnapshot {
-    /// Rebuilds the live smoother, re-validating the shape invariants.
-    pub fn restore(&self) -> Result<FrozenSmoother> {
-        FrozenSmoother::from_parts(
-            self.basis.restore()?,
-            self.ts.clone(),
-            self.solve_op.clone(),
-        )
-    }
-}
-
-impl FrozenSmoother {
-    /// Converts this smoother into its persistable snapshot form; fails
-    /// when the underlying basis does not support snapshots.
-    pub fn snapshot(&self) -> Result<FrozenSmootherSnapshot> {
-        Ok(FrozenSmootherSnapshot {
-            basis: snapshot_basis(self.basis().as_ref())?,
-            ts: self.ts().to_vec(),
-            solve_op: self.solve_op().clone(),
-        })
-    }
-}
-
-impl Encode for FrozenSmootherSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.basis.encode(w);
-        self.ts.encode(w);
-        self.solve_op.encode(w);
-    }
-}
-
-impl Decode for FrozenSmootherSnapshot {
-    fn decode(r: &mut Decoder<'_>) -> mfod_persist::Result<Self> {
-        Ok(FrozenSmootherSnapshot {
-            basis: BasisSnapshot::decode(r)?,
-            ts: Vec::decode(r)?,
-            solve_op: Matrix::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smooth::PenalizedLeastSquares;
+    use mfod_linalg::Matrix;
 
     fn roundtrip_bytes<T: Encode + Decode>(v: &T) -> T {
         let mut w = Encoder::new();
@@ -340,26 +284,6 @@ mod tests {
         };
         let back = roundtrip_bytes(&sel);
         assert_eq!(sel, back);
-    }
-
-    #[test]
-    fn frozen_smoother_snapshot_smooths_bit_identically() {
-        let ts: Vec<f64> = (0..30).map(|j| j as f64 / 29.0).collect();
-        let ys: Vec<f64> = ts.iter().map(|&t| (6.0 * t).sin()).collect();
-        let basis = BSplineBasis::uniform(0.0, 1.0, 9, 4).unwrap();
-        let smoother = PenalizedLeastSquares::new(basis, 1e-4, 2).unwrap();
-        let frozen = smoother.freeze(&ts).unwrap();
-        let snap = frozen.snapshot().unwrap();
-        let restored = roundtrip_bytes(&snap).restore().unwrap();
-        let a = frozen.smooth(&ys).unwrap();
-        let b = restored.smooth(&ys).unwrap();
-        for (x, y) in a.coefs().iter().zip(b.coefs()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // tampered shapes are rejected on restore
-        let mut bad = snap.clone();
-        bad.ts.pop();
-        assert!(bad.restore().is_err());
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //! schedule is a pure function of `(n, threads, split)`:
 //!
 //! ```text
-//! sub_chunks(n) = min(n, threads × split)      // split = MFOD_SPLIT or 8
+//! sub_chunks(n) = min(n, threads × split)      // split = DEFAULT_SPLIT (8)
 //! ```
 //!
-//! [`Pool::try_map_contiguous`] keeps the previous one-chunk-per-thread
-//! schedule; it has the lowest per-item overhead and is the reference
-//! point `benches/pool_throughput.rs` measures the stealing scheduler
-//! against.
+//! A split-1 pool ([`Pool::with_config`] with `split = 1`) runs the
+//! contiguous one-chunk-per-thread schedule, the reference point
+//! `benches/pool_throughput.rs` measures the stealing scheduler against.
 //!
 //! ## Runtime model
 //!
@@ -53,9 +52,8 @@
 //! 3. [`max_threads`] (`available_parallelism`).
 //!
 //! `MFOD_THREADS=1` turns every global-pool call site into the exact
-//! sequential loop. The split factor is resolved the same way from
-//! `MFOD_SPLIT` ([`SPLIT_ENV`]) at pool creation; [`Pool::with_config`]
-//! pins it explicitly.
+//! sequential loop. Every pool splits by [`DEFAULT_SPLIT`] unless
+//! [`Pool::with_config`] pins another factor.
 //!
 //! ## Determinism contract
 //!
@@ -106,14 +104,8 @@ use std::thread::JoinHandle;
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "MFOD_THREADS";
 
-/// Environment variable overriding the scheduler's split factor: the
-/// number of steal-able sub-chunks created **per thread** per map call.
-/// Larger values balance rougher workloads at slightly higher queue
-/// overhead; `MFOD_SPLIT=1` reproduces the contiguous one-chunk-per-thread
-/// schedule. Malformed or zero values fall back to [`DEFAULT_SPLIT`].
-pub const SPLIT_ENV: &str = "MFOD_SPLIT";
-
-/// Default sub-chunks per thread per job. Eight keeps the largest
+/// Sub-chunks per thread per job for every pool not built with an
+/// explicit [`Pool::with_config`] split. Eight keeps the largest
 /// sub-chunk at ~1/(8·threads) of the work — small enough that one
 /// expensive straggler item cannot hold more than its own sub-chunk
 /// hostage, large enough that queue traffic stays negligible next to the
@@ -145,21 +137,10 @@ pub fn configured_threads() -> usize {
         .unwrap_or_else(max_threads)
 }
 
-/// Split factor the global pool will be created with: the [`SPLIT_ENV`]
-/// (`MFOD_SPLIT`) environment variable when set to a positive integer,
-/// [`DEFAULT_SPLIT`] otherwise.
-pub fn configured_split() -> usize {
-    std::env::var(SPLIT_ENV)
-        .ok()
-        .as_deref()
-        .and_then(positive_from_env)
-        .unwrap_or(DEFAULT_SPLIT)
-}
-
-/// Parses an `MFOD_THREADS` / `MFOD_SPLIT`-style value: a positive
-/// integer (surrounding whitespace tolerated). Returns `None` — meaning
-/// "fall back" — for anything else, so a typo degrades to the default
-/// instead of crashing pool creation.
+/// Parses an `MFOD_THREADS` value: a positive integer (surrounding
+/// whitespace tolerated). Returns `None` — meaning "fall back" — for
+/// anything else, so a typo degrades to the default instead of crashing
+/// pool creation.
 fn positive_from_env(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
@@ -198,7 +179,7 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 /// The process-wide pool shared by [`par_map`] / [`par_try_map`], created
 /// on first use with [`configured_threads`] threads (the `MFOD_THREADS`
 /// environment variable when set, `available_parallelism` otherwise) and
-/// the [`configured_split`] split factor.
+/// the [`DEFAULT_SPLIT`] split factor.
 /// [`Pool::global_with_config`] can pin an explicit size before first use.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::with_threads(configured_threads()))
@@ -253,12 +234,12 @@ impl std::fmt::Debug for Pool {
 
 impl Pool {
     /// Creates a pool that runs maps on up to `threads` threads (clamped
-    /// to at least 1) with the [`configured_split`] split factor.
+    /// to at least 1) with the [`DEFAULT_SPLIT`] split factor.
     /// `with_threads(1)` spawns no workers and runs every map
     /// sequentially on the caller — handy as the reference point in
     /// determinism tests and benchmarks.
     pub fn with_threads(threads: usize) -> Pool {
-        Pool::with_config(threads, configured_split())
+        Pool::with_config(threads, DEFAULT_SPLIT)
     }
 
     /// Creates a pool with an explicit thread count **and** split factor
@@ -349,18 +330,6 @@ impl Pool {
         }
     }
 
-    /// Infallible [`Pool::try_map_contiguous`].
-    pub fn map_contiguous<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.try_map_contiguous(n, |i| Ok::<T, Never>(f(i))) {
-            Ok(v) => v,
-            Err(never) => match never {},
-        }
-    }
-
     /// Fallible [`Pool::map`] on the stealing scheduler: the range is
     /// pre-split into [`Pool::task_chunks`] index-ordered sub-chunks that
     /// idle threads steal from a shared deque. Reports the first error
@@ -369,41 +338,17 @@ impl Pool {
     /// selection is deterministic. A panic in `f` is re-raised on the
     /// calling thread with its original payload once all sub-chunks have
     /// finished; the pool stays usable afterwards.
+    ///
+    /// Sub-chunk sizes differ by at most one item; the caller runs the
+    /// first inline and steals queued ones until every sub-chunk is done.
     pub fn try_map<T, E, F>(&self, n: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
-        self.try_map_chunked(n, self.task_chunks(n), f)
-    }
-
-    /// Fallible map on the **contiguous** schedule: one chunk per thread,
-    /// the PR-2 scheduler. Lowest per-item overhead; optimal for uniform
-    /// per-item cost, straggles on unbalanced workloads (see
-    /// `benches/pool_throughput.rs`). Output and error selection are
-    /// identical to [`Pool::try_map`] — only wall-clock behavior differs.
-    pub fn try_map_contiguous<T, E, F>(&self, n: usize, f: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.try_map_chunked(n, self.threads.min(n), f)
-    }
-
-    /// The shared map driver: splits `0..n` into `chunks` contiguous
-    /// sub-chunks (sized to within one item of each other), queues all
-    /// but the first on the shared deque, runs the first inline, then
-    /// steals until every sub-chunk has finished, and reassembles the
-    /// per-chunk outcomes in index order.
-    fn try_map_chunked<T, E, F>(&self, n: usize, chunks: usize, f: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        if chunks <= 1 || self.threads == 1 {
+        let chunks = self.task_chunks(n);
+        if chunks <= 1 {
             // The sequential fallback is still a pool execution path: the
             // chaos hooks must cover it too (a 1-thread pool, or a batch
             // too small to split, is how most CI machines run). The whole
@@ -718,8 +663,10 @@ mod tests {
         let r: Result<Vec<usize>, usize> =
             pool.try_map(100, |i| if i == 10 || i == 90 { Err(i) } else { Ok(i) });
         assert_eq!(r.unwrap_err(), 10);
+        // …and on the contiguous (split-1) schedule
+        let contiguous = Pool::with_config(4, 1);
         let r: Result<Vec<usize>, usize> =
-            pool.try_map_contiguous(100, |i| if i == 10 || i == 90 { Err(i) } else { Ok(i) });
+            contiguous.try_map(100, |i| if i == 10 || i == 90 { Err(i) } else { Ok(i) });
         assert_eq!(r.unwrap_err(), 10);
     }
 
@@ -727,9 +674,8 @@ mod tests {
     fn reports_at_least_one_thread() {
         assert!(max_threads() >= 1);
         assert!(configured_threads() >= 1);
-        assert!(configured_split() >= 1);
         assert!(global().threads() >= 1);
-        assert!(global().split() >= 1);
+        assert_eq!(global().split(), DEFAULT_SPLIT);
     }
 
     #[test]
@@ -781,7 +727,6 @@ mod tests {
                 let pool = Pool::with_config(threads, split);
                 assert_eq!(pool.threads(), threads);
                 assert_eq!(pool.map(257, work), seq, "threads={threads} split={split}");
-                assert_eq!(pool.map_contiguous(257, work), seq, "threads={threads}");
             }
         }
     }
@@ -803,7 +748,8 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let pool = Pool::with_threads(threads);
             assert_eq!(pool.map(200, work), seq, "threads={threads}");
-            assert_eq!(pool.map_contiguous(200, work), seq, "threads={threads}");
+            let contiguous = Pool::with_config(threads, 1);
+            assert_eq!(contiguous.map(200, work), seq, "threads={threads}");
         }
         assert_eq!(par_map(200, work), seq, "global pool");
     }

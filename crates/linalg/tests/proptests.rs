@@ -202,9 +202,10 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let pool = Pool::with_threads(threads);
             prop_assert_eq!(&pool.map(n, work), &sequential);
-            // the contiguous schedule must agree too — scheduling is a
-            // wall-clock decision, never an output decision
-            prop_assert_eq!(&pool.map_contiguous(n, work), &sequential);
+            // the contiguous (split-1) schedule must agree too — scheduling
+            // is a wall-clock decision, never an output decision
+            let contiguous = Pool::with_config(threads, 1);
+            prop_assert_eq!(&contiguous.map(n, work), &sequential);
         }
         prop_assert_eq!(&par::par_map(n, work), &sequential);
     }

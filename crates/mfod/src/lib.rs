@@ -62,7 +62,6 @@ pub mod ensemble;
 pub mod error;
 pub mod experiment;
 pub mod pipeline;
-pub mod serving;
 pub mod snapshot;
 pub mod tune;
 
@@ -71,8 +70,7 @@ pub use ensemble::{FittedMappingEnsemble, MappingEnsemble};
 pub use error::MfodError;
 pub use experiment::{Fig3Config, Fig3Row};
 pub use pipeline::{FeatureTransform, FittedPipeline, GeomOutlierPipeline, PipelineConfig};
-pub use serving::FrozenScorer;
-pub use snapshot::{EnsembleSnapshot, FrozenScorerSnapshot, PipelineSnapshot};
+pub use snapshot::{EnsembleSnapshot, PipelineSnapshot};
 pub use tune::NuTuner;
 
 /// Crate-wide `Result` alias.
@@ -97,8 +95,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         FeatureTransform, FittedPipeline, GeomOutlierPipeline, PipelineConfig,
     };
-    pub use crate::serving::FrozenScorer;
-    pub use crate::snapshot::{EnsembleSnapshot, FrozenScorerSnapshot, PipelineSnapshot};
+    pub use crate::snapshot::{EnsembleSnapshot, PipelineSnapshot};
     pub use crate::tune::NuTuner;
     pub use mfod_datasets::{
         EcgConfig, EcgSimulator, LabeledDataSet, OutlierType, SplitConfig, TaxonomyConfig,

@@ -280,9 +280,9 @@ impl GeomOutlierPipeline {
     /// Fits the detector on the mapped training samples.
     ///
     /// Besides training the detector, this records the per-channel basis
-    /// selection that won most often across the training set — the frozen
-    /// serving path ([`crate::serving::FrozenScorer`]) reuses that
-    /// selection instead of re-running cross-validation per sample.
+    /// selection that won most often across the training set
+    /// ([`FittedPipeline::selected_bases`]). Scoring never reuses it: every
+    /// sample is re-smoothed with its own cross-validated selection.
     ///
     /// The smoothing stage builds one [`SelectionPlan`] per channel group
     /// and fans the per-(sample × channel) selection out over the global
@@ -353,20 +353,18 @@ impl GeomOutlierPipeline {
 /// training batch.
 type SelectionVotes = std::collections::HashMap<(usize, u64), usize>;
 
-/// Numerical tolerance for comparing observation times against the domain
-/// `[a, b]` — shared by every domain check in the crate so the exact and
-/// frozen paths can never drift apart.
-pub(crate) fn domain_tol(a: f64, b: f64) -> f64 {
+/// Numerical tolerance for comparing observation domains against the
+/// training domain `[a, b]` (see [`domains_match`]).
+fn domain_tol(a: f64, b: f64) -> f64 {
     1e-9 * (b - a).abs().max(1.0)
 }
 
 /// Assembles an `n × m` feature matrix by appending the row `produce(i)`
 /// yields for each sample into one flat buffer sized for the whole batch
 /// up front — no zero-fill pass, no intermediate per-sample matrix.
-/// Shared by the exact ([`FittedPipeline`]) and frozen
-/// (`crate::serving::FrozenScorer`) batch-assembly paths so the idiom
-/// cannot drift between them.
-pub(crate) fn assemble_features<R, E>(
+/// Shared by [`FittedPipeline::score`] and [`FittedPipeline::par_score`]
+/// so the two cannot drift apart.
+fn assemble_features<R, E>(
     n: usize,
     m: usize,
     mut produce: impl FnMut(usize) -> std::result::Result<R, E>,
@@ -398,8 +396,8 @@ pub fn smooth_sample(selector: &BasisSelector, sample: &RawSample) -> Result<Mul
 }
 
 /// Like [`smooth_sample`], additionally reporting the winning
-/// `(basis size, λ)` per channel so callers can persist the selection
-/// (the fit path records it for the frozen serving mode).
+/// `(basis size, λ)` per channel (the fit path tallies these into
+/// [`FittedPipeline::selected_bases`]).
 pub fn smooth_sample_with_selection(
     selector: &BasisSelector,
     sample: &RawSample,
@@ -451,7 +449,7 @@ pub struct FittedPipeline {
     /// commensurable with the training features).
     domain: (f64, f64),
     /// Per-channel `(basis size, λ)` selected most often across the
-    /// training set — the selection the frozen serving path reuses.
+    /// training set; its length is the trained channel count.
     selected: Vec<(usize, f64)>,
 }
 
@@ -526,7 +524,8 @@ impl FittedPipeline {
     }
 
     /// Per-channel `(basis size, λ)` chosen most often across the training
-    /// set (one entry per input channel).
+    /// set (one entry per input channel). A record of the fit, persisted
+    /// in every snapshot; scoring re-selects per sample and never reads it.
     pub fn selected_bases(&self) -> &[(usize, f64)] {
         &self.selected
     }

@@ -1,5 +1,5 @@
 //! Snapshot forms of the serving artifacts: [`FittedPipeline`] and
-//! [`FrozenScorer`].
+//! [`FittedMappingEnsemble`].
 //!
 //! A fitted pipeline owns two trait objects (the mapping and the fitted
 //! detector); its snapshot replaces both with the concrete tagged unions
@@ -10,29 +10,29 @@
 //! tampered-but-checksummed file still fails with a typed error.
 //!
 //! **Bit-exactness.** All numeric state travels as raw bit patterns, and
-//! both scoring paths are pure functions of that state, so a reloaded
-//! pipeline scores **bit-for-bit identically** to the in-memory
-//! original — on the exact path (per-sample re-selection runs the same
-//! fp ops on the same selector configuration) and on the frozen path
-//! (the scorer's smoothing operators are re-derived deterministically
-//! from the restored selection; see [`FrozenScorerSnapshot`]).
+//! scoring is a pure function of that state (per-sample re-selection
+//! runs the same fp ops on the same selector configuration), so a
+//! reloaded pipeline scores **bit-for-bit identically** to the in-memory
+//! original.
+//!
+//! **Retired kind 2.** Artifact kind 2 belonged to the frozen scorer, a
+//! serving-only path that reused the training-time basis selection. The
+//! tag is retired and never reused: a kind-2 file fails every loader
+//! here with [`PersistError::WrongKind`] instead of being decoded.
 
 use crate::ensemble::FittedMappingEnsemble;
 use crate::error::MfodError;
 use crate::pipeline::{FeatureTransform, FittedPipeline, PipelineConfig};
-use crate::serving::FrozenScorer;
 use crate::Result;
 use mfod_detect::DetectorSnapshot;
 use mfod_fda::BasisSelector;
 use mfod_geometry::{snapshot_mapping, MappingSnapshot};
 use mfod_persist::{Decode, Decoder, Encode, Encoder, PersistError, Restorable, Snapshot};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Artifact-kind tag of [`PipelineSnapshot`] files.
 pub const KIND_FITTED_PIPELINE: u32 = 1;
-/// Artifact-kind tag of [`FrozenScorerSnapshot`] files.
-pub const KIND_FROZEN_SCORER: u32 = 2;
+// Kind 2 is retired and never reused (see the module docs).
 /// Artifact-kind tag reserved by `mfod-stream` for calibrator files.
 pub const KIND_THRESHOLD_CALIBRATOR: u32 = 3;
 /// Artifact-kind tag of [`EnsembleSnapshot`] files.
@@ -258,87 +258,6 @@ impl FittedPipeline {
     }
 }
 
-/// The on-disk form of a [`FrozenScorer`].
-///
-/// Only the pipeline and the frozen observation times are stored: the
-/// per-channel smoothing operators are re-derived by
-/// [`FrozenScorer::new`] on restore, which is deterministic — the same
-/// floating-point assembly on the same restored selection — so the
-/// restored scorer's operators, and therefore its scores, are
-/// bit-identical to the original's. (The operators themselves can be
-/// persisted standalone via `mfod_fda::FrozenSmootherSnapshot`.)
-#[derive(Debug, Clone)]
-pub struct FrozenScorerSnapshot {
-    /// The underlying fitted pipeline.
-    pub pipeline: PipelineSnapshot,
-    /// Observation times the scorer is frozen to.
-    pub ts: Vec<f64>,
-}
-
-impl Encode for FrozenScorerSnapshot {
-    fn encode(&self, w: &mut Encoder) {
-        self.pipeline.encode(w);
-        self.ts.encode(w);
-    }
-}
-
-impl Decode for FrozenScorerSnapshot {
-    fn decode(r: &mut Decoder<'_>) -> mfod_persist::Result<Self> {
-        Ok(FrozenScorerSnapshot {
-            pipeline: PipelineSnapshot::decode(r)?,
-            ts: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for FrozenScorerSnapshot {
-    const KIND: u32 = KIND_FROZEN_SCORER;
-    const NAME: &'static str = "frozen-scorer";
-}
-
-impl FrozenScorerSnapshot {
-    /// Rebuilds the live scorer (pipeline restore validation plus the
-    /// freeze-time checks of [`FrozenScorer::new`]).
-    pub fn restore(self) -> Result<FrozenScorer> {
-        FrozenScorer::new(Arc::new(self.pipeline.restore()?), &self.ts)
-    }
-}
-
-impl Restorable for FrozenScorer {
-    type Snapshot = FrozenScorerSnapshot;
-
-    fn restore(snapshot: FrozenScorerSnapshot) -> std::result::Result<Self, String> {
-        snapshot.restore().map_err(|e| e.to_string())
-    }
-}
-
-impl FrozenScorer {
-    /// Converts this scorer into its persistable snapshot form.
-    pub fn snapshot(&self) -> Result<FrozenScorerSnapshot> {
-        Ok(FrozenScorerSnapshot {
-            pipeline: self.pipeline().snapshot()?,
-            ts: self.ts().to_vec(),
-        })
-    }
-
-    /// Snapshots this scorer and writes it to `path` atomically.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        Ok(mfod_persist::save(&self.snapshot()?, path)?)
-    }
-
-    /// Loads a scorer saved with [`FrozenScorer::save`].
-    pub fn load(path: &Path) -> Result<FrozenScorer> {
-        mfod_persist::load::<FrozenScorerSnapshot>(path)?.restore()
-    }
-
-    /// Loads a scorer by memory-mapping the snapshot file — the
-    /// zero-copy twin of [`FrozenScorer::load`]; see
-    /// [`FittedPipeline::load_mapped`].
-    pub fn load_mapped(path: &Path) -> Result<FrozenScorer> {
-        mfod_persist::load_mapped::<FrozenScorerSnapshot>(path)?.restore()
-    }
-}
-
 /// The on-disk form of a [`FittedMappingEnsemble`]
 /// (`crate::ensemble`): one [`PipelineSnapshot`] per member, in member
 /// order.
@@ -440,6 +359,7 @@ mod tests {
     use mfod_datasets::{EcgConfig, EcgSimulator, LabeledDataSet};
     use mfod_detect::{IsolationForest, OcSvm};
     use mfod_geometry::{Curvature, Speed};
+    use std::sync::Arc;
 
     fn ecg(n_norm: usize, n_abn: usize, seed: u64) -> LabeledDataSet {
         EcgSimulator::new(EcgConfig {
@@ -503,24 +423,29 @@ mod tests {
         assert_eq!(mfod_persist::to_bytes(&restored.snapshot().unwrap()), bytes);
     }
 
-    #[test]
-    fn frozen_scorer_roundtrip_scores_bit_identically() {
-        let data = ecg(14, 4, 7);
-        let ts = data.samples()[0].t.clone();
-        let pipeline = Arc::new(fitted(&data));
-        let frozen = FrozenScorer::new(Arc::clone(&pipeline), &ts).unwrap();
-        let bytes = mfod_persist::to_bytes(&frozen.snapshot().unwrap());
-        let restored = mfod_persist::from_bytes::<FrozenScorerSnapshot>(&bytes)
-            .unwrap()
-            .restore()
-            .unwrap();
-        let a = frozen.score(data.samples()).unwrap();
-        let b = restored.score(data.samples()).unwrap();
-        assert_bits_eq(&a, &b, "frozen path");
+    /// A container of the retired kind 2, laid out as its old writer left
+    /// it: a pipeline body followed by the observation times.
+    fn retired_kind_2_bytes(pipeline: &FittedPipeline, ts: &[f64]) -> Vec<u8> {
+        let mut w = mfod_persist::SnapshotWriter::new(2);
+        w.section(mfod_persist::SECTION_BODY, |enc| {
+            pipeline.snapshot().unwrap().encode(enc);
+            ts.to_vec().encode(enc);
+        });
+        w.finish()
+    }
+
+    fn is_retired_kind<T>(r: Result<T>) -> bool {
+        matches!(
+            r,
+            Err(MfodError::Persist(PersistError::WrongKind {
+                got: 2,
+                expected: KIND_FITTED_PIPELINE
+            }))
+        )
     }
 
     #[test]
-    fn save_load_file_helpers() {
+    fn save_load_roundtrip_and_retired_kind_is_typed() {
         let dir = std::env::temp_dir().join(format!("mfod-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = ecg(10, 3, 3);
@@ -533,21 +458,21 @@ mod tests {
             &restored.score(data.samples()).unwrap(),
             "file roundtrip",
         );
-        let ts = data.samples()[0].t.clone();
-        let frozen = FrozenScorer::new(Arc::new(pipeline), &ts).unwrap();
-        let fpath = dir.join("frozen.mfod");
-        frozen.save(&fpath).unwrap();
-        let frestored = FrozenScorer::load(&fpath).unwrap();
-        assert_bits_eq(
-            &frozen.score(data.samples()).unwrap(),
-            &frestored.score(data.samples()).unwrap(),
-            "frozen file roundtrip",
-        );
-        // loading the wrong artifact kind is typed
+        // a kind-2 file left on disk by an older build is rejected, typed,
+        // by the eager loader and by the registry — never decoded
+        let retired = retired_kind_2_bytes(&pipeline, &data.samples()[0].t);
+        let rpath = dir.join("retired.mfod");
+        mfod_persist::save_bytes(&rpath, &retired).unwrap();
+        assert!(is_retired_kind(FittedPipeline::load(&rpath)));
+        let reg: mfod_persist::ModelRegistry<FittedPipeline> = mfod_persist::ModelRegistry::new();
         assert!(matches!(
-            FrozenScorer::load(&path),
-            Err(MfodError::Persist(PersistError::WrongKind { .. }))
+            reg.install_bytes(&retired),
+            Err(PersistError::WrongKind {
+                got: 2,
+                expected: KIND_FITTED_PIPELINE
+            })
         ));
+        assert!(reg.active().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -582,15 +507,14 @@ mod tests {
             &mapped.par_score(data.samples()).unwrap(),
             "mapped parallel",
         );
-        // wrong-kind rejection is identical across tiers
+        // retired-kind rejection is identical across tiers
         let fs_path = std::env::temp_dir().join(format!("mfod-snap-map2-{}", std::process::id()));
         std::fs::create_dir_all(&fs_path).unwrap();
-        let p2 = fs_path.join("pipeline.mfod");
-        pipeline.save(&p2).unwrap();
-        assert!(matches!(
-            FrozenScorer::load_mapped(&p2),
-            Err(MfodError::Persist(PersistError::WrongKind { .. }))
-        ));
+        let p2 = fs_path.join("retired.mfod");
+        mfod_persist::save_bytes(&p2, &retired_kind_2_bytes(&pipeline, &data.samples()[0].t))
+            .unwrap();
+        assert!(is_retired_kind(FittedPipeline::load_mapped(&p2)));
+        assert!(is_retired_kind(FittedPipeline::load(&p2)));
         std::fs::remove_dir_all(&fs_path).unwrap();
     }
 

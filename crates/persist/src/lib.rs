@@ -22,8 +22,8 @@
 //! Downstream crates implement [`Encode`]/[`Decode`] for their own types
 //! (`Matrix` is covered here since `mfod-linalg` sits below this crate)
 //! and declare top-level artifacts via [`Snapshot`] + [`Restorable`]:
-//! `FittedPipeline` and `FrozenScorer` in `mfod`, `ThresholdCalibrator`
-//! in `mfod-stream`.
+//! `FittedPipeline`, `FittedMappingEnsemble` and `FittedDepthBaseline`
+//! in `mfod`, `ThresholdCalibrator` in `mfod-stream`.
 //!
 //! ```
 //! use mfod_persist::prelude::*;

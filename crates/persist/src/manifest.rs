@@ -20,9 +20,9 @@ use crate::format::Snapshot;
 use crate::wire::{Decode, Decoder, Encode, Encoder};
 use crate::Result;
 
-/// Artifact-kind tag of the manifest container (KINDs 1–5 are taken by
-/// the pipeline/frozen-scorer/calibrator/ensemble/depth-baseline
-/// artifacts in the workspace crates above this one).
+/// Artifact-kind tag of the manifest container (KINDs 1 and 3–5 are the
+/// pipeline/calibrator/ensemble/depth-baseline artifacts in the workspace
+/// crates above this one; KIND 2 is retired and never reused).
 pub const KIND_MANIFEST: u32 = 6;
 
 /// One promoted generation: identity + provenance.

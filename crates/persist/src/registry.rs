@@ -5,7 +5,7 @@
 //! call [`ModelRegistry::active`] per batch — a read-lock plus an `Arc`
 //! clone, never blocked by a concurrent install for longer than the swap
 //! of one pointer — while an operator (or a watcher thread) installs new
-//! generations with [`ModelRegistry::install`], [`load_file`] or
+//! generations with [`ModelRegistry::install`], [`install_mapped`] or
 //! [`load_dir`]. In-flight batches keep scoring against the `Arc` they
 //! already cloned; the swap is torn-batch-free by construction.
 //!
@@ -14,7 +14,7 @@
 //! validation) is rejected with a typed [`PersistError`] and the active
 //! model is left untouched.
 //!
-//! [`load_file`]: ModelRegistry::load_file
+//! [`install_mapped`]: ModelRegistry::install_mapped
 //! [`load_dir`]: ModelRegistry::load_dir
 
 use crate::error::PersistError;
@@ -232,13 +232,6 @@ impl<T: Restorable> ModelRegistry<T> {
             stat_stable: mtime_is_settled(mtime),
         };
         self.install_shared(&shared, source)
-    }
-
-    /// Loads one snapshot file and hot-swaps it in — via the mapped
-    /// zero-copy path ([`ModelRegistry::install_mapped`]). The active
-    /// model is untouched when the file fails any validation step.
-    pub fn load_file(&self, path: &Path) -> Result<u64> {
-        self.install_mapped(path)
     }
 
     /// Scans `dir` for `*.mfod` snapshots and installs the newest valid

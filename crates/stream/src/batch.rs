@@ -31,24 +31,11 @@
 use crate::error::StreamError;
 use crate::stats::StreamStats;
 use crate::Result;
-use mfod::{FittedPipeline, FrozenScorer};
+use mfod::FittedPipeline;
 use mfod_fda::RawSample;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// Which smoothing path the batcher scores through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Per-sample cross-validated re-selection — bit-for-bit identical to
-    /// the offline [`FittedPipeline::score`] on the same windows.
-    #[default]
-    Exact,
-    /// Frozen training-time basis selection with cached smoothing
-    /// operators ([`FrozenScorer`]) — the high-throughput serving path;
-    /// scores agree with `Exact` up to the selection difference.
-    Frozen,
-}
 
 /// A wall-clock budget for one flush: scoring that overruns it is
 /// abandoned (the batch returns to the pending queue) instead of wedging
@@ -97,8 +84,6 @@ pub struct BatchConfig {
     /// (checked on submission; streams stalled forever should call
     /// [`MicroBatcher::flush`]).
     pub max_delay: Option<Duration>,
-    /// Smoothing path (see [`ScoringMode`]).
-    pub mode: ScoringMode,
     /// Wall-clock budget per flush (see [`ScoringDeadline`]); `None`
     /// scores inline with no bound.
     pub deadline: Option<ScoringDeadline>,
@@ -120,7 +105,6 @@ impl Default for BatchConfig {
         BatchConfig {
             batch_size: 16,
             max_delay: None,
-            mode: ScoringMode::Exact,
             deadline: None,
             max_pending: None,
             overload: OverloadPolicy::Reject,
@@ -169,15 +153,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one scoring attempt with panic containment. The injected-fault
-/// hooks live here so they ride the same catch/deadline machinery as
-/// real failures.
-fn score_attempt(
-    pipeline: &FittedPipeline,
-    frozen: Option<&FrozenScorer>,
-    mode: ScoringMode,
-    batch: &[RawSample],
-) -> ScoreOutcome {
+/// Runs one scoring attempt through [`FittedPipeline::par_score`] with
+/// panic containment. The injected-fault hooks live here so they ride
+/// the same catch/deadline machinery as real failures.
+fn score_attempt(pipeline: &FittedPipeline, batch: &[RawSample]) -> ScoreOutcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         mfod_faultline::stall(mfod_faultline::points::STREAM_DELAY);
         if mfod_faultline::should_fire(mfod_faultline::points::STREAM_FLUSH) {
@@ -185,11 +164,7 @@ fn score_attempt(
                 "injected fault: stream.flush".into(),
             )));
         }
-        match (mode, frozen) {
-            (ScoringMode::Exact, _) => pipeline.par_score(batch).map_err(Into::into),
-            (ScoringMode::Frozen, Some(f)) => f.par_score(batch).map_err(Into::into),
-            (ScoringMode::Frozen, None) => unreachable!("checked at construction"),
-        }
+        pipeline.par_score(batch).map_err(Into::into)
     }));
     match result {
         Ok(Ok(scores)) => ScoreOutcome::Scores(scores),
@@ -208,7 +183,6 @@ fn score_attempt(
 /// * `seq` numbers are assigned at submission, consecutive from 0.
 pub struct MicroBatcher {
     pipeline: Arc<FittedPipeline>,
-    frozen: Option<Arc<FrozenScorer>>,
     config: BatchConfig,
     stats: Arc<StreamStats>,
     /// Pending windows and their submission-assigned sequence numbers,
@@ -226,7 +200,6 @@ impl std::fmt::Debug for MicroBatcher {
         f.debug_struct("MicroBatcher")
             .field("label", &self.pipeline.label())
             .field("batch_size", &self.config.batch_size)
-            .field("mode", &self.config.mode)
             .field("pending", &self.pending.len())
             .field("consecutive_failures", &self.consecutive_failures)
             .finish()
@@ -234,15 +207,11 @@ impl std::fmt::Debug for MicroBatcher {
 }
 
 impl MicroBatcher {
-    /// Creates a batcher scoring through `pipeline`.
-    ///
-    /// For [`ScoringMode::Frozen`], `window_ts` (the observation times of
-    /// every incoming window) must be provided so the frozen operators can
-    /// be built once, up front.
+    /// Creates a batcher scoring through `pipeline`; scores are bit-for-bit
+    /// identical to [`FittedPipeline::score`] on the same windows.
     pub fn new(
         pipeline: Arc<FittedPipeline>,
         config: BatchConfig,
-        window_ts: Option<&[f64]>,
         stats: Arc<StreamStats>,
     ) -> Result<Self> {
         if config.batch_size == 0 {
@@ -258,18 +227,8 @@ impl MicroBatcher {
                 ));
             }
         }
-        let frozen = match config.mode {
-            ScoringMode::Exact => None,
-            ScoringMode::Frozen => {
-                let ts = window_ts.ok_or_else(|| {
-                    StreamError::Config("frozen mode needs the window observation times".into())
-                })?;
-                Some(Arc::new(FrozenScorer::new(Arc::clone(&pipeline), ts)?))
-            }
-        };
         Ok(MicroBatcher {
             pipeline,
-            frozen,
             config,
             stats,
             pending: Vec::new(),
@@ -289,11 +248,6 @@ impl MicroBatcher {
     /// The shared pipeline this batcher scores through.
     pub(crate) fn pipeline(&self) -> &Arc<FittedPipeline> {
         &self.pipeline
-    }
-
-    /// The frozen scorer, when running in [`ScoringMode::Frozen`].
-    pub(crate) fn frozen(&self) -> Option<&FrozenScorer> {
-        self.frozen.as_deref()
     }
 
     /// Windows waiting for the next flush.
@@ -454,23 +408,16 @@ impl MicroBatcher {
         let seqs = std::mem::take(&mut self.pending_seqs);
         let started = Instant::now();
         let outcome = match self.config.deadline {
-            None => score_attempt(&self.pipeline, self.frozen(), self.config.mode, &batch),
+            None => score_attempt(&self.pipeline, &batch),
             Some(deadline) => {
                 // Score on a helper thread and wait at most `budget`. A
                 // timed-out run keeps scoring in the background; its
                 // result is discarded when the channel sender drops.
                 let (tx, rx) = mpsc::channel();
                 let pipeline = Arc::clone(&self.pipeline);
-                let frozen = self.frozen.clone();
-                let mode = self.config.mode;
                 let thread_batch = batch.clone();
                 std::thread::spawn(move || {
-                    let _ = tx.send(score_attempt(
-                        &pipeline,
-                        frozen.as_deref(),
-                        mode,
-                        &thread_batch,
-                    ));
+                    let _ = tx.send(score_attempt(&pipeline, &thread_batch));
                 });
                 match rx.recv_timeout(deadline.budget) {
                     Ok(outcome) => outcome,
@@ -555,7 +502,6 @@ mod tests {
                 batch_size: 5,
                 ..Default::default()
             },
-            None,
             Arc::clone(&stats),
         )
         .unwrap();
@@ -588,7 +534,6 @@ mod tests {
                 batch_size: 7,
                 ..Default::default()
             },
-            None,
             stats,
         )
         .unwrap();
@@ -604,41 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_mode_scores_through_frozen_operators() {
-        let (fitted, windows, ts) = tiny_pipeline();
-        let stats = Arc::new(StreamStats::new());
-        let mut b = MicroBatcher::new(
-            Arc::clone(&fitted),
-            BatchConfig {
-                batch_size: 4,
-                mode: ScoringMode::Frozen,
-                ..Default::default()
-            },
-            Some(&ts),
-            stats,
-        )
-        .unwrap();
-        let mut scored = Vec::new();
-        for w in windows.iter().cloned() {
-            scored.extend(b.submit(w).unwrap());
-        }
-        scored.extend(b.flush().unwrap());
-        assert_eq!(scored.len(), windows.len());
-        assert!(scored.iter().all(|r| r.score.is_finite()));
-        // Frozen construction without ts must fail.
-        assert!(MicroBatcher::new(
-            fitted,
-            BatchConfig {
-                mode: ScoringMode::Frozen,
-                ..Default::default()
-            },
-            None,
-            Arc::new(StreamStats::new()),
-        )
-        .is_err());
-    }
-
-    #[test]
     fn max_delay_forces_early_flush() {
         let (fitted, windows, _) = tiny_pipeline();
         let mut b = MicroBatcher::new(
@@ -648,7 +558,6 @@ mod tests {
                 max_delay: Some(Duration::ZERO),
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .unwrap();
@@ -669,7 +578,6 @@ mod tests {
                 batch_size: 100,
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .unwrap();
@@ -710,7 +618,6 @@ mod tests {
                 batch_size: 0,
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .is_err());
@@ -720,7 +627,6 @@ mod tests {
                 max_pending: Some(0),
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .is_err());
@@ -730,7 +636,6 @@ mod tests {
                 deadline: Some(ScoringDeadline::new(Duration::ZERO)),
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .is_err());
@@ -748,7 +653,6 @@ mod tests {
                 deadline: Some(ScoringDeadline::new(Duration::from_millis(10))),
                 ..Default::default()
             },
-            None,
             Arc::clone(&stats),
         )
         .unwrap();
@@ -794,7 +698,6 @@ mod tests {
                 max_flush_retries: 1,
                 ..Default::default()
             },
-            None,
             Arc::new(StreamStats::new()),
         )
         .unwrap();
@@ -847,7 +750,6 @@ mod tests {
                 overload: OverloadPolicy::Reject,
                 ..Default::default()
             },
-            None,
             Arc::clone(&stats),
         )
         .unwrap();
@@ -880,7 +782,6 @@ mod tests {
                 overload: OverloadPolicy::DropOldest,
                 ..Default::default()
             },
-            None,
             Arc::clone(&stats),
         )
         .unwrap();
@@ -908,7 +809,6 @@ mod tests {
                 overload: OverloadPolicy::Block,
                 ..Default::default()
             },
-            None,
             Arc::clone(&stats),
         )
         .unwrap();

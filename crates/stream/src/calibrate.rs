@@ -41,27 +41,11 @@ impl ThresholdCalibrator {
         })
     }
 
-    /// Calibrates by scoring the training samples through `fitted`'s
-    /// **exact** path — the right calibration for
-    /// [`crate::ScoringMode::Exact`]. A `Frozen`-mode scorer produces a
-    /// (slightly) different score distribution; calibrate it with
-    /// [`ThresholdCalibrator::fit_frozen`] instead, so the realized alarm
-    /// rate tracks the requested contamination.
+    /// Calibrates by scoring the training samples through `fitted` — the
+    /// same path the stream serves, so the realized alarm rate tracks the
+    /// requested contamination.
     pub fn fit(fitted: &FittedPipeline, train: &[RawSample], contamination: f64) -> Result<Self> {
         let scores = fitted.par_score(train)?;
-        Self::from_scores(&scores, contamination)
-    }
-
-    /// Calibrates against the **frozen** serving path: the threshold is
-    /// the contamination quantile of the training scores exactly as the
-    /// [`mfod::FrozenScorer`] produces them — the right calibration for
-    /// [`crate::ScoringMode::Frozen`].
-    pub fn fit_frozen(
-        frozen: &mfod::FrozenScorer,
-        train: &[RawSample],
-        contamination: f64,
-    ) -> Result<Self> {
-        let scores = frozen.par_score(train)?;
         Self::from_scores(&scores, contamination)
     }
 

@@ -106,12 +106,7 @@ impl OnlineScorer {
             )));
         }
         let stats = Arc::new(StreamStats::new());
-        let batcher = MicroBatcher::new(
-            pipeline,
-            config.batch.clone(),
-            Some(&config.window.ts),
-            Arc::clone(&stats),
-        )?;
+        let batcher = MicroBatcher::new(pipeline, config.batch.clone(), Arc::clone(&stats))?;
         let buffer = WindowBuffer::new(config.window)?;
         Ok(OnlineScorer {
             buffer,
@@ -129,11 +124,8 @@ impl OnlineScorer {
     }
 
     /// Calibrates the alarm threshold from training scores (see
-    /// [`ThresholdCalibrator::from_scores`]).
-    ///
-    /// The scores must come from the same scoring path this scorer serves
-    /// — for [`crate::ScoringMode::Frozen`] prefer
-    /// [`OnlineScorer::calibrate_from_samples`], which guarantees that.
+    /// [`ThresholdCalibrator::from_scores`]), which should come from
+    /// [`FittedPipeline::score`] like the verdicts this scorer emits.
     pub fn calibrate(&mut self, train_scores: &[f64], contamination: f64) -> Result<()> {
         self.calibrator = Some(ThresholdCalibrator::from_scores(
             train_scores,
@@ -142,19 +134,19 @@ impl OnlineScorer {
         Ok(())
     }
 
-    /// Calibrates by scoring `train` through the **same path this scorer
-    /// serves** (exact or frozen), so the threshold always matches the
-    /// score distribution of the verdicts it will emit.
+    /// Calibrates by scoring `train` through the pipeline this scorer
+    /// serves (see [`ThresholdCalibrator::fit`]), so the threshold matches
+    /// the score distribution of the verdicts it will emit.
     pub fn calibrate_from_samples(
         &mut self,
         train: &[mfod_fda::RawSample],
         contamination: f64,
     ) -> Result<()> {
-        let calibrator = match self.batcher.frozen() {
-            Some(frozen) => ThresholdCalibrator::fit_frozen(frozen, train, contamination)?,
-            None => ThresholdCalibrator::fit(self.batcher.pipeline(), train, contamination)?,
-        };
-        self.calibrator = Some(calibrator);
+        self.calibrator = Some(ThresholdCalibrator::fit(
+            self.batcher.pipeline(),
+            train,
+            contamination,
+        )?);
         Ok(())
     }
 
@@ -292,7 +284,6 @@ impl OnlineScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ScoringMode;
     use mfod_fda::RawSample;
     use mfod_fixtures::{sine_pipeline, FixtureConfig};
 
@@ -375,11 +366,11 @@ mod tests {
     #[test]
     fn calibrate_from_samples_follows_the_serving_mode() {
         let (fitted, train, ts) = setup();
-        // Exact mode: matches an explicit exact-path calibration.
+        // Matches an explicit calibration on the same pipeline.
         let mut exact = OnlineScorer::new(
             Arc::clone(&fitted),
             StreamConfig {
-                window: WindowConfig::tumbling(ts.clone(), 2),
+                window: WindowConfig::tumbling(ts, 2),
                 batch: BatchConfig::default(),
             },
         )
@@ -388,25 +379,6 @@ mod tests {
         let reference = ThresholdCalibrator::fit(&fitted, &train, 0.2).unwrap();
         assert_eq!(
             exact.calibrator().unwrap().threshold().to_bits(),
-            reference.threshold().to_bits()
-        );
-        // Frozen mode: matches a frozen-path calibration.
-        let mut frozen = OnlineScorer::new(
-            Arc::clone(&fitted),
-            StreamConfig {
-                window: WindowConfig::tumbling(ts.clone(), 2),
-                batch: BatchConfig {
-                    mode: ScoringMode::Frozen,
-                    ..Default::default()
-                },
-            },
-        )
-        .unwrap();
-        frozen.calibrate_from_samples(&train, 0.2).unwrap();
-        let frozen_ref = mfod::FrozenScorer::new(Arc::clone(&fitted), &ts).unwrap();
-        let reference = ThresholdCalibrator::fit_frozen(&frozen_ref, &train, 0.2).unwrap();
-        assert_eq!(
-            frozen.calibrator().unwrap().threshold().to_bits(),
             reference.threshold().to_bits()
         );
     }
@@ -534,7 +506,6 @@ mod tests {
             window: WindowConfig::tumbling(ts, 2),
             batch: BatchConfig {
                 batch_size: 1,
-                mode: ScoringMode::Frozen,
                 ..Default::default()
             },
         };

@@ -13,10 +13,9 @@
 //!   stream into fixed-length [`mfod_fda::RawSample`] windows (tumbling,
 //!   overlapping or gapped, via `stride`);
 //! * [`MicroBatcher`] — accumulates windows and scores each micro-batch in
-//!   parallel through a shared `Arc<FittedPipeline>`, in
-//!   [`ScoringMode::Exact`] (bit-for-bit parity with offline scoring) or
-//!   [`ScoringMode::Frozen`] (cached smoothing operators, the
-//!   high-throughput path);
+//!   parallel through a shared `Arc<FittedPipeline>`, bit for bit equal
+//!   to offline `FittedPipeline::score` on the same windows (every window
+//!   gets its own cross-validated smoothing, as in the paper);
 //! * [`ThresholdCalibrator`] — converts raw outlyingness scores into
 //!   binary alarms at the empirical `1 − contamination` quantile of the
 //!   training scores;
@@ -86,9 +85,7 @@ pub mod error;
 pub mod stats;
 pub mod window;
 
-pub use batch::{
-    BatchConfig, MicroBatcher, OverloadPolicy, ScoredWindow, ScoringDeadline, ScoringMode,
-};
+pub use batch::{BatchConfig, MicroBatcher, OverloadPolicy, ScoredWindow, ScoringDeadline};
 pub use calibrate::ThresholdCalibrator;
 pub use engine::{OnlineScorer, QuarantineReport, StreamConfig, Verdict};
 pub use error::StreamError;

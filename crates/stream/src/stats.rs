@@ -54,8 +54,8 @@ pub struct StatsSnapshot {
     /// retries (one per quarantined batch, not per window).
     pub quarantined: u64,
     /// Total wall-clock time spent scoring micro-batches end to end
-    /// (smoothing → mapping → transform → detector; in Exact mode the
-    /// per-sample cross-validated smoothing dominates).
+    /// (smoothing → mapping → transform → detector; the per-sample
+    /// cross-validated smoothing dominates).
     pub scoring_time: Duration,
 }
 

@@ -5,9 +5,7 @@
 //! the offline `score`/`score_batch` on the same windows.
 
 use mfod_fixtures::{ecg_fitted as fit, ecg_split};
-use mfod_stream::{
-    BatchConfig, OnlineScorer, ScoringMode, StreamConfig, ThresholdCalibrator, WindowConfig,
-};
+use mfod_stream::{BatchConfig, OnlineScorer, StreamConfig, ThresholdCalibrator, WindowConfig};
 use std::sync::Arc;
 
 /// Streams every observation of `samples` through `scorer`, returning all
@@ -111,39 +109,6 @@ fn calibrated_alarms_recover_labeled_outliers() {
         "alarms {alarms:?} recovered {hits}/{true_outliers} outliers"
     );
     assert_eq!(scorer.stats().alarms, alarms.len() as u64);
-}
-
-#[test]
-fn frozen_mode_streams_and_preserves_the_signal() {
-    let (train, test) = ecg_split();
-    let fitted = fit(&train);
-    let ts = test.samples()[0].t.clone();
-
-    // Calibrate against the frozen path itself, so the threshold matches
-    // the score distribution the serving mode actually produces.
-    let frozen = mfod::FrozenScorer::new(Arc::clone(&fitted), &ts).unwrap();
-    let calibrator = ThresholdCalibrator::fit_frozen(&frozen, train.samples(), 0.25).unwrap();
-
-    let mut scorer = OnlineScorer::new(
-        Arc::clone(&fitted),
-        StreamConfig {
-            window: WindowConfig::tumbling(ts, 2),
-            batch: BatchConfig {
-                batch_size: 16,
-                mode: ScoringMode::Frozen,
-                ..Default::default()
-            },
-        },
-    )
-    .unwrap()
-    .with_calibrator(calibrator);
-    let verdicts = stream_through(&mut scorer, test.samples());
-    assert_eq!(verdicts.len(), test.len());
-    let scores: Vec<f64> = verdicts.iter().map(|v| v.score).collect();
-    let auc = mfod::eval::auc(&scores, test.labels()).unwrap();
-    assert!(auc > 0.6, "frozen streaming AUC {auc}");
-    // The frozen-calibrated threshold must actually fire on this data.
-    assert!(verdicts.iter().any(|v| v.is_outlier));
 }
 
 #[test]

@@ -77,7 +77,6 @@ proptest! {
         let mut b = MicroBatcher::new(
             Arc::clone(fitted),
             BatchConfig { batch_size, ..Default::default() },
-            None,
             Arc::new(StreamStats::new()),
         )
         .unwrap();

@@ -28,7 +28,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// Fits, batch-scores (both paths) and streams the ECG fixture,
+/// Fits, batch-scores (sequential and parallel) and streams the ECG fixture,
 /// returning every floating-point output the run produces.
 fn full_run() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let (train, test) = ecg_split();
@@ -58,18 +58,6 @@ fn full_run() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     }
     stream_scores.extend(scorer.finish().unwrap().into_iter().map(|v| v.score));
     (exact, par, stream_scores)
-}
-
-/// Scores the ECG test split through the frozen serving path,
-/// sequential and parallel.
-fn frozen_run() -> (Vec<f64>, Vec<f64>) {
-    let (train, test) = ecg_split();
-    let fitted = ecg_fitted(&train);
-    let ts = test.samples()[0].t.clone();
-    let frozen = FrozenScorer::new(Arc::clone(&fitted), &ts).unwrap();
-    let seq = frozen.score(test.samples()).unwrap();
-    let par = frozen.par_score(test.samples()).unwrap();
-    (seq, par)
 }
 
 /// One blocking HTTP GET against the scrape endpoint, returning the
@@ -260,21 +248,19 @@ fn live_run_populates_every_report_section() {
 
 /// The full telemetry stack — event journal, rotating windows and the
 /// live scrape endpoint — must still be a pure observer: every scoring
-/// path (exact/frozen × sequential/parallel, plus streaming) produces
-/// the same bits as a run with the recorder fully disabled.
+/// path (sequential, parallel and streaming) produces the same bits as
+/// a run with the recorder fully disabled.
 #[test]
 fn scores_are_bit_identical_with_full_telemetry_stack_live() {
     let _g = locked();
     Recorder::install(false);
     let (exact_off, par_off, stream_off) = full_run();
-    let (fseq_off, fpar_off) = frozen_run();
 
     Recorder::install(true);
     Recorder::reset();
     journal::reset();
     let http = Recorder::serve("127.0.0.1:0").unwrap();
     let (exact_on, par_on, stream_on) = full_run();
-    let (fseq_on, fpar_on) = frozen_run();
     // Scrape mid-flight state and export the trace while the recorder
     // is still live — neither may perturb anything scored afterwards.
     let (head, _) = http_get(http.addr(), "/metrics");
@@ -288,8 +274,6 @@ fn scores_are_bit_identical_with_full_telemetry_stack_live() {
     assert_bits_eq(&exact_off, &exact_on, "exact sequential path");
     assert_bits_eq(&par_off, &par_on, "exact parallel path");
     assert_bits_eq(&stream_off, &stream_on, "streaming path");
-    assert_bits_eq(&fseq_off, &fseq_on, "frozen sequential path");
-    assert_bits_eq(&fpar_off, &fpar_on, "frozen parallel path");
     assert_bits_eq(&exact_off, &exact_again, "exact path after scrape");
 }
 

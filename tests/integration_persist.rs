@@ -1,8 +1,8 @@
 //! End-to-end acceptance tests for the persistence subsystem: a fitted
 //! pipeline saved to disk and reloaded must score the ECG test split
-//! **bit-identically** to the in-memory original — on the exact path and
-//! the frozen serving path — and malformed snapshot bytes must fail with
-//! typed errors, never a panic.
+//! **bit-identically** to the in-memory original — sequentially and in
+//! parallel — and malformed snapshot bytes must fail with typed errors,
+//! never a panic.
 
 use mfod::persist::{ModelRegistry, PersistError};
 use mfod::prelude::*;
@@ -52,29 +52,6 @@ fn saved_and_reloaded_pipeline_scores_ecg_bit_identically() {
 }
 
 #[test]
-fn saved_and_reloaded_frozen_scorer_scores_ecg_bit_identically() {
-    let dir = tmpdir("frozen");
-    let (train, test) = ecg_split();
-    let fitted = ecg_fitted(&train);
-    let ts = train.samples()[0].t.clone();
-    let frozen = FrozenScorer::new(Arc::clone(&fitted), &ts).unwrap();
-    let in_memory = frozen.score(test.samples()).unwrap();
-
-    let path = dir.join("ecg-frozen.mfod");
-    frozen.save(&path).unwrap();
-    let reloaded = FrozenScorer::load(&path).unwrap();
-    let from_disk = reloaded.score(test.samples()).unwrap();
-    assert_bits_eq(&in_memory, &from_disk, "frozen path after reload");
-    let par_from_disk = reloaded.par_score(test.samples()).unwrap();
-    assert_bits_eq(
-        &in_memory,
-        &par_from_disk,
-        "parallel frozen path after reload",
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn registry_hot_swaps_pipelines_under_scoring_traffic() {
     let dir = tmpdir("registry");
     let (train, test) = ecg_split();
@@ -109,7 +86,9 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
         &gen2.score(test.samples()).unwrap(),
         "active generation",
     );
-    registry.load_file(&dir.join("model-001.mfod")).unwrap();
+    registry
+        .install_mapped(&dir.join("model-001.mfod"))
+        .unwrap();
     let in_flight = active.score(test.samples()).unwrap();
     assert_bits_eq(&before, &in_flight, "in-flight batch after swap");
     let after = registry.active().unwrap().score(test.samples()).unwrap();
@@ -153,31 +132,6 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
         &want,
         &mapped.par_score(test.samples()).unwrap(),
         "mapped install (parallel exact)",
-    );
-
-    // frozen serving path: freeze the mapped generation and a mapped
-    // reload of a frozen artifact, sequential and parallel
-    let ts = train.samples()[0].t.clone();
-    let frozen_mem = FrozenScorer::new(Arc::clone(&gen1), &ts).unwrap();
-    let fwant = frozen_mem.score(test.samples()).unwrap();
-    let frozen_over_mapped = FrozenScorer::new(Arc::clone(&mapped), &ts).unwrap();
-    assert_bits_eq(
-        &fwant,
-        &frozen_over_mapped.score(test.samples()).unwrap(),
-        "frozen over mapped generation",
-    );
-    let fpath = dir.join("frozen.mfod");
-    frozen_mem.save(&fpath).unwrap();
-    let frozen_mapped = FrozenScorer::load_mapped(&fpath).unwrap();
-    assert_bits_eq(
-        &fwant,
-        &frozen_mapped.score(test.samples()).unwrap(),
-        "mapped frozen reload",
-    );
-    assert_bits_eq(
-        &fwant,
-        &frozen_mapped.par_score(test.samples()).unwrap(),
-        "mapped frozen reload (parallel)",
     );
 
     // hot-swap mid-stream: an in-flight batch keeps the mapped gen1
