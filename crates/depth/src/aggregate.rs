@@ -13,9 +13,9 @@
 
 use crate::dataset::GriddedDataSet;
 use crate::error::DepthError;
-use crate::projection::{projection_outlyingness, ProjectionConfig};
+use crate::projection::{outlyingness_along, Directions, ProjectionConfig};
 use crate::{FunctionalOutlierScorer, Result};
-use mfod_linalg::vector;
+use mfod_linalg::{par, vector};
 
 /// How pointwise depth values are aggregated into a sample score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,19 +57,25 @@ impl IntegratedDepth {
     }
 
     /// Pointwise depths for every sample: an `n x m` table (row = sample).
+    ///
+    /// The direction stream depends only on the channel count, so one
+    /// draw serves every grid point; the grid points fan out over the
+    /// global worker pool and come back in grid order, so the first
+    /// failing grid point is the one reported.
     pub fn pointwise_depths(&self, data: &GriddedDataSet) -> Result<Vec<Vec<f64>>> {
-        let n = data.n();
-        let m = data.m();
-        let mut table = vec![vec![0.0; m]; n];
-        for j in 0..m {
-            let cloud = data.point_cloud(j);
-            let o = projection_outlyingness(&cloud, &self.projection)
-                .map_err(|e| e.at_grid_point(j))?;
-            for i in 0..n {
-                table[i][j] = 1.0 / (1.0 + o[i]);
-            }
-        }
-        Ok(table)
+        let directions = Directions::draw(data.dim(), &self.projection);
+        let outlyingness = par::global().try_map(data.m(), |j| {
+            outlyingness_along(None, &directions, &data.point_cloud(j), None)
+                .map_err(|e| e.at_grid_point(j))
+        })?;
+        Ok((0..data.n())
+            .map(|i| {
+                outlyingness
+                    .iter()
+                    .map(|o| 1.0 / (1.0 + o.scores[i]))
+                    .collect()
+            })
+            .collect())
     }
 }
 
@@ -343,6 +349,41 @@ mod tests {
         let s = ModifiedBandDepth.score(&d).unwrap();
         assert!(s.iter().all(|&v| (0.0..=1.0).contains(&v)), "{s:?}");
         assert_eq!(ModifiedBandDepth.name(), "modified-band-depth");
+    }
+
+    #[test]
+    fn first_collapsed_grid_point_is_the_one_reported() {
+        use mfod_linalg::Matrix;
+        // Every curve coincides at grid points 3 and 7, in one and in two
+        // channels: the univariate MAD or every direction degenerates there.
+        for p in [1usize, 2] {
+            let m = 12;
+            let grid: Vec<f64> = (0..m).map(|j| j as f64 / (m - 1) as f64).collect();
+            let samples = (0..9)
+                .map(|i| {
+                    let mut s = Matrix::zeros(m, p);
+                    for (j, &t) in grid.iter().enumerate() {
+                        for k in 0..p {
+                            let collapsed = j == 3 || j == 7;
+                            s[(j, k)] = if collapsed {
+                                0.25
+                            } else {
+                                (6.0 * t + k as f64).sin() + 0.1 * i as f64
+                            };
+                        }
+                    }
+                    s
+                })
+                .collect();
+            let d = GriddedDataSet::new(grid, samples).unwrap();
+            for scorer in [IntegratedDepth::integral(), IntegratedDepth::infimum()] {
+                let err = scorer.score(&d).unwrap_err();
+                assert!(
+                    matches!(err, DepthError::AtGridPoint { grid_index: 3, .. }),
+                    "p = {p}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

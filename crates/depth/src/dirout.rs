@@ -26,7 +26,13 @@
 //! projection directions depend only on `p` and the configuration, so
 //! each decomposition draws them once for all grid points, and each grid
 //! point runs its direction loop inline: the grid fan-out already feeds
-//! every thread.
+//! every thread. For bivariate data, such as the paper's two-channel
+//! ECG, that loop keeps the reference projections sorted from one
+//! direction to the next instead of selecting the median and MAD afresh,
+//! as long as there are at most twice as many reference curves as
+//! directions (see [`crate::projection`]). Orienting a point and
+//! aggregating over `t` work in reused buffers, not per-row or
+//! per-sample allocations.
 
 use crate::dataset::GriddedDataSet;
 use crate::projection::{coordinate_median, outlyingness_along, Directions, ProjectionConfig};
@@ -187,17 +193,16 @@ fn oriented_block(
     let p = queries.ncols();
     let center = coordinate_median(reference);
     let mut block = vec![0.0; n * p];
-    for i in 0..n {
-        let x = queries.row(i);
-        let mut dir: Vec<f64> = x.iter().zip(&center).map(|(a, c)| a - c).collect();
-        let norm = vector::normalize(&mut dir, 1e-12);
-        if norm <= 1e-12 {
+    // Each row of the block holds its point's direction until it is scaled.
+    for (i, dir) in block.chunks_exact_mut(p).enumerate() {
+        for ((d, &a), &c) in dir.iter_mut().zip(queries.row(i)).zip(&center) {
+            *d = a - c;
+        }
+        if vector::normalize(dir, 1e-12) <= 1e-12 {
             // the point sits exactly at the center: zero outlyingness
-            dir.iter_mut().for_each(|d| *d = 0.0);
+            dir.fill(0.0);
         }
-        for k in 0..p {
-            block[i * p + k] = magnitude[i] * dir[k];
-        }
+        vector::scale(magnitude[i], dir);
     }
     (
         block,
@@ -232,23 +237,27 @@ fn decompose_pointwise_on(
     let mut mo = Vec::with_capacity(n);
     let mut vo = Vec::with_capacity(n);
     let mut fo = Vec::with_capacity(n);
+    // one sample's series over the grid, reused for every channel and sample
+    let mut series = vec![0.0; m];
     for i in 0..n {
         let mut mo_i = vec![0.0; p];
         for (k, mo_ik) in mo_i.iter_mut().enumerate() {
-            let series: Vec<f64> = (0..m).map(|j| blocks[j].0[i * p + k]).collect();
+            for (s, (block, _, _)) in series.iter_mut().zip(&blocks) {
+                *s = block[i * p + k];
+            }
             *mo_ik = vector::trapz(grid, &series) / span;
         }
-        let dev: Vec<f64> = (0..m)
-            .map(|j| {
-                (0..p)
-                    .map(|k| {
-                        let d = blocks[j].0[i * p + k] - mo_i[k];
-                        d * d
-                    })
-                    .sum::<f64>()
-            })
-            .collect();
-        let vo_i = vector::trapz(grid, &dev) / span;
+        for (s, (block, _, _)) in series.iter_mut().zip(&blocks) {
+            *s = block[i * p..(i + 1) * p]
+                .iter()
+                .zip(&mo_i)
+                .map(|(o, mo_ik)| {
+                    let d = o - mo_ik;
+                    d * d
+                })
+                .sum::<f64>();
+        }
+        let vo_i = vector::trapz(grid, &series) / span;
         let fo_i = vector::dot(&mo_i, &mo_i) + vo_i;
         mo.push(mo_i);
         vo.push(vo_i);

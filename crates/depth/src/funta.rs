@@ -14,6 +14,14 @@
 //! persistent *shape* outliers: magnitude outliers that never intersect the
 //! bulk produce no angles at all and receive outlyingness 0 — faithfully
 //! reproduced here.
+//!
+//! Each call takes every segment's slope angle once per (curve, channel)
+//! and scans the curve pairs on those tables. About a third of all
+//! segments cross, too irregular a pattern for a branch predictor, so the
+//! scan writes every segment's angle into a pre-sized buffer and advances
+//! its cursor by the crossing test. The kept angles come out in the same
+//! (curve, segment) order a branching loop would push them in, for FUNTA
+//! and rFUNTA alike, so the scores keep their bits.
 
 use crate::dataset::GriddedDataSet;
 use crate::error::DepthError;
@@ -118,12 +126,13 @@ impl Funta {
             });
         }
         let tables = SlopeTables::new(data, data.grid());
+        let segments = (data.n() - 1) * (data.m() - 1);
         Ok(pool.map(data.n(), |i| {
-            self.outlyingness(data.dim(), |k, angles| {
+            self.outlyingness(data.dim(), segments, |k, angles| {
                 let xi = tables.curve(i, k);
-                for j in (0..data.n()).filter(|&j| j != i) {
-                    angles_between(xi, tables.curve(j, k), angles);
-                }
+                (0..data.n()).filter(|&j| j != i).fold(0, |kept, j| {
+                    angles_between(xi, tables.curve(j, k), angles, kept)
+                })
             })
         }))
     }
@@ -150,27 +159,38 @@ impl Funta {
         }
         let refs = SlopeTables::new(reference, queries.grid());
         let tables = SlopeTables::new(queries, queries.grid());
+        let segments = reference.n() * (queries.m() - 1);
         Ok(pool.map(queries.n(), |i| {
-            self.outlyingness(queries.dim(), |k, angles| {
+            self.outlyingness(queries.dim(), segments, |k, angles| {
                 let xi = tables.curve(i, k);
-                for j in 0..reference.n() {
-                    angles_between(xi, refs.curve(j, k), angles);
-                }
+                (0..reference.n()).fold(0, |kept, j| {
+                    angles_between(xi, refs.curve(j, k), angles, kept)
+                })
             })
         }))
     }
 
-    /// One curve's outlyingness: `collect(k, angles)` appends the curve's
-    /// normalized intersection angles in channel `k`, and the per-channel
-    /// aggregates are averaged over the `dim` channels. One angle buffer
-    /// serves every channel.
-    fn outlyingness(&self, dim: usize, collect: impl Fn(usize, &mut Vec<f64>)) -> f64 {
-        let mut angles = Vec::new();
+    /// One curve's outlyingness: `collect(k, angles)` writes the curve's
+    /// intersection angles `|γ|` in channel `k` to the front of `angles`
+    /// and returns how many it kept; they are normalized by `π`, and the
+    /// per-channel aggregates are averaged over the `dim` channels. One
+    /// buffer of `segments` angles, the most a channel can write, serves
+    /// every channel.
+    fn outlyingness(
+        &self,
+        dim: usize,
+        segments: usize,
+        collect: impl Fn(usize, &mut [f64]) -> usize,
+    ) -> f64 {
+        let mut angles = vec![0.0; segments];
         let mut total = 0.0;
         for k in 0..dim {
-            angles.clear();
-            collect(k, &mut angles);
-            total += self.aggregate(&mut angles);
+            let kept = collect(k, &mut angles);
+            let kept = &mut angles[..kept];
+            for gamma in kept.iter_mut() {
+                *gamma /= std::f64::consts::PI;
+            }
+            total += self.aggregate(kept);
         }
         total / dim as f64
     }
@@ -196,21 +216,26 @@ impl Funta {
     }
 }
 
-/// Appends the normalized intersection angles between two curves in one
-/// channel to `angles`, in segment order.
-fn angles_between(xi: Curve<'_>, xj: Curve<'_>, angles: &mut Vec<f64>) {
+/// Writes the intersection angles `|γ|` between two curves in one channel
+/// to `angles`, in segment order from index `kept`, and returns the new
+/// count. Every segment's angle is written and the count advances only
+/// where the curves meet, so the scan never branches on the crossing
+/// test; `angles` needs room for one angle per segment past `kept`.
+fn angles_between(xi: Curve<'_>, xj: Curve<'_>, angles: &mut [f64], mut kept: usize) -> usize {
     let mut d0 = xi.values[0] - xj.values[0];
-    for l in 0..xi.angles.len() {
-        let d1 = xi.values[l + 1] - xj.values[l + 1];
-        // Crossing inside segment l (strict sign change), or exact touch
-        // at the left endpoint counted once.
-        if (d0 > 0.0 && d1 < 0.0) || (d0 < 0.0 && d1 > 0.0) || d0 == 0.0 {
-            // intersection angle between the two segments, in [0, π)
-            let gamma = (xi.angles[l] - xj.angles[l]).abs();
-            angles.push(gamma / std::f64::consts::PI);
-        }
+    let values = xi.values[1..].iter().zip(&xj.values[1..]);
+    for ((&vi, &vj), (&ai, &aj)) in values.zip(xi.angles.iter().zip(xj.angles)) {
+        let d1 = vi - vj;
+        // Crossing inside the segment (strict sign change), or exact touch
+        // at its left endpoint counted once. `&` and `|` evaluate every
+        // comparison, so the test compiles to flags, not jumps.
+        let meets = (d0 > 0.0) & (d1 < 0.0) | (d0 < 0.0) & (d1 > 0.0) | (d0 == 0.0);
+        // intersection angle between the two segments, in [0, π)
+        angles[kept] = (ai - aj).abs();
+        kept += usize::from(meets);
         d0 = d1;
     }
+    kept
 }
 
 impl FunctionalOutlierScorer for Funta {
@@ -515,6 +540,147 @@ mod tests {
                 &against,
                 "global pool, against",
             );
+        }
+    }
+
+    /// Curves on a lattice grid with lattice values, so exact touches
+    /// (`d0 == 0`) and equal slopes are common.
+    fn lattice(
+        n: usize,
+        dim: usize,
+        grid: &[f64],
+    ) -> impl proptest::strategy::Strategy<Value = GriddedDataSet> {
+        use proptest::prelude::*;
+        let (m, grid) = (grid.len(), grid.to_vec());
+        prop::collection::vec(-3i32..=3, n * m * dim).prop_map(move |levels| {
+            let samples = levels
+                .chunks_exact(m * dim)
+                .map(|curve| {
+                    let values = curve.iter().map(|&l| f64::from(l) / 2.0).collect();
+                    mfod_linalg::Matrix::from_vec(m, dim, values)
+                })
+                .collect();
+            GriddedDataSet::new(grid.clone(), samples).unwrap()
+        })
+    }
+
+    /// A joint set, a reference set and a query set sharing `m` and the
+    /// channel count; the query grid is uneven and differs from the others.
+    fn touching_sets(
+    ) -> impl proptest::strategy::Strategy<Value = (GriddedDataSet, GriddedDataSet, GriddedDataSet, f64)>
+    {
+        use proptest::prelude::*;
+        (2usize..=9, 1usize..=9, 2usize..=14, 1usize..=2).prop_flat_map(|(n, n_q, m, dim)| {
+            let even: Vec<f64> = (0..m).map(|j| j as f64).collect();
+            let uneven: Vec<f64> = (0..m).map(|j| j as f64 + 0.25 * (j % 3) as f64).collect();
+            (
+                lattice(n, dim, &even),
+                lattice(n, dim, &even),
+                lattice(n_q, dim, &uneven),
+                prop::sample::select(vec![0.0, 0.1, 0.25, 0.4]),
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn branch_free_scan_matches_the_pairwise_formula_with_exact_touches(
+            (data, reference_set, queries, trim) in touching_sets()
+        ) {
+            let scorer = Funta { trim };
+            let joint = reference::score(trim, &data);
+            let against = reference::score_against(trim, &reference_set, &queries);
+            for threads in [1usize, 8] {
+                let pool = par::Pool::with_threads(threads);
+                let what = format!("trim {trim} on {threads} threads");
+                assert_bits(&scorer.score_on(&pool, &data).unwrap(), &joint, &what);
+                assert_bits(
+                    &scorer.score_against_on(&pool, &reference_set, &queries).unwrap(),
+                    &against,
+                    &format!("{what}, against"),
+                );
+            }
+        }
+    }
+
+    /// `|atan(a) − atan(b)| / π`: the normalized intersection angle of two
+    /// segments with slopes `a` and `b`.
+    fn angle(a: f64, b: f64) -> f64 {
+        (a.atan() - b.atan()).abs() / std::f64::consts::PI
+    }
+
+    #[test]
+    fn outlyingness_is_the_mean_normalized_angle_averaged_over_channels() {
+        use mfod_linalg::Matrix;
+        let grid = vec![0.0, 1.0, 2.0, 3.0, 4.0];
+        // Straight lines, so each pair meets at most once. Channel 0:
+        // c0 = 0, c1 = t − 2.5 and c2 = 3 − 2t (slopes 0, 1, −2) cross
+        // pairwise inside segments. Channel 1: c0 = t and c2 = 4 − t
+        // touch at t = 2, a grid point, counted once; c1 = t + 10 meets
+        // neither and contributes no angle.
+        let curve = |ch0: fn(f64) -> f64, ch1: fn(f64) -> f64| {
+            let rows: Vec<[f64; 2]> = grid.iter().map(|&t| [ch0(t), ch1(t)]).collect();
+            Matrix::from_rows(&rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>())
+        };
+        let samples = vec![
+            curve(|_| 0.0, |t| t),
+            curve(|t| t - 2.5, |t| t + 10.0),
+            curve(|t| 3.0 - 2.0 * t, |t| 4.0 - t),
+        ];
+        let data = GriddedDataSet::new(grid, samples).unwrap();
+        // per channel: the mean of the curve's normalized angles, or 0
+        // without any; then the mean over the two channels
+        let channel0 = [
+            (angle(0.0, 1.0) + angle(0.0, -2.0)) / 2.0,
+            (angle(1.0, 0.0) + angle(1.0, -2.0)) / 2.0,
+            (angle(-2.0, 0.0) + angle(-2.0, 1.0)) / 2.0,
+        ];
+        let channel1 = [angle(1.0, -1.0), 0.0, angle(-1.0, 1.0)];
+        let s = Funta::new().score(&data).unwrap();
+        for i in 0..3 {
+            let want = (channel0[i] + channel1[i]) / 2.0;
+            assert!((s[i] - want).abs() < 1e-15, "curve {i}: {} vs {want}", s[i]);
+        }
+        // by hand: c0 = (0.3012 + 0.5) / 2, c1 = 0.4262 / 2, c2 = (0.4774 + 0.5) / 2
+        assert!((s[0] - 0.4006).abs() < 1e-4, "{s:?}");
+        assert!((s[1] - 0.2131).abs() < 1e-4, "{s:?}");
+        assert!((s[2] - 0.4887).abs() < 1e-4, "{s:?}");
+    }
+
+    #[test]
+    fn amplitude_scaled_curve_meeting_the_bundle_at_shared_zeros_ranks_deepest() {
+        // A triangle wave with exact zeros at t = 0, 1/2 and 1, wiggled by
+        // ±δ between the zeros: the bundle members cross each other in
+        // six of the eight segments. Three times the wave lies outside the
+        // bundle except at the zeros, so it meets each member only there,
+        // at the left ends of segments 0 and 4.
+        let grid: Vec<f64> = (0..9).map(|j| j as f64 / 8.0).collect();
+        let wave = [0.0, 1.0, 2.0, 1.0, 0.0, -1.0, -2.0, -1.0, 0.0];
+        let wiggle = [0.0, 1.0, -1.0, 1.0, 0.0, -1.0, 1.0, -1.0, 0.0];
+        let deltas = [-0.6, -0.2, 0.2, 0.6];
+        let mut curves: Vec<Vec<f64>> = deltas
+            .iter()
+            .map(|d| wave.iter().zip(&wiggle).map(|(v, w)| v + d * w).collect())
+            .collect();
+        curves.push(wave.iter().map(|v| 3.0 * v).collect());
+        let data = GriddedDataSet::from_univariate(grid, curves).unwrap();
+        let s = Funta::new().score(&data).unwrap();
+        // Its only angles: slope ±24 against the member's ±8(1 + δ), the
+        // same at both zeros.
+        let want = deltas
+            .iter()
+            .map(|d| angle(24.0, 8.0 * (1.0 + d)))
+            .sum::<f64>()
+            / 4.0;
+        assert!((s[4] - want).abs() < 1e-12, "{} vs {want}", s[4]);
+        assert!((s[4] - 0.0376).abs() < 1e-4, "{s:?}");
+        // FUNTA averages the angles at the crossings a curve has, not how
+        // often or where it crosses: the amplitude outlier scores as the
+        // deepest curve of the set, below every member it dwarfs.
+        for (i, member) in s[..4].iter().enumerate() {
+            assert!(*member > 4.0 * s[4], "member {i}: {member} vs {}", s[4]);
         }
     }
 

@@ -4,16 +4,35 @@
 //!
 //! The random-direction approximation is the hot path of the Dir.out
 //! baseline (one call per grid point). Per direction it projects the
-//! cloud, takes the median, then the MAD on a reused scratch buffer, and
-//! folds the normalized residuals into the running maximum. The
-//! RNG-drawn direction stream depends only on `p` and the configuration,
-//! so it is drawn **sequentially, once** per call; Dir.out draws it once
-//! for all of its grid points. The public `*_on` functions fan contiguous
-//! direction blocks out across the worker pool of [`mfod_linalg::par`];
-//! Dir.out, whose grid-point fan-out already feeds every thread, runs the
-//! same loop inline as one block. Either way the per-direction maxima are
-//! folded **in direction order**, so the scores are bit-for-bit identical
-//! to the plain sequential loop at any thread count.
+//! cloud column by column, takes the median and MAD of the reference
+//! projections, and folds the normalized residuals of the scored points
+//! into a running maximum without branching. The RNG-drawn direction
+//! stream depends only on `p` and the configuration, so it is drawn
+//! **sequentially, once** per call; Dir.out and the integrated depths
+//! draw it once for all of their grid points.
+//!
+//! How the median and MAD are found depends on the cloud. In the plane
+//! the stream is visited in angle order modulo `π`, so neighbouring
+//! directions sort the cloud almost alike (a direction and its opposite
+//! sort it in reverse, so projections onto the lower half-plane are
+//! negated): the reference rows' sorted order is carried from one
+//! direction to the next and an insertion sort repairs it, the median is
+//! read off the middle, and the MAD is found by a binary search over the
+//! two runs of deviations that grow outward from the median. The repair
+//! moves a row about `(n − 1) / (2 · directions)` places per direction,
+//! so a planar cloud of more than twice as many rows as directions takes
+//! two in-place selections per direction instead, and so does every
+//! cloud above the plane, where no visiting order keeps the projections
+//! nearly sorted. Both give the bits of [`vector::median_in_place`]
+//! applied twice, and the supremum is a maximum, so the visiting order
+//! cannot move a score.
+//!
+//! The public `*_on` functions fan contiguous direction blocks out across
+//! the worker pool of [`mfod_linalg::par`]; Dir.out, whose grid-point
+//! fan-out already feeds every thread, runs the same loop inline as one
+//! block. Either way the scores are bit-for-bit identical to the plain
+//! sequential loop at any thread count. Every public entry rejects NaN or
+//! infinite coordinates with [`DepthError::NonFinite`].
 
 use crate::error::DepthError;
 use crate::Result;
@@ -24,10 +43,14 @@ use rand::{RngExt, SeedableRng};
 /// Exact univariate Stahel–Donoho outlyingness `|x − med| / MAD` of each
 /// entry of `points` w.r.t. the whole set.
 ///
-/// Errors with [`DepthError::DegenerateScale`] when the MAD is zero.
+/// Errors with [`DepthError::NonFinite`] when a point is NaN or infinite,
+/// and with [`DepthError::DegenerateScale`] when the MAD is zero.
 pub fn univariate_outlyingness(points: &[f64]) -> Result<Vec<f64>> {
     if points.is_empty() {
         return Err(DepthError::TooFewSamples { got: 0, need: 1 });
+    }
+    if !vector::all_finite(points) {
+        return Err(DepthError::NonFinite);
     }
     let med = vector::median(points);
     let mad = vector::mad_raw(points);
@@ -153,7 +176,8 @@ pub fn projection_outlyingness_against_on(
 /// exact univariate path needs no directions.
 pub(crate) struct Directions {
     p: usize,
-    /// Unit directions, one after another (`count × p` values).
+    /// Unit directions, one after another (`count × p` values): in the
+    /// plane sorted by angle modulo `π`, otherwise in draw order.
     units: Vec<f64>,
     count: usize,
     /// Random draws too short to normalize, counted as degenerate.
@@ -166,6 +190,9 @@ impl Directions {
     /// Draws the stream: axes first, then random unit vectors. A draw
     /// that fails to normalize is counted and skipped, but it still
     /// consumes its RNG values, so the draws after it do not shift.
+    /// In the plane the drawn directions are then stored in angle order
+    /// modulo `π` (`u` and `−u` order a cloud in reverse), the order
+    /// [`Directions::fold_block`] visits them in.
     pub(crate) fn draw(p: usize, config: &ProjectionConfig) -> Directions {
         let attempted = config.n_directions + p;
         let mut directions = Directions {
@@ -199,13 +226,24 @@ impl Directions {
             directions.units.extend_from_slice(&dir);
             directions.count += 1;
         }
+        if p == 2 {
+            let mut by_angle: Vec<(f64, &[f64])> = directions
+                .units
+                .chunks_exact(2)
+                .map(|u| (u[1].atan2(u[0]).rem_euclid(std::f64::consts::PI), u))
+                .collect();
+            by_angle.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let units = by_angle
+                .iter()
+                .flat_map(|(_, u)| u.iter().copied())
+                .collect();
+            directions.units = units;
+        }
         directions
     }
 
     /// Folds directions `range` into a partial supremum over the scored
     /// points, returning it with the block's used and degenerate counts.
-    /// The projections keep row order; one scratch buffer takes the
-    /// median select and then the MAD select, both in place.
     fn fold_block(
         &self,
         range: std::ops::Range<usize>,
@@ -213,48 +251,192 @@ impl Directions {
         queries: Option<&Matrix>,
     ) -> (Vec<f64>, usize, usize) {
         let n_ref = reference.nrows();
+        // Column-major copies: a projection is then `p` sweeps over
+        // contiguous columns, summed in `vector::dot`'s order.
+        let ref_columns = reference.transpose();
+        let query_columns = queries.map(Matrix::transpose);
         let mut partial = vec![0.0; queries.map_or(n_ref, Matrix::nrows)];
+        let mut proj = vec![0.0; n_ref];
+        let mut query_proj = vec![0.0; queries.map_or(0, Matrix::nrows)];
+        let mut scale = MedianMad::new(self.p, n_ref, self.count);
         let mut used = 0usize;
         let mut degenerate = 0usize;
-        let mut proj = vec![0.0; n_ref];
-        let mut scratch = vec![0.0; n_ref];
         for d in range {
             let u = &self.units[d * self.p..(d + 1) * self.p];
-            for (i, pr) in proj.iter_mut().enumerate() {
-                *pr = vector::dot(reference.row(i), u);
-            }
-            scratch.copy_from_slice(&proj);
-            let med = vector::median_in_place(&mut scratch);
-            for (s, &pr) in scratch.iter_mut().zip(&proj) {
-                *s = (pr - med).abs();
-            }
-            let mad = vector::median_in_place(&mut scratch);
+            project(&ref_columns, u, &mut proj);
+            let (med, mad) = scale.of(&proj, u);
             if mad <= 1e-300 || !mad.is_finite() {
                 degenerate += 1;
                 continue;
             }
             used += 1;
-            match queries {
-                None => {
-                    for (o, &pr) in partial.iter_mut().zip(proj.iter()) {
-                        let v = (pr - med).abs() / mad;
-                        if v > *o {
-                            *o = v;
-                        }
-                    }
+            let scored = match &query_columns {
+                None => &proj,
+                Some(columns) => {
+                    project(columns, u, &mut query_proj);
+                    &query_proj
                 }
-                Some(q) => {
-                    for (i, o) in partial.iter_mut().enumerate() {
-                        let v = (vector::dot(q.row(i), u) - med).abs() / mad;
-                        if v > *o {
-                            *o = v;
-                        }
-                    }
-                }
+            };
+            for (o, &x) in partial.iter_mut().zip(scored) {
+                let v = (x - med).abs() / mad;
+                // the strictly-greater update, written as a select
+                *o = if v > *o { v } else { *o };
             }
         }
         (partial, used, degenerate)
     }
+}
+
+/// `out[i] = ⟨row i, u⟩` for the cloud whose transpose is `columns`,
+/// summed in [`vector::dot`]'s order (its `-0.0` start is an exact
+/// identity), so the bits match the row-wise dot product.
+fn project(columns: &Matrix, u: &[f64], out: &mut [f64]) {
+    for (o, &x) in out.iter_mut().zip(columns.row(0)) {
+        *o = x * u[0];
+    }
+    for (k, &uk) in u.iter().enumerate().skip(1) {
+        for (o, &x) in out.iter_mut().zip(columns.row(k)) {
+            *o += x * uk;
+        }
+    }
+}
+
+/// Finds one direction's median and raw MAD of the reference projections.
+enum MedianMad {
+    /// In the plane: the projections, negated for directions that point
+    /// into the lower half-plane, sorted ascending under
+    /// [`f64::total_cmp`] with the rows they came from and kept from one
+    /// direction to the next. `warm` is false until the first sort.
+    Sorted {
+        values: Vec<f64>,
+        rows: Vec<u32>,
+        warm: bool,
+    },
+    /// Otherwise: scratch for two in-place selections.
+    Select(Vec<f64>),
+}
+
+impl MedianMad {
+    /// The sorted path for `n` points in the plane, the selections
+    /// otherwise. In angle order modulo `π` each pair of rows swaps once
+    /// over the `count` directions, so the insertion sort moves a row
+    /// about `(n − 1) / (2 · count)` places per direction; it loses to
+    /// two selections once that nears one place per row, which is where
+    /// clouds beyond `2 · count` rows (or beyond `u32` row indices) go.
+    fn new(p: usize, n: usize, count: usize) -> Self {
+        match u32::try_from(n) {
+            Ok(n32) if p == 2 && n <= 2 * count => MedianMad::Sorted {
+                values: vec![0.0; n],
+                rows: (0..n32).collect(),
+                warm: false,
+            },
+            _ => MedianMad::Select(vec![0.0; n]),
+        }
+    }
+
+    /// `(median, MAD)` of the finite projections `proj` (in row order)
+    /// onto the unit direction `u`: bit-for-bit
+    /// [`vector::median_in_place`] applied to them and then to their
+    /// absolute deviations from the median.
+    fn of(&mut self, proj: &[f64], u: &[f64]) -> (f64, f64) {
+        match self {
+            MedianMad::Sorted { values, rows, warm } => {
+                // `−u` orders the cloud in reverse, so projections onto a
+                // lower half-plane direction are negated to keep one
+                // ascending order. Negation is exact and reverses the
+                // total order, so the median negates back and the MAD
+                // is unchanged, bit for bit.
+                let sign = if u[1] < 0.0 || (u[1] == 0.0 && u[0] < 0.0) {
+                    -1.0
+                } else {
+                    1.0
+                };
+                let key = |r: u32| sign * proj[r as usize];
+                if !*warm {
+                    rows.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)));
+                    *warm = true;
+                }
+                for (v, &r) in values.iter_mut().zip(rows.iter()) {
+                    *v = key(r);
+                }
+                // The previous direction's order is nearly right for this
+                // one, so the insertion sort moves few rows.
+                for k in 1..values.len() {
+                    let (v, r) = (values[k], rows[k]);
+                    let mut j = k;
+                    while j > 0 && v.total_cmp(&values[j - 1]).is_lt() {
+                        values[j] = values[j - 1];
+                        rows[j] = rows[j - 1];
+                        j -= 1;
+                    }
+                    values[j] = v;
+                    rows[j] = r;
+                }
+                let (med, mad) = sorted_median_mad(values);
+                (sign * med, mad)
+            }
+            MedianMad::Select(scratch) => {
+                scratch.copy_from_slice(proj);
+                let med = vector::median_in_place(scratch);
+                for (s, &x) in scratch.iter_mut().zip(proj) {
+                    *s = (x - med).abs();
+                }
+                (med, vector::median_in_place(scratch))
+            }
+        }
+    }
+}
+
+/// Median and raw MAD of finite `sorted` values, ascending under
+/// [`f64::total_cmp`]: bit-for-bit what [`vector::median_in_place`]
+/// returns for the values and then for their absolute deviations from
+/// that median.
+///
+/// `(x − med).abs()` is monotone on each side of the median, so the
+/// deviations form two ascending runs that start at the middle: `below`
+/// walks down from index `n/2 − 1`, `above` walks up from `n/2`. The
+/// lowest `n/2` deviations are a prefix of each run; a binary search
+/// finds how many come from `below`, and the MAD's order statistics sit
+/// at the seam.
+fn sorted_median_mad(sorted: &[f64]) -> (f64, f64) {
+    let n = sorted.len();
+    let mid = n / 2;
+    let med = if n % 2 == 1 {
+        sorted[mid]
+    } else {
+        0.5 * (sorted[mid - 1] + sorted[mid])
+    };
+    let below = |i: usize| (sorted[mid - 1 - i] - med).abs();
+    let above = |j: usize| (sorted[mid + j] - med).abs();
+    // The smallest `i` in 0..=mid with `i == mid` or
+    // `below(i) >= above(mid - 1 - i)`: the predicate only turns true as
+    // `i` grows, since `below` ascends and `above(mid - 1 - i)` descends.
+    let (mut lo, mut hi) = (0, mid);
+    while lo < hi {
+        let i = (lo + hi) / 2;
+        if below(i) >= above(mid - 1 - i) {
+            hi = i;
+        } else {
+            lo = i + 1;
+        }
+    }
+    let (i, j) = (lo, mid - lo);
+    // order statistic `mid` of the deviations: the next one after the prefix
+    let next = match (i < mid, j < n - mid) {
+        (true, true) => below(i).min(above(j)),
+        (true, false) => below(i),
+        (false, _) => above(j),
+    };
+    if n % 2 == 1 {
+        return (med, next);
+    }
+    // order statistic `mid − 1`: the last one in the prefix
+    let last = match (i > 0, j > 0) {
+        (true, true) => below(i - 1).max(above(j - 1)),
+        (true, false) => below(i - 1),
+        (false, _) => above(j - 1),
+    };
+    (med, 0.5 * (last + next))
 }
 
 /// Shared body of the joint and against variants: location and scale
@@ -282,6 +464,11 @@ pub(crate) fn outlyingness_along(
             "query dimension {} != reference dimension {p}",
             q.ncols()
         )));
+    }
+    // The sorted-order MAD needs a total order on the projections that
+    // matches their numeric order; a NaN row would also score as deepest.
+    if !reference.is_finite() || queries.is_some_and(|q| !q.is_finite()) {
+        return Err(DepthError::NonFinite);
     }
     if p == 1 {
         let scores = match queries {
@@ -334,10 +521,10 @@ pub(crate) fn outlyingness_along(
         }
     };
 
-    // Merge the block partials in block (= direction) order. The
-    // strictly-greater max update over the nonnegative finite residuals
-    // is associative, so the blocked fold is bit-for-bit identical to the
-    // one-direction-at-a-time sequential loop.
+    // Merge the block partials in block order. The strictly-greater max
+    // update over the nonnegative, never-NaN residuals is associative and
+    // commutative, so neither the blocking nor the plane's angle order
+    // moves a bit against the one-direction-at-a-time loop in draw order.
     let mut out = vec![0.0; queries.map_or(n_ref, Matrix::nrows)];
     let mut used = 0usize;
     let mut degenerate = directions.short_draws;
@@ -576,6 +763,164 @@ mod tests {
     fn coordinate_median_centers() {
         let cloud = Matrix::from_rows(&[&[0.0, 10.0], &[1.0, 20.0], &[2.0, 30.0]]);
         assert_eq!(coordinate_median(&cloud), vec![1.0, 20.0]);
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    /// A generic cloud of 9 points in `R^p` with `bad` as one coordinate
+    /// of row 4.
+    fn cloud_with(p: usize, bad: f64) -> Matrix {
+        let mut cloud = Matrix::zeros(9, p);
+        for i in 0..9 {
+            for k in 0..p {
+                cloud[(i, k)] = (i as f64 * (0.7 + k as f64)).sin();
+            }
+        }
+        cloud[(4, p - 1)] = bad;
+        cloud
+    }
+
+    fn small_config() -> ProjectionConfig {
+        ProjectionConfig {
+            n_directions: 16,
+            seed: 3,
+        }
+    }
+
+    #[test]
+    fn univariate_rejects_non_finite_points() {
+        for bad in NON_FINITE {
+            assert_eq!(
+                univariate_outlyingness(&[1.0, bad, 2.0, 3.0]),
+                Err(DepthError::NonFinite)
+            );
+        }
+    }
+
+    #[test]
+    fn joint_outlyingness_rejects_non_finite_clouds() {
+        for (p, bad) in [1, 2, 3]
+            .into_iter()
+            .flat_map(|p| NON_FINITE.map(|b| (p, b)))
+        {
+            let cloud = cloud_with(p, bad);
+            assert_eq!(
+                projection_outlyingness(&cloud, &small_config()),
+                Err(DepthError::NonFinite),
+                "p = {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn joint_outlyingness_full_rejects_non_finite_clouds() {
+        for bad in NON_FINITE {
+            let cloud = cloud_with(2, bad);
+            assert_eq!(
+                projection_outlyingness_full(&cloud, &small_config()),
+                Err(DepthError::NonFinite)
+            );
+        }
+    }
+
+    #[test]
+    fn joint_outlyingness_on_a_pool_rejects_non_finite_clouds() {
+        let pool = par::Pool::with_threads(2);
+        for bad in NON_FINITE {
+            let cloud = cloud_with(3, bad);
+            assert_eq!(
+                projection_outlyingness_on(&pool, &cloud, &small_config()),
+                Err(DepthError::NonFinite)
+            );
+        }
+    }
+
+    #[test]
+    fn against_outlyingness_rejects_non_finite_reference_or_queries() {
+        let clean = cloud_with(2, 0.5);
+        for bad in NON_FINITE {
+            let dirty = cloud_with(2, bad);
+            for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
+                assert_eq!(
+                    projection_outlyingness_against(reference, queries, &small_config()),
+                    Err(DepthError::NonFinite)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn against_outlyingness_full_rejects_non_finite_reference_or_queries() {
+        let clean = cloud_with(1, 0.5);
+        for bad in NON_FINITE {
+            let dirty = cloud_with(1, bad);
+            for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
+                assert_eq!(
+                    projection_outlyingness_against_full(reference, queries, &small_config()),
+                    Err(DepthError::NonFinite)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn against_outlyingness_on_a_pool_rejects_non_finite_reference_or_queries() {
+        let pool = par::Pool::with_threads(2);
+        let clean = cloud_with(3, 0.5);
+        for bad in NON_FINITE {
+            let dirty = cloud_with(3, bad);
+            for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
+                assert_eq!(
+                    projection_outlyingness_against_on(&pool, reference, queries, &small_config()),
+                    Err(DepthError::NonFinite)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn projection_depth_rejects_non_finite_clouds() {
+        for bad in NON_FINITE {
+            let cloud = cloud_with(2, bad);
+            assert_eq!(
+                projection_depth(&cloud, &small_config()),
+                Err(DepthError::NonFinite)
+            );
+        }
+    }
+
+    /// Values with ties, duplicates and both zeros: a quarter are `±0.0`,
+    /// a quarter sit on a coarse lattice, the rest are arbitrary.
+    fn tied_values() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+        use proptest::prelude::*;
+        prop::collection::vec((0usize..5, -4.0..4.0f64), 1..=200).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(kind, x)| match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => (2.0 * x).round() / 2.0,
+                    _ => x,
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sorted_median_mad_matches_two_selections(values in tied_values()) {
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let (med, mad) = sorted_median_mad(&sorted);
+            let mut scratch = values.clone();
+            let want_med = vector::median_in_place(&mut scratch);
+            let mut deviations: Vec<f64> = values.iter().map(|x| (x - want_med).abs()).collect();
+            let want_mad = vector::median_in_place(&mut deviations);
+            proptest::prop_assert_eq!(med.to_bits(), want_med.to_bits(), "median of {:?}", values);
+            proptest::prop_assert_eq!(mad.to_bits(), want_mad.to_bits(), "MAD of {:?}", values);
+        }
     }
 
     #[test]
