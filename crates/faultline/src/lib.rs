@@ -64,8 +64,8 @@ pub mod points {
     /// CRC corruption: the computed checksum is inverted during parse,
     /// so an otherwise valid snapshot reports `ChecksumMismatch`.
     pub const PERSIST_CRC: &str = "persist.crc";
-    /// Registry directory sweep fails with an injected I/O error before
-    /// reading any entries.
+    /// A registry watcher's poll of a store's deployment log fails with
+    /// an injected I/O error before it reads anything.
     pub const REGISTRY_SWEEP: &str = "registry.sweep";
     /// Micro-batch flush fails with a typed pipeline error before
     /// scoring runs; the batch stays pending.
@@ -94,9 +94,9 @@ pub mod points {
     /// reaches the log before the writer dies, leaving a tail the
     /// recovery replay must detect and quarantine.
     pub const MANIFEST_APPEND_TORN: &str = "manifest.append.torn";
-    /// Crash on the commit step of a store promotion: the snapshot and
-    /// its intent record are durable but the commit marker never lands,
-    /// so recovery must treat the generation as uncommitted.
+    /// Crash on the commit step of a store promotion: the snapshot is
+    /// durable but its commit record never lands, so recovery must treat
+    /// the generation as uncommitted.
     pub const STORE_COMMIT: &str = "store.commit";
 }
 

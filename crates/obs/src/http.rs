@@ -322,25 +322,25 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     counter(
         &mut o,
         "mfod_registry_sweeps_total",
-        "Directory sweeps executed.",
+        "Watcher polls of deploy.log.",
         s.registry.sweeps,
     );
     counter(
         &mut o,
         "mfod_registry_rejected_total",
-        "Snapshot files rejected across sweeps.",
+        "Committed generations that failed to install.",
         s.registry.rejected,
     );
     counter(
         &mut o,
         "mfod_registry_unchanged_total",
-        "Files skipped as byte-identical to the active model.",
+        "Watcher polls that found deploy.log unchanged.",
         s.registry.unchanged,
     );
     histogram(
         &mut o,
         "mfod_registry_sweep_ns",
-        "Directory sweep time (ns).",
+        "Watcher poll time (ns).",
         "",
         &s.registry.sweep_time,
     );
@@ -471,7 +471,7 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     gauge_f64(
         &mut o,
         "mfod_window_rejected_per_min",
-        "Sweep-rejected snapshot files per minute (rolling window).",
+        "Committed generations that failed to install per minute (rolling window).",
         w.rejected_per_min,
     );
     gauge_f64(

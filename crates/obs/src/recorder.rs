@@ -70,18 +70,19 @@ pub struct Metrics {
     /// Nanoseconds spent scoring one micro-batch end to end.
     pub stream_batch_score: Histogram,
 
-    // -- ModelRegistry / watch_dir (mfod_persist) ---------------------
+    // -- ModelRegistry / watch_store (mfod_persist) -------------------
     /// Successful model swaps (`install_*`).
     pub registry_swaps: Counter,
     /// Generation of the most recently installed model.
     pub registry_generation: Gauge,
-    /// Directory sweeps executed (`load_dir`).
+    /// Watcher polls of a store's `deploy.log`.
     pub registry_sweeps: Counter,
-    /// Snapshot files rejected across sweeps.
+    /// Committed generations that failed to install (a snapshot whose
+    /// bytes no longer match its catalog entry, or that fails to decode).
     pub registry_rejected: Counter,
-    /// Files skipped as byte-identical to the active model.
+    /// Watcher polls that found the log unchanged (stat only, no replay).
     pub registry_unchanged: Counter,
-    /// Nanoseconds per directory sweep.
+    /// Nanoseconds per watcher poll.
     pub registry_sweep_time: Histogram,
     /// Nanoseconds per model install (`install_bytes`/`install_mapped`:
     /// validate + decode + swap, excluding file discovery).
@@ -109,7 +110,7 @@ pub struct Metrics {
     /// Sessions whose pending windows were quarantined after repeated
     /// flush failures.
     pub quarantined_sessions: Counter,
-    /// Current watcher backoff level (0 when the last sweep succeeded).
+    /// Current watcher backoff level (0 when the last poll succeeded).
     pub registry_backoff: Gauge,
 
     // -- Crash-consistent model store (mfod-persist) ------------------
@@ -130,8 +131,8 @@ pub struct Metrics {
     pub win_stream_windows: WindowedCounter,
     /// Model swaps per rolling window (→ swaps/min).
     pub win_registry_swaps: WindowedCounter,
-    /// Snapshot files rejected by directory sweeps per rolling window
-    /// (→ rejections/min) — the feed behind quarantine decisions.
+    /// Committed generations that failed to install per rolling window
+    /// (→ rejections/min).
     pub win_registry_rejected: WindowedCounter,
     /// Windows shed per rolling window (→ sheds/sec).
     pub win_sheds: WindowedCounter,
@@ -514,7 +515,8 @@ pub struct WindowSnapshot {
     pub windows_per_sec: f64,
     /// Model swaps per minute over the live window.
     pub swaps_per_min: f64,
-    /// Sweep rejections per minute over the live window.
+    /// Committed generations that failed to install, per minute over the
+    /// live window.
     pub rejected_per_min: f64,
     /// Windows shed per second over the live window.
     pub sheds_per_sec: f64,
@@ -894,10 +896,10 @@ impl MetricsSnapshot {
         let g = &self.registry;
         let _ = writeln!(
             r,
-            "registry   generation {} · {} swaps · {} sweeps · {} rejected · {} unchanged",
+            "registry   generation {} · {} swaps · {} polls · {} rejected · {} unchanged",
             g.generation, g.swaps, g.sweeps, g.rejected, g.unchanged
         );
-        hist_line(&mut r, "  sweep     ", &g.sweep_time);
+        hist_line(&mut r, "  poll      ", &g.sweep_time);
         hist_line(&mut r, "  install   ", &g.install_time);
 
         let pe = &self.persist;

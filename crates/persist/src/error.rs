@@ -67,6 +67,27 @@ pub enum PersistError {
     /// The decoded snapshot could not be turned back into a live model
     /// (e.g. an unknown mapping, or parameters failing re-validation).
     Restore(String),
+    /// A deployment log holds a record of the retired intent + commit
+    /// format (tags 1 and 2). Such a log is refused whole and left as it
+    /// is: nothing is truncated, moved or quarantined.
+    RetiredLogRecord {
+        /// The log file.
+        path: PathBuf,
+        /// Byte offset of the retired record's frame.
+        offset: u64,
+        /// The retired tag.
+        tag: u8,
+    },
+    /// A snapshot file's bytes differ from the catalog entry that names
+    /// it: the file is not the generation the store committed.
+    ContentMismatch {
+        /// The snapshot file.
+        path: PathBuf,
+        /// Length and FNV-1a content hash the catalog records.
+        expected: (u64, u64),
+        /// Length and content hash of the bytes on disk.
+        actual: (u64, u64),
+    },
     /// Filesystem failure while reading or writing a snapshot.
     Io {
         /// The path involved.
@@ -110,6 +131,26 @@ impl fmt::Display for PersistError {
             }
             PersistError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
             PersistError::Restore(msg) => write!(f, "snapshot restore failed: {msg}"),
+            PersistError::RetiredLogRecord { path, offset, tag } => write!(
+                f,
+                "deploy log {} holds a retired record (tag {tag} at offset {offset}) \
+                 of the intent + commit format; refusing to replay it",
+                path.display()
+            ),
+            PersistError::ContentMismatch {
+                path,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "{} is not the committed snapshot: {} bytes hashing to {:#018X}, \
+                 catalog says {} bytes hashing to {:#018X}",
+                path.display(),
+                actual.0,
+                actual.1,
+                expected.0,
+                expected.1
+            ),
             PersistError::Io { path, source } => {
                 write!(f, "snapshot io on {}: {source}", path.display())
             }
@@ -158,6 +199,16 @@ mod tests {
             PersistError::MissingSection { id: 3 },
             PersistError::Malformed("shape".into()),
             PersistError::Restore("mapping".into()),
+            PersistError::RetiredLogRecord {
+                path: PathBuf::from("/tmp/deploy.log"),
+                offset: 0,
+                tag: 1,
+            },
+            PersistError::ContentMismatch {
+                path: PathBuf::from("/tmp/gen-000001.mfod"),
+                expected: (10, 1),
+                actual: (10, 2),
+            },
             PersistError::Io {
                 path: PathBuf::from("/tmp/x"),
                 source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),

@@ -637,8 +637,7 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 /// Writes `bytes` to `path` atomically **and durably**: the data lands
 /// in a writer-unique sibling temp file, is fsynced, renamed into place,
-/// and the parent directory is fsynced — so a reader (or the
-/// [`crate::registry::ModelRegistry`] directory scan) never observes a
+/// and the parent directory is fsynced — so a reader never observes a
 /// half-written snapshot, and a SIGKILL at any step leaves either the
 /// old file or the complete new one, never a torn tail at the final
 /// path. Crash points: [`mfod_faultline::points::PERSIST_FSYNC`] before

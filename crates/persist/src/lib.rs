@@ -13,9 +13,14 @@
 //! * [`mod@format`] — the container: `MFOD` magic, format version, artifact
 //!   kind, section table, CRC-32 trailer ([`Snapshot`],
 //!   [`to_bytes`]/[`from_bytes`], atomic [`save`]/[`load`]).
-//! * [`registry`] — [`ModelRegistry`]: directory loading and atomic
-//!   hot-swap of the active `Arc<T>` under live traffic
-//!   ([`Restorable`] bridges decoded snapshots back to live artifacts).
+//! * [`registry`] — [`ModelRegistry`]: atomic hot-swap of the active
+//!   `Arc<T>` under live traffic, and a watcher thread that serves what a
+//!   model store's deployment log commits ([`Restorable`] bridges decoded
+//!   snapshots back to live artifacts).
+//! * [`store`] — [`ModelStore`]: crash-consistent promotion, recovery,
+//!   rollback and `fsck` over one directory. Its append-only deployment
+//!   log ([`wal`]) is the only deployment state on disk; the catalog
+//!   ([`Manifest`]) is what a replay of it yields.
 //! * [`hash`] — stable FNV-1a hashing of byte and `f64`-bit content,
 //!   shared with `mfod-fda`'s grid-keyed selection-plan cache.
 //!
@@ -65,14 +70,12 @@ pub use format::{
     Snapshot, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
 pub use hash::{fnv1a64, hash_f64s, Fnv1a};
-pub use manifest::{Manifest, ManifestEntry, KIND_MANIFEST};
+pub use manifest::{Manifest, ManifestEntry};
 pub use map::{LazySection, SharedBytes};
-pub use registry::{
-    DirLoadReport, ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
-};
+pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
 pub use store::{
     fsck_dir, generation_file, FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport,
-    DEPLOY_LOG_FILE, MANIFEST_FILE, QUARANTINE_DIR,
+    DEPLOY_LOG_FILE, QUARANTINE_DIR,
 };
 pub use wal::{append_record, replay, LogRecord, Replay, TornTail};
 pub use wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};
@@ -90,7 +93,7 @@ pub mod prelude {
     pub use crate::manifest::{Manifest, ManifestEntry};
     pub use crate::map::{LazySection, SharedBytes};
     pub use crate::registry::{
-        DirLoadReport, ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
+        ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
     };
     pub use crate::store::{FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport};
     pub use crate::wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};

@@ -1,5 +1,5 @@
-//! The deployment **manifest**: a catalog artifact (container KIND 6)
-//! naming every generation a [`crate::store::ModelStore`] has promoted.
+//! The deployment **catalog** of a [`crate::store::ModelStore`]: every
+//! committed generation it can serve, and the active one.
 //!
 //! Each [`ManifestEntry`] records the artifact's identity — file name,
 //! artifact kind, FNV-1a content hash and byte length — plus its
@@ -9,21 +9,13 @@
 //! "re-point the manifest", and an auditor can answer *which model
 //! scored this batch* from the registry generation alone.
 //!
-//! The manifest file (`store.manifest`) is a checkpoint of the
-//! append-only deployment log, not the recovery source of truth: on
-//! startup [`crate::store::ModelStore::open`] replays the log and
-//! rewrites the checkpoint; see the module docs of [`crate::store`] for
-//! the durability contract.
+//! The manifest lives in memory only. It is what a replay of the
+//! deployment log yields, and each commit record carries its entry in
+//! [`ManifestEntry`]'s wire form; see the module docs of [`crate::store`]
+//! for the durability contract.
 
-use crate::error::PersistError;
-use crate::format::Snapshot;
 use crate::wire::{Decode, Decoder, Encode, Encoder};
 use crate::Result;
-
-/// Artifact-kind tag of the manifest container (KINDs 1 and 3–5 are the
-/// pipeline/calibrator/ensemble/depth-baseline artifacts in the workspace
-/// crates above this one; KIND 2 is retired and never reused).
-pub const KIND_MANIFEST: u32 = 6;
 
 /// One promoted generation: identity + provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,18 +86,17 @@ impl Decode for ManifestEntry {
     }
 }
 
-/// Smallest possible encoded [`ManifestEntry`]: 4×u64 + u32 + bool +
-/// two empty length-prefixed strings — bounds the pre-allocation of a
-/// decoded entry vector against hostile length fields.
-const ENTRY_MIN_BYTES: usize = 8 + 8 + 4 + 8 + 8 + 8 + 1 + 8;
-
-/// The deployment catalog: every promoted generation plus the active one.
+/// The deployment catalog: every servable committed generation plus the
+/// active one.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Manifest {
     /// The committed generation the store currently serves, if any.
     pub active: Option<u64>,
-    /// Promoted generations in ascending generation order.
+    /// Servable committed generations in ascending generation order.
     pub entries: Vec<ManifestEntry>,
+    /// Highest generation ever committed, counting generations that
+    /// recovery has since quarantined out of `entries`.
+    pub last_generation: u64,
 }
 
 impl Manifest {
@@ -125,14 +116,16 @@ impl Manifest {
     }
 
     /// The generation a fresh promotion would get: one past the highest
-    /// known generation (generations start at 1).
+    /// generation ever committed (generations start at 1), so a number
+    /// names exactly one model even after its snapshot was quarantined.
     pub fn next_generation(&self) -> u64 {
-        self.entries.iter().map(|e| e.generation).max().unwrap_or(0) + 1
+        self.last_generation + 1
     }
 
     /// Inserts or replaces the entry for its generation, keeping the
     /// entry list sorted by generation.
     pub fn upsert(&mut self, entry: ManifestEntry) {
+        self.last_generation = self.last_generation.max(entry.generation);
         match self
             .entries
             .binary_search_by_key(&entry.generation, |e| e.generation)
@@ -143,64 +136,9 @@ impl Manifest {
     }
 }
 
-impl Encode for Manifest {
-    fn encode(&self, w: &mut Encoder) {
-        match self.active {
-            Some(g) => {
-                w.put_bool(true);
-                w.put_u64(g);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            e.encode(w);
-        }
-    }
-}
-
-impl Decode for Manifest {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self> {
-        let active = if r.take_bool()? {
-            Some(r.take_u64()?)
-        } else {
-            None
-        };
-        let count = r.take_len(ENTRY_MIN_BYTES, "manifest entries")?;
-        let mut entries = Vec::with_capacity(count);
-        let mut prev: Option<u64> = None;
-        for _ in 0..count {
-            let e = ManifestEntry::decode(r)?;
-            if prev.is_some_and(|p| p >= e.generation) {
-                return Err(PersistError::Malformed(format!(
-                    "manifest entries out of order at generation {}",
-                    e.generation
-                )));
-            }
-            prev = Some(e.generation);
-            entries.push(e);
-        }
-        let m = Manifest { active, entries };
-        if let Some(g) = m.active {
-            if m.entry(g).is_none() {
-                return Err(PersistError::Malformed(format!(
-                    "manifest active generation {g} has no entry"
-                )));
-            }
-        }
-        Ok(m)
-    }
-}
-
-impl Snapshot for Manifest {
-    const KIND: u32 = KIND_MANIFEST;
-    const NAME: &'static str = "manifest";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{from_bytes, to_bytes};
 
     fn entry(generation: u64, parent: Option<u64>) -> ManifestEntry {
         ManifestEntry {
@@ -225,15 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_exact() {
-        let m = manifest();
-        let back: Manifest = from_bytes(&to_bytes(&m)).unwrap();
-        assert_eq!(back, m);
-        let empty: Manifest = from_bytes(&to_bytes(&Manifest::new())).unwrap();
-        assert_eq!(empty, Manifest::new());
-    }
-
-    #[test]
     fn lineage_and_lookup() {
         let m = manifest();
         assert_eq!(m.active_entry().unwrap().generation, 3);
@@ -241,6 +170,13 @@ mod tests {
         assert_eq!(m.next_generation(), 4);
         assert!(m.entry(9).is_none());
         assert_eq!(Manifest::new().next_generation(), 1);
+    }
+
+    #[test]
+    fn next_generation_outlives_dropped_entries() {
+        let mut m = manifest();
+        m.entries.retain(|e| e.generation != 3);
+        assert_eq!(m.next_generation(), 4);
     }
 
     #[test]
@@ -253,23 +189,5 @@ mod tests {
         assert_eq!(m.entry(2).unwrap().tag, "rewritten");
         let gens: Vec<u64> = m.entries.iter().map(|e| e.generation).collect();
         assert_eq!(gens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn dangling_active_is_rejected() {
-        let mut m = manifest();
-        m.active = Some(9);
-        let err = from_bytes::<Manifest>(&to_bytes(&m)).unwrap_err();
-        assert!(matches!(err, PersistError::Malformed(_)), "{err}");
-    }
-
-    #[test]
-    fn out_of_order_entries_are_rejected() {
-        // encode by hand with swapped generations to bypass upsert's sort
-        let mut m = Manifest::new();
-        m.entries.push(entry(2, None));
-        m.entries.push(entry(1, None));
-        let err = from_bytes::<Manifest>(&to_bytes(&m)).unwrap_err();
-        assert!(matches!(err, PersistError::Malformed(_)), "{err}");
     }
 }

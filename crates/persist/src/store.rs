@@ -1,66 +1,70 @@
 //! Crash-consistent **model store**: transactional promotion, startup
-//! recovery, one-call rollback, and an `fsck`-style verifier over a
-//! watch directory.
+//! recovery, one-call rollback, and an `fsck`-style verifier over one
+//! directory.
 //!
 //! ## Layout
 //!
 //! ```text
 //! <dir>/
 //!   gen-000001.mfod     snapshot files, one per promoted generation
-//!   gen-000002.mfod     (zero-padded so lexicographic == numeric order,
-//!   ...                  which is what ModelRegistry::load_dir installs)
-//!   store.manifest      catalog checkpoint (MFOD container, KIND 6)
-//!   deploy.log          append-only deployment log (source of truth)
+//!   gen-000002.mfod     (zero-padded so lexicographic == numeric order)
+//!   ...
+//!   deploy.log          append-only deployment log: the only deployment state
 //!   quarantine/         torn/uncommitted artifacts, moved, never deleted
 //! ```
 //!
-//! The metadata files deliberately avoid the `.mfod` extension so a
-//! registry watching the same directory never tries to install them.
+//! The store serves what a replay of `deploy.log` says: folding its
+//! records yields the catalog, the active generation and the highest
+//! generation ever committed. [`ModelStore::open`], [`fsck_dir`],
+//! [`ModelStore::install_active`] and the registry's log watcher
+//! ([`ModelRegistry::watch_store`]) all derive that state the same way,
+//! so none of them can disagree about what is committed.
 //!
 //! ## Durability contract
 //!
-//! [`ModelStore::promote_bytes`] runs the four-step protocol:
+//! [`ModelStore::promote_bytes`] runs three steps, one fsync each:
 //!
-//! 1. **write snapshot** — [`crate::format::save_bytes`]: unique temp,
-//!    fsync(file), rename, fsync(dir). A kill before this returns leaves
-//!    at worst a stray temp (quarantined on recovery).
-//! 2. **append intent** — [`crate::wal::append_record`] + fsync. A kill
-//!    here leaves a durable snapshot with no intent → orphan,
-//!    quarantined.
-//! 3. **append commit** — the generation becomes the committed truth
-//!    the moment this record's fsync returns. A kill between intent and
-//!    commit leaves an uncommitted intent → snapshot quarantined.
-//! 4. **checkpoint manifest** — rewrite `store.manifest` atomically.
-//!    A kill here loses nothing: recovery rebuilds the checkpoint from
-//!    the log.
+//! 1. **snapshot durable** — the bytes go to a writer-unique temp file,
+//!    then fsync(file). A kill here leaves at worst a stray temp,
+//!    quarantined on recovery.
+//! 2. **snapshot visible** — rename to `gen-NNNNNN.mfod`, fsync(dir). A
+//!    kill after this leaves a snapshot no commit names: an orphan,
+//!    quarantined on recovery. The log is opened (on the first promotion:
+//!    created) before step 1, so this directory fsync covers its name too.
+//! 3. **commit** — append one [`LogRecord::Commit`] carrying the catalog
+//!    entry, fsync(log). The generation is committed and active the
+//!    moment this returns; a torn append is a torn log tail.
+//!
+//! [`ModelStore::rollback`] is one [`LogRecord::Rollback`] append: one
+//! fsync, no snapshot bytes touched.
 //!
 //! [`ModelStore::open`] replays the log, quarantines every torn log
-//! tail, stray temp, orphan and uncommitted snapshot (moved into
-//! `quarantine/`, never deleted), validates the active generation's
-//! bytes hash-first, falls back down the committed chain when the
-//! active artifact is damaged, and rewrites the checkpoint. Recovery is
-//! idempotent: opening twice yields the same state as opening once.
+//! tail, stray temp and snapshot the catalog does not name (moved into
+//! `quarantine/`, never deleted), and validates every cataloged
+//! generation's bytes hash-first. A damaged generation's snapshot is
+//! quarantined and a [`LogRecord::Quarantine`] record drops it from the
+//! catalog; if it was active, the newest remaining generation takes
+//! over. Recovery is idempotent: a second open finds nothing to move and
+//! appends nothing.
+//!
+//! [`ModelRegistry::watch_store`]: crate::registry::ModelRegistry::watch_store
 
 use crate::error::PersistError;
-use crate::format::{save, to_bytes, Snapshot, SnapshotReader, SNAPSHOT_EXT, TMP_INFIX};
+use crate::format::{to_bytes, Snapshot, SnapshotReader, SNAPSHOT_EXT, TMP_INFIX};
 use crate::hash::fnv1a64;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::registry::{ModelRegistry, Restorable};
-use crate::wal::{append_record, replay, LogRecord};
+use crate::wal::{append_record, replay, LogRecord, TornTail};
 use crate::Result;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// File name of the manifest checkpoint (not `.mfod`, so directory
-/// sweeps skip it).
-pub const MANIFEST_FILE: &str = "store.manifest";
 /// File name of the append-only deployment log.
 pub const DEPLOY_LOG_FILE: &str = "deploy.log";
 /// Subdirectory quarantined artifacts are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// Snapshot file name for a generation: zero-padded so lexicographic
-/// order is numeric order (what `load_dir` keys "newest" on).
+/// Snapshot file name for a generation, zero-padded so lexicographic
+/// order is numeric order.
 pub fn generation_file(generation: u64) -> String {
     format!("gen-{generation:06}.{SNAPSHOT_EXT}")
 }
@@ -68,13 +72,12 @@ pub fn generation_file(generation: u64) -> String {
 /// Why an artifact was moved to `quarantine/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// Snapshot had a logged intent but no commit marker.
-    UncommittedIntent,
-    /// Snapshot file with no intent in the log at all.
+    /// Snapshot file no committed catalog entry names (a promotion that
+    /// died before its commit, or a file nobody promoted).
     Orphan,
     /// A crashed writer's temp file.
     StrayTemp,
-    /// Committed snapshot whose bytes no longer match the manifest
+    /// Committed snapshot whose bytes no longer match its catalog entry
     /// (hash/length mismatch or unreadable container).
     Damaged(String),
     /// Bytes past the last valid deployment-log record.
@@ -84,8 +87,7 @@ pub enum QuarantineReason {
 impl std::fmt::Display for QuarantineReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QuarantineReason::UncommittedIntent => write!(f, "uncommitted intent"),
-            QuarantineReason::Orphan => write!(f, "orphan snapshot (no intent)"),
+            QuarantineReason::Orphan => write!(f, "orphan snapshot (not committed)"),
             QuarantineReason::StrayTemp => write!(f, "stray writer temp"),
             QuarantineReason::Damaged(why) => write!(f, "damaged committed snapshot: {why}"),
             QuarantineReason::TornLogTail(why) => write!(f, "torn deploy-log tail: {why}"),
@@ -114,14 +116,14 @@ pub struct RecoveryReport {
 /// One problem found by [`ModelStore::fsck`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsckIssue {
-    /// A manifest entry's file is missing from the directory.
+    /// A catalog entry's file is missing from the directory.
     MissingFile {
         /// The committed generation affected.
         generation: u64,
-        /// The file the manifest expected.
+        /// The file the catalog expected.
         file: String,
     },
-    /// A file's bytes hash to something other than the manifest says.
+    /// A file's bytes hash to something other than the catalog says.
     HashMismatch {
         /// The generation affected.
         generation: u64,
@@ -132,7 +134,7 @@ pub enum FsckIssue {
         /// Hash of the bytes on disk now.
         actual: u64,
     },
-    /// A file's length differs from the manifest record.
+    /// A file's length differs from the catalog record.
     LengthMismatch {
         /// The generation affected.
         generation: u64,
@@ -143,14 +145,15 @@ pub enum FsckIssue {
         /// Length on disk now.
         actual: u64,
     },
-    /// A file no longer parses as an MFOD container.
+    /// A file no longer parses as an MFOD container of the cataloged
+    /// artifact kind.
     BadContainer {
         /// The file checked.
         file: String,
-        /// The typed parse error, stringified.
+        /// The typed parse error (or kind mismatch), stringified.
         error: String,
     },
-    /// A `.mfod` file in the directory that no manifest entry names.
+    /// A `.mfod` file in the directory that no catalog entry names.
     Orphan {
         /// The unexpected file.
         file: String,
@@ -160,11 +163,6 @@ pub enum FsckIssue {
         /// The temp file found.
         file: String,
     },
-    /// The log holds an intent with no matching commit.
-    UncommittedIntent {
-        /// The intended-but-never-committed generation.
-        generation: u64,
-    },
     /// Bytes past the last valid deployment-log record.
     TornLogTail {
         /// Offset where the valid prefix ends.
@@ -172,12 +170,7 @@ pub enum FsckIssue {
         /// What failed to parse.
         reason: String,
     },
-    /// The manifest checkpoint disagrees with the log-derived state.
-    ManifestMismatch {
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
-    /// The manifest's active generation has no usable snapshot.
+    /// The active generation has no usable snapshot.
     ActiveMissing {
         /// The active generation with no valid bytes behind it.
         generation: u64,
@@ -197,7 +190,7 @@ impl std::fmt::Display for FsckIssue {
                 actual,
             } => write!(
                 f,
-                "generation {generation}: {file} hash {actual:#018X}, manifest says {expected:#018X}"
+                "generation {generation}: {file} hash {actual:#018X}, catalog says {expected:#018X}"
             ),
             FsckIssue::LengthMismatch {
                 generation,
@@ -206,21 +199,15 @@ impl std::fmt::Display for FsckIssue {
                 actual,
             } => write!(
                 f,
-                "generation {generation}: {file} is {actual} bytes, manifest says {expected}"
+                "generation {generation}: {file} is {actual} bytes, catalog says {expected}"
             ),
             FsckIssue::BadContainer { file, error } => {
                 write!(f, "{file}: container invalid: {error}")
             }
-            FsckIssue::Orphan { file } => write!(f, "{file}: no manifest entry"),
+            FsckIssue::Orphan { file } => write!(f, "{file}: no catalog entry"),
             FsckIssue::StrayTemp { file } => write!(f, "{file}: stray writer temp"),
-            FsckIssue::UncommittedIntent { generation } => {
-                write!(f, "generation {generation}: intent without commit")
-            }
             FsckIssue::TornLogTail { offset, reason } => {
                 write!(f, "deploy log torn at offset {offset}: {reason}")
-            }
-            FsckIssue::ManifestMismatch { detail } => {
-                write!(f, "manifest checkpoint diverges from log: {detail}")
             }
             FsckIssue::ActiveMissing { generation } => {
                 write!(f, "active generation {generation} has no valid snapshot")
@@ -245,38 +232,88 @@ impl FsckReport {
     }
 }
 
-/// Log-derived deployment state: the durable truth after a replay.
-#[derive(Debug, Default)]
-struct LogState {
-    /// Every logged intent by generation.
-    intents: BTreeMap<u64, ManifestEntry>,
-    /// Generations with a commit marker, in commit order.
-    committed: Vec<u64>,
-    /// Active generation after the final commit/rollback record.
-    active: Option<u64>,
+/// The committed deployment state: what a replay of `deploy.log` yields.
+#[derive(Debug)]
+pub(crate) struct LogState {
+    /// Catalog, active generation and highest generation ever committed.
+    pub(crate) manifest: Manifest,
+    /// Valid records replayed.
+    records: usize,
+    /// Bytes past the last valid record, if any.
+    torn: Option<TornTail>,
 }
 
-fn derive_state(records: &[LogRecord]) -> LogState {
-    let mut state = LogState::default();
-    for record in records {
-        match record {
-            LogRecord::Intent(entry) => {
-                state.intents.insert(entry.generation, entry.clone());
-            }
-            LogRecord::Commit { generation } => {
-                if !state.committed.contains(generation) {
-                    state.committed.push(*generation);
-                }
-                state.active = Some(*generation);
-            }
-            LogRecord::Rollback { to, .. } => {
-                // generation 0 is the "nothing left to serve" sentinel
-                // written when recovery finds no valid fallback
-                state.active = (*to != 0).then_some(*to);
+/// Derives the committed state of the store at `dir` from a replay of
+/// its log. Read-only; a log of the retired format is a typed error.
+pub(crate) fn read_log(dir: &Path) -> Result<LogState> {
+    let replay = replay(&dir.join(DEPLOY_LOG_FILE))?;
+    let mut manifest = Manifest::new();
+    for record in &replay.records {
+        apply(&mut manifest, record);
+    }
+    Ok(LogState {
+        manifest,
+        records: replay.records.len(),
+        torn: replay.torn,
+    })
+}
+
+/// Applies one log record to the catalog: the one rule for what the
+/// store serves. A commit catalogs its entry and makes it active, a
+/// rollback re-points the active generation, and a quarantine drops a
+/// generation, handing an active one's place to the newest remaining.
+fn apply(manifest: &mut Manifest, record: &LogRecord) {
+    match record {
+        LogRecord::Commit(entry) => {
+            manifest.upsert(entry.clone());
+            manifest.active = Some(entry.generation);
+        }
+        LogRecord::Rollback { to, .. } => manifest.active = Some(*to),
+        LogRecord::Quarantine { generation } => {
+            manifest.entries.retain(|e| e.generation != *generation);
+            if manifest.active == Some(*generation) {
+                manifest.active = manifest.entries.last().map(|e| e.generation);
             }
         }
     }
-    state
+}
+
+/// Maps an I/O error on `path` into [`PersistError::Io`].
+fn io(path: &Path) -> impl FnOnce(std::io::Error) -> PersistError + '_ {
+    move |source| PersistError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
+}
+
+/// Moves `path` into `dir/quarantine/` under a name no earlier evidence
+/// holds, and records why in `report`.
+fn quarantine(
+    dir: &Path,
+    path: &Path,
+    reason: QuarantineReason,
+    report: &mut RecoveryReport,
+) -> Result<()> {
+    let qdir = dir.join(QUARANTINE_DIR);
+    std::fs::create_dir_all(&qdir).map_err(io(&qdir))?;
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    // never overwrite earlier quarantined evidence
+    let mut dest = qdir.join(&name);
+    let mut bump = 0u32;
+    while dest.exists() {
+        bump += 1;
+        dest = qdir.join(format!("{name}.{bump}"));
+    }
+    std::fs::rename(path, &dest).map_err(io(path))?;
+    if let Some(m) = mfod_obs::active() {
+        m.store_quarantined.add(1);
+        mfod_obs::journal::instant("store.quarantine");
+    }
+    report.quarantined.push((dest, reason));
+    Ok(())
 }
 
 /// A crash-consistent model store over one directory.
@@ -294,31 +331,30 @@ impl ModelStore {
     /// Opens (and if necessary recovers) the store at `dir`, creating
     /// the directory if missing. Never deletes data: suspect artifacts
     /// move to `quarantine/`, torn log tails are copied there before
-    /// the log is truncated.
+    /// the log is truncated. A log of the retired format fails with
+    /// [`PersistError::RetiredLogRecord`] before anything is touched.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(ModelStore, RecoveryReport)> {
         let dir = dir.into();
-        let io = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source| PersistError::Io {
-                path: path.clone(),
-                source,
-            }
-        };
         std::fs::create_dir_all(&dir).map_err(io(&dir))?;
-        let mut report = RecoveryReport::default();
-
-        // 1. Replay the log; quarantine + truncate any torn tail.
         let log_path = dir.join(DEPLOY_LOG_FILE);
-        let mut rep = replay(&log_path)?;
-        if let Some(torn) = rep.torn.take() {
+        let LogState {
+            mut manifest,
+            records,
+            torn,
+        } = read_log(&dir)?;
+        let mut report = RecoveryReport {
+            replayed_records: records,
+            ..RecoveryReport::default()
+        };
+
+        // 1. Copy a torn log tail into quarantine, then truncate it.
+        if let Some(torn) = torn {
             let bytes = std::fs::read(&log_path).map_err(io(&log_path))?;
             let qdir = dir.join(QUARANTINE_DIR);
             std::fs::create_dir_all(&qdir).map_err(io(&qdir))?;
-            let tail_name = format!("deploy.log.tail-{}", torn.offset);
-            let tail_path = qdir.join(&tail_name);
+            let tail_path = qdir.join(format!("deploy.log.tail-{}", torn.offset));
             std::fs::write(&tail_path, &bytes[torn.offset as usize..]).map_err(io(&tail_path))?;
-            let keep = &bytes[..torn.offset as usize];
-            std::fs::write(&log_path, keep).map_err(io(&log_path))?;
+            std::fs::write(&log_path, &bytes[..torn.offset as usize]).map_err(io(&log_path))?;
             std::fs::File::open(&log_path)
                 .and_then(|f| f.sync_all())
                 .map_err(io(&log_path))?;
@@ -327,45 +363,10 @@ impl ModelStore {
                 .quarantined
                 .push((tail_path, QuarantineReason::TornLogTail(torn.reason)));
         }
-        report.replayed_records = rep.records.len();
-        let state = derive_state(&rep.records);
 
-        // 2. Sweep the directory: quarantine stray temps, orphans and
-        //    uncommitted snapshots. Committed files stay for validation.
-        let committed: Vec<u64> = state.committed.clone();
-        let committed_files: Vec<String> = committed
-            .iter()
-            .filter_map(|g| state.intents.get(g).map(|e| e.file.clone()))
-            .collect();
-        let entries = std::fs::read_dir(&dir).map_err(io(&dir))?;
-        let quarantine = |path: &Path, reason: QuarantineReason, rpt: &mut RecoveryReport| {
-            let qdir = dir.join(QUARANTINE_DIR);
-            if let Err(e) = std::fs::create_dir_all(&qdir) {
-                return Err(PersistError::Io {
-                    path: qdir,
-                    source: e,
-                });
-            }
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            // never overwrite earlier quarantined evidence
-            let mut dest = qdir.join(&name);
-            let mut bump = 0u32;
-            while dest.exists() {
-                bump += 1;
-                dest = qdir.join(format!("{name}.{bump}"));
-            }
-            std::fs::rename(path, &dest).map_err(io(path))?;
-            if let Some(m) = mfod_obs::active() {
-                m.store_quarantined.add(1);
-                mfod_obs::journal::instant("store.quarantine");
-            }
-            rpt.quarantined.push((dest, reason));
-            Ok(())
-        };
-        for entry in entries {
+        // 2. Sweep the directory: quarantine stray temps and every
+        //    snapshot the catalog does not name.
+        for entry in std::fs::read_dir(&dir).map_err(io(&dir))? {
             let entry = entry.map_err(io(&dir))?;
             if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
                 continue;
@@ -373,75 +374,48 @@ impl ModelStore {
             let path = entry.path();
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.contains(TMP_INFIX) {
-                quarantine(&path, QuarantineReason::StrayTemp, &mut report)?;
-                continue;
+                quarantine(&dir, &path, QuarantineReason::StrayTemp, &mut report)?;
+            } else if path.extension().and_then(|e| e.to_str()) == Some(SNAPSHOT_EXT)
+                && !manifest.entries.iter().any(|e| e.file == name)
+            {
+                quarantine(&dir, &path, QuarantineReason::Orphan, &mut report)?;
             }
-            if path.extension().and_then(|e| e.to_str()) != Some(SNAPSHOT_EXT) {
-                continue; // store.manifest, deploy.log, unrelated files
-            }
-            if committed_files.contains(&name) {
-                continue;
-            }
-            let intended = state.intents.values().any(|e| e.file == name);
-            let reason = if intended {
-                QuarantineReason::UncommittedIntent
-            } else {
-                QuarantineReason::Orphan
-            };
-            quarantine(&path, reason, &mut report)?;
         }
 
-        // 3. Validate committed snapshots hash-first; quarantine damage
-        //    and walk the active pointer back down the committed chain.
-        let mut valid: Vec<u64> = Vec::new();
-        for &generation in &committed {
-            let Some(entry) = state.intents.get(&generation) else {
-                continue; // commit without intent: nothing to validate
-            };
+        // 3. Validate cataloged snapshots hash-first. A damaged one is
+        //    quarantined and logged out of the catalog, which walks the
+        //    active generation back to the newest remaining one.
+        let before = manifest.active;
+        let damaged: Vec<(ManifestEntry, FsckIssue)> = manifest
+            .entries
+            .iter()
+            .filter_map(|e| {
+                check_entry(&dir, e)
+                    .into_iter()
+                    .next()
+                    .map(|i| (e.clone(), i))
+            })
+            .collect();
+        for (entry, issue) in damaged {
             let path = dir.join(&entry.file);
-            match validate_entry_bytes(&path, entry) {
-                Ok(()) => valid.push(generation),
-                Err(why) => {
-                    if path.exists() {
-                        quarantine(&path, QuarantineReason::Damaged(why), &mut report)?;
-                    }
-                }
+            if path.exists() {
+                let reason = QuarantineReason::Damaged(issue.to_string());
+                quarantine(&dir, &path, reason, &mut report)?;
             }
+            let record = LogRecord::Quarantine {
+                generation: entry.generation,
+            };
+            append_record(&log_path, &record)?;
+            apply(&mut manifest, &record);
         }
-        let mut active = state.active.filter(|g| valid.contains(g));
-        if active.is_none() && state.active.is_some() {
-            // fall back to the newest valid committed generation, and
-            // record the re-point in the log so the log-derived active
-            // matches what this recovery decided (0 = nothing left)
-            active = valid.iter().copied().max();
-            report.fell_back = true;
-            append_record(
-                &log_path,
-                &LogRecord::Rollback {
-                    from: state.active.unwrap_or(0),
-                    to: active.unwrap_or(0),
-                },
-            )?;
-        }
-
-        // 4. Rebuild the in-memory manifest from the log-derived state
-        //    and checkpoint it durably.
-        let mut manifest = Manifest::new();
-        for &generation in &valid {
-            if let Some(entry) = state.intents.get(&generation) {
-                manifest.upsert(entry.clone());
-            }
-        }
-        manifest.active = active;
-        let store = ModelStore { dir, manifest };
-        store.checkpoint()?;
-        report.committed = valid;
-        report.active = active;
+        report.fell_back = manifest.active != before;
+        report.committed = manifest.entries.iter().map(|e| e.generation).collect();
+        report.active = manifest.active;
         if let Some(m) = mfod_obs::active() {
             m.store_recoveries.add(1);
             mfod_obs::journal::instant("store.recover");
         }
-        Ok((store, report))
+        Ok((ModelStore { dir, manifest }, report))
     }
 
     /// The directory this store manages.
@@ -449,7 +423,7 @@ impl ModelStore {
         &self.dir
     }
 
-    /// The live catalog (checkpointed to `store.manifest`).
+    /// The catalog as of the last replay plus this handle's own appends.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
     }
@@ -466,18 +440,14 @@ impl ModelStore {
             .map(|e| self.dir.join(&e.file))
     }
 
-    /// Atomically rewrites the manifest checkpoint.
-    fn checkpoint(&self) -> Result<()> {
-        save(&self.manifest, &self.dir.join(MANIFEST_FILE))
-    }
-
     /// Promotes already-encoded snapshot bytes as the next generation:
-    /// write-snapshot → fsync(file+dir) → append intent → commit marker
-    /// → checkpoint. Returns the catalog entry on success. On any error
-    /// the store's committed truth is unchanged — a later
-    /// [`ModelStore::open`] quarantines whatever half-promotion is on
-    /// disk. Crash point [`mfod_faultline::points::STORE_COMMIT`] sits
-    /// between intent and commit.
+    /// write the snapshot (fsync file, rename, fsync dir), then append
+    /// one commit record carrying its catalog entry (fsync log). Returns
+    /// the catalog entry on success. On any error the store's committed
+    /// truth is unchanged — a later [`ModelStore::open`] quarantines
+    /// whatever half-promotion is on disk. Crash point
+    /// [`mfod_faultline::points::STORE_COMMIT`] sits between the durable
+    /// snapshot and the commit append.
     ///
     /// The bytes are validated *before* anything touches disk: committed
     /// means servable, so a non-MFOD blob or a container of the wrong
@@ -497,10 +467,9 @@ impl ModelStore {
             });
         }
         let generation = self.manifest.next_generation();
-        let file = generation_file(generation);
         let entry = ManifestEntry {
             generation,
-            file: file.clone(),
+            file: generation_file(generation),
             kind,
             content_hash: fnv1a64(bytes),
             len: bytes.len() as u64,
@@ -508,12 +477,16 @@ impl ModelStore {
             parent: self.manifest.active,
             tag: tag.to_string(),
         };
-        // 1. snapshot durable (fsync file + dir inside save_bytes)
-        crate::format::save_bytes(&self.dir.join(&file), bytes)?;
         let log_path = self.dir.join(DEPLOY_LOG_FILE);
-        // 2. intent durable
-        append_record(&log_path, &LogRecord::Intent(entry.clone()))?;
-        // 3. commit marker — the generation exists the moment this lands
+        // Open the log (the first promotion creates it) before the
+        // snapshot write, whose directory fsync then covers its name too.
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&log_path)
+            .map_err(io(&log_path))?;
+        // 1–2. snapshot durable and visible (fsync file, rename, fsync dir)
+        crate::format::save_bytes(&self.dir.join(&entry.file), bytes)?;
         if mfod_faultline::should_fire(mfod_faultline::points::STORE_COMMIT) {
             mfod_faultline::park_if_requested(mfod_faultline::points::STORE_COMMIT);
             return Err(PersistError::Io {
@@ -521,11 +494,10 @@ impl ModelStore {
                 source: std::io::Error::other("injected fault: store.commit"),
             });
         }
-        append_record(&log_path, &LogRecord::Commit { generation })?;
-        // 4. checkpoint (recovery would rebuild it from the log anyway)
-        self.manifest.upsert(entry.clone());
-        self.manifest.active = Some(generation);
-        self.checkpoint()?;
+        // 3. commit — the generation exists the moment this lands
+        let record = LogRecord::Commit(entry.clone());
+        append_record(&log_path, &record)?;
+        apply(&mut self.manifest, &record);
         if let Some(m) = mfod_obs::active() {
             m.store_promotions.add(1);
             mfod_obs::journal::instant("store.promote");
@@ -545,26 +517,23 @@ impl ModelStore {
     }
 
     /// Re-points the active generation at a prior committed one: one
-    /// log append plus a checkpoint, no snapshot bytes touched. The
-    /// target must be cataloged and its bytes must still validate.
+    /// log append, no snapshot bytes touched. The target must be
+    /// cataloged and its bytes must still validate.
     pub fn rollback(&mut self, generation: u64) -> Result<ManifestEntry> {
         let entry = self.manifest.entry(generation).cloned().ok_or_else(|| {
             PersistError::Malformed(format!(
                 "rollback target generation {generation} is not in the catalog"
             ))
         })?;
-        let path = self.dir.join(&entry.file);
-        validate_entry_bytes(&path, &entry).map_err(PersistError::Malformed)?;
-        let from = self.manifest.active.unwrap_or(0);
-        append_record(
-            &self.dir.join(DEPLOY_LOG_FILE),
-            &LogRecord::Rollback {
-                from,
-                to: generation,
-            },
-        )?;
-        self.manifest.active = Some(generation);
-        self.checkpoint()?;
+        if let Some(issue) = check_entry(&self.dir, &entry).first() {
+            return Err(PersistError::Malformed(issue.to_string()));
+        }
+        let record = LogRecord::Rollback {
+            from: self.manifest.active.unwrap_or(0),
+            to: generation,
+        };
+        append_record(&self.dir.join(DEPLOY_LOG_FILE), &record)?;
+        apply(&mut self.manifest, &record);
         if let Some(m) = mfod_obs::active() {
             m.store_rollbacks.add(1);
             mfod_obs::journal::instant("store.rollback");
@@ -572,156 +541,89 @@ impl ModelStore {
         Ok(entry)
     }
 
-    /// Installs the active generation into `registry` via the mapped
-    /// zero-copy path. Returns the installed **store** generation, or
-    /// `None` when the store has nothing committed.
+    /// Installs the generation the log commits as active into `registry`
+    /// via the mapped zero-copy path, provided its file still has the
+    /// length and content hash of its catalog entry (else
+    /// [`PersistError::ContentMismatch`], and the registry keeps what it
+    /// serves). Returns the installed **store** generation, or `None`
+    /// when the store has nothing committed.
     pub fn install_active<T: Restorable>(
         &self,
         registry: &ModelRegistry<T>,
     ) -> Result<Option<u64>> {
-        let Some(entry) = self.manifest.active_entry() else {
+        let state = read_log(&self.dir)?;
+        let Some(entry) = state.manifest.active_entry() else {
             return Ok(None);
         };
-        registry.install_mapped(&self.dir.join(&entry.file))?;
+        registry.install_committed(&self.dir, entry)?;
         Ok(Some(entry.generation))
     }
 
-    /// Verifies the whole directory against the catalog and log without
-    /// mutating anything: re-hashes every cataloged artifact, re-parses
-    /// containers, and reports orphans, stray temps, uncommitted
-    /// intents, torn log tails and checkpoint divergence — every
-    /// problem typed, never a panic.
+    /// Verifies the whole directory against the log-derived catalog
+    /// without mutating anything: re-hashes every cataloged artifact,
+    /// re-parses containers, and reports orphans, stray temps and torn
+    /// log tails — every problem typed, never a panic.
     pub fn fsck(&self) -> Result<FsckReport> {
         fsck_dir(&self.dir)
     }
 }
 
-/// Hash-first validation of one cataloged snapshot file: length, FNV
-/// content hash, then container parse. Returns a human-readable reason
-/// on the first failure.
-fn validate_entry_bytes(path: &Path, entry: &ManifestEntry) -> std::result::Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+/// Checks one cataloged snapshot hash-first: present, the cataloged
+/// length and content hash, a valid container of the cataloged kind.
+/// Returns every problem found; empty means clean.
+fn check_entry(dir: &Path, entry: &ManifestEntry) -> Vec<FsckIssue> {
+    let (generation, file) = (entry.generation, entry.file.clone());
+    let Ok(bytes) = std::fs::read(dir.join(&entry.file)) else {
+        return vec![FsckIssue::MissingFile { generation, file }];
+    };
+    let mut issues = Vec::new();
     if bytes.len() as u64 != entry.len {
-        return Err(format!(
-            "length {} != manifest length {}",
-            bytes.len(),
-            entry.len
-        ));
+        issues.push(FsckIssue::LengthMismatch {
+            generation,
+            file: file.clone(),
+            expected: entry.len,
+            actual: bytes.len() as u64,
+        });
     }
     let actual = fnv1a64(&bytes);
     if actual != entry.content_hash {
-        return Err(format!(
-            "content hash {actual:#018X} != manifest hash {:#018X}",
-            entry.content_hash
-        ));
+        issues.push(FsckIssue::HashMismatch {
+            generation,
+            file: file.clone(),
+            expected: entry.content_hash,
+            actual,
+        });
     }
-    let reader = SnapshotReader::parse(&bytes).map_err(|e| format!("container invalid: {e}"))?;
-    if reader.kind() != entry.kind {
-        return Err(format!(
-            "container kind {} != manifest kind {}",
+    let error = match SnapshotReader::parse(&bytes) {
+        Err(e) => Some(e.to_string()),
+        Ok(reader) if reader.kind() != entry.kind => Some(format!(
+            "artifact kind {} != catalog kind {}",
             reader.kind(),
             entry.kind
-        ));
+        )),
+        Ok(_) => None,
+    };
+    if let Some(error) = error {
+        issues.push(FsckIssue::BadContainer { file, error });
     }
-    Ok(())
+    issues
 }
 
 /// [`ModelStore::fsck`] as a free function — verifies any directory
 /// (the store need not be open, so an operator can point it at a copy).
 pub fn fsck_dir(dir: &Path) -> Result<FsckReport> {
-    let io = |path: &Path| {
-        let path = path.to_path_buf();
-        move |source| PersistError::Io {
-            path: path.clone(),
-            source,
-        }
-    };
+    let state = read_log(dir)?;
+    let catalog = &state.manifest;
     let mut report = FsckReport::default();
-
-    // log first: its state is the reference everything else checks against
-    let rep = replay(&dir.join(DEPLOY_LOG_FILE))?;
-    if let Some(torn) = &rep.torn {
+    if let Some(torn) = state.torn {
         report.issues.push(FsckIssue::TornLogTail {
             offset: torn.offset,
-            reason: torn.reason.clone(),
+            reason: torn.reason,
         });
-    }
-    let state = derive_state(&rep.records);
-    for (&generation, entry) in &state.intents {
-        // an uncommitted intent is live evidence only while its snapshot
-        // is still in the directory; once recovery has quarantined the
-        // file, the intent record is just append-only history
-        if !state.committed.contains(&generation) && dir.join(&entry.file).exists() {
-            report
-                .issues
-                .push(FsckIssue::UncommittedIntent { generation });
-        }
-    }
-
-    // checkpoint vs log-derived state
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let checkpoint: Option<Manifest> = if manifest_path.exists() {
-        match crate::format::load::<Manifest>(&manifest_path) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                report.issues.push(FsckIssue::BadContainer {
-                    file: MANIFEST_FILE.to_string(),
-                    error: e.to_string(),
-                });
-                None
-            }
-        }
-    } else {
-        None
-    };
-    if let Some(cp) = &checkpoint {
-        if cp.active != state.active {
-            report.issues.push(FsckIssue::ManifestMismatch {
-                detail: format!(
-                    "checkpoint active {:?} != log-derived active {:?}",
-                    cp.active, state.active
-                ),
-            });
-        }
-        for entry in &cp.entries {
-            match state.intents.get(&entry.generation) {
-                Some(logged) if logged == entry => {}
-                Some(_) => report.issues.push(FsckIssue::ManifestMismatch {
-                    detail: format!(
-                        "checkpoint entry for generation {} differs from logged intent",
-                        entry.generation
-                    ),
-                }),
-                None => report.issues.push(FsckIssue::ManifestMismatch {
-                    detail: format!(
-                        "checkpoint entry for generation {} has no logged intent",
-                        entry.generation
-                    ),
-                }),
-            }
-        }
-    }
-
-    // reference catalog for file checks: the checkpoint when valid,
-    // else the committed subset of the log
-    let mut catalog: BTreeMap<u64, ManifestEntry> = BTreeMap::new();
-    match &checkpoint {
-        Some(cp) => {
-            for e in &cp.entries {
-                catalog.insert(e.generation, e.clone());
-            }
-        }
-        None => {
-            for g in &state.committed {
-                if let Some(e) = state.intents.get(g) {
-                    catalog.insert(*g, e.clone());
-                }
-            }
-        }
     }
 
     // walk the directory
-    let mut present: Vec<String> = Vec::new();
+    let mut orphans: Vec<String> = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(io(dir))? {
         let entry = entry.map_err(io(dir))?;
         if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
@@ -730,69 +632,28 @@ pub fn fsck_dir(dir: &Path) -> Result<FsckReport> {
         let name = entry.file_name().to_string_lossy().into_owned();
         if name.contains(TMP_INFIX) {
             report.issues.push(FsckIssue::StrayTemp { file: name });
-            continue;
-        }
-        if entry.path().extension().and_then(|e| e.to_str()) == Some(SNAPSHOT_EXT) {
-            present.push(name);
-        }
-    }
-    present.sort();
-    for name in &present {
-        let cataloged = catalog.values().find(|e| e.file == *name);
-        let intended = state.intents.values().any(|e| e.file == *name);
-        if cataloged.is_none() && !intended {
-            report.issues.push(FsckIssue::Orphan { file: name.clone() });
+        } else if entry.path().extension().and_then(|e| e.to_str()) == Some(SNAPSHOT_EXT)
+            && !catalog.entries.iter().any(|e| e.file == name)
+        {
+            orphans.push(name);
         }
     }
+    orphans.sort();
+    report
+        .issues
+        .extend(orphans.into_iter().map(|file| FsckIssue::Orphan { file }));
 
     // re-hash every cataloged artifact
-    for (generation, entry) in &catalog {
-        let path = dir.join(&entry.file);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                report.issues.push(FsckIssue::MissingFile {
-                    generation: *generation,
-                    file: entry.file.clone(),
-                });
-                continue;
-            }
-        };
-        let mut ok = true;
-        if bytes.len() as u64 != entry.len {
-            report.issues.push(FsckIssue::LengthMismatch {
-                generation: *generation,
-                file: entry.file.clone(),
-                expected: entry.len,
-                actual: bytes.len() as u64,
-            });
-            ok = false;
+    for entry in &catalog.entries {
+        let issues = check_entry(dir, entry);
+        if issues.is_empty() {
+            report.clean.push(entry.generation);
         }
-        let actual = fnv1a64(&bytes);
-        if actual != entry.content_hash {
-            report.issues.push(FsckIssue::HashMismatch {
-                generation: *generation,
-                file: entry.file.clone(),
-                expected: entry.content_hash,
-                actual,
-            });
-            ok = false;
-        }
-        if let Err(e) = SnapshotReader::parse(&bytes) {
-            report.issues.push(FsckIssue::BadContainer {
-                file: entry.file.clone(),
-                error: e.to_string(),
-            });
-            ok = false;
-        }
-        if ok {
-            report.clean.push(*generation);
-        }
+        report.issues.extend(issues);
     }
 
     // the active pointer must have a clean snapshot behind it
-    let active = checkpoint.as_ref().map_or(state.active, |cp| cp.active);
-    if let Some(generation) = active {
+    if let Some(generation) = catalog.active {
         if !report.clean.contains(&generation) {
             report.issues.push(FsckIssue::ActiveMissing { generation });
         }
@@ -807,8 +668,11 @@ pub fn fsck_dir(dir: &Path) -> Result<FsckReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{WatchConfig, WatchHandle};
     use crate::wire::{Decode, Decoder, Encode, Encoder};
     use mfod_faultline::{points, FaultPlan, FaultRule};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Weights {
@@ -832,6 +696,16 @@ mod tests {
     impl Snapshot for Weights {
         const KIND: u32 = 0x57;
         const NAME: &'static str = "weights";
+    }
+
+    /// The served form of [`Weights`].
+    struct Live(Weights);
+
+    impl Restorable for Live {
+        type Snapshot = Weights;
+        fn restore(s: Weights) -> std::result::Result<Self, String> {
+            Ok(Live(s))
+        }
     }
 
     fn weights(seed: u64) -> Weights {
@@ -859,6 +733,15 @@ mod tests {
         )
     }
 
+    /// Flips one payload byte of a generation's snapshot (same length).
+    fn damage(dir: &Path, generation: u64) {
+        let path = dir.join(generation_file(generation));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
     #[test]
     fn promoting_invalid_bytes_is_rejected_before_any_disk_mutation() {
         let dir = tmpdir("promote-garbage");
@@ -874,8 +757,7 @@ mod tests {
             Err(PersistError::WrongKind { got, expected: 99 }) if got == Weights::KIND
         ));
         // zero side effects: empty catalog, no files, clean fsck
-        assert!(store.manifest().entries.is_empty());
-        assert_eq!(store.active_generation(), None);
+        assert_eq!(manifest_state(&store), (None, vec![]));
         assert!(!dir.join(generation_file(1)).exists());
         assert!(!dir.join(DEPLOY_LOG_FILE).exists());
         assert!(store.fsck().unwrap().is_clean());
@@ -895,19 +777,19 @@ mod tests {
         let e2 = store.promote(&weights(2), 0xC0FFEE, "b").unwrap();
         assert_eq!((e2.generation, e2.parent), (2, Some(1)));
         drop(store);
-        let (mut store, report) = ModelStore::open(&dir).unwrap();
+        let (mut reopened, report) = ModelStore::open(&dir).unwrap();
         assert_eq!(report.active, Some(2));
         assert_eq!(report.committed, vec![1, 2]);
         assert!(report.quarantined.is_empty());
-        let e3 = store.promote(&weights(3), 0xC0FFEE, "c").unwrap();
+        let e3 = reopened.promote(&weights(3), 0xC0FFEE, "c").unwrap();
         assert_eq!((e3.generation, e3.parent), (3, Some(2)));
         // lineage survives in the reloaded catalog
-        assert_eq!(store.manifest().entry(2).unwrap().parent, Some(1));
+        assert_eq!(reopened.manifest().entry(2).unwrap().parent, Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn crash_between_intent_and_commit_quarantines_the_snapshot() {
+    fn crash_between_snapshot_and_commit_quarantines_the_snapshot() {
         let _g = mfod_faultline::serial_guard();
         let dir = tmpdir("uncommitted");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
@@ -922,7 +804,7 @@ mod tests {
         assert_eq!(report.committed, vec![1]);
         assert_eq!(report.quarantined.len(), 1);
         let (path, reason) = &report.quarantined[0];
-        assert_eq!(*reason, QuarantineReason::UncommittedIntent);
+        assert_eq!(*reason, QuarantineReason::Orphan);
         assert!(path.starts_with(dir.join(QUARANTINE_DIR)), "{path:?}");
         assert!(path.exists(), "quarantined file must be moved, not deleted");
         assert!(!dir.join(generation_file(2)).exists());
@@ -991,12 +873,7 @@ mod tests {
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "good").unwrap();
         store.promote(&weights(2), 1, "bad-later").unwrap();
-        // flip one payload byte of generation 2 (same length)
-        let path = dir.join(generation_file(2));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
+        damage(&dir, 2);
         drop(store);
         let (store, report) = ModelStore::open(&dir).unwrap();
         assert!(report.fell_back);
@@ -1007,8 +884,16 @@ mod tests {
             .iter()
             .any(|(_, r)| matches!(r, QuarantineReason::Damaged(_))));
         assert_eq!(store.active_generation(), Some(1));
-        // the fallback was logged, so a recovered store fscks clean
+        // the quarantine was logged, so a recovered store fscks clean
         assert!(store.fsck().unwrap().is_clean());
+        // and a second open finds nothing to do and appends nothing
+        let log = std::fs::read(dir.join(DEPLOY_LOG_FILE)).unwrap();
+        drop(store);
+        let (store, report) = ModelStore::open(&dir).unwrap();
+        assert!(!report.fell_back);
+        assert!(report.quarantined.is_empty());
+        assert_eq!(store.active_generation(), Some(1));
+        assert_eq!(std::fs::read(dir.join(DEPLOY_LOG_FILE)).unwrap(), log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1079,11 +964,7 @@ mod tests {
         store.promote(&weights(3), 1, "c").unwrap();
         assert!(store.fsck().unwrap().is_clean());
         // tamper gen 1 (hash + container), remove gen 2, orphan + temp
-        let p1 = dir.join(generation_file(1));
-        let mut b1 = std::fs::read(&p1).unwrap();
-        let mid = b1.len() / 2;
-        b1[mid] ^= 0xFF;
-        std::fs::write(&p1, &b1).unwrap();
+        damage(&dir, 1);
         std::fs::rename(dir.join(generation_file(2)), dir.join("elsewhere")).unwrap();
         std::fs::write(dir.join("orphan.mfod"), b"junk").unwrap();
         std::fs::write(dir.join(format!("x{TMP_INFIX}999-0")), b"half").unwrap();
@@ -1117,43 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn fsck_flags_checkpoint_divergence_and_missing_active() {
-        let dir = tmpdir("fsck-manifest");
-        let (mut store, _) = ModelStore::open(&dir).unwrap();
-        store.promote(&weights(1), 1, "a").unwrap();
-        // forge a checkpoint pointing at a generation the log never saw
-        let mut forged = store.manifest().clone();
-        let mut fake = forged.entries[0].clone();
-        fake.generation = 9;
-        fake.file = generation_file(9);
-        forged.upsert(fake);
-        forged.active = Some(9);
-        crate::format::save(&forged, &dir.join(MANIFEST_FILE)).unwrap();
-        let report = fsck_dir(&dir).unwrap();
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, FsckIssue::ManifestMismatch { .. })));
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, FsckIssue::MissingFile { generation: 9, .. })));
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, FsckIssue::ActiveMissing { generation: 9 })));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn install_active_threads_the_store_into_the_registry() {
-        struct Live(Weights);
-        impl Restorable for Live {
-            type Snapshot = Weights;
-            fn restore(s: Weights) -> std::result::Result<Self, String> {
-                Ok(Live(s))
-            }
-        }
         let dir = tmpdir("install");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         let registry = ModelRegistry::<Live>::new();
@@ -1162,6 +1007,74 @@ mod tests {
         let gen = store.install_active(&registry).unwrap();
         assert_eq!(gen, Some(1));
         assert_eq!(registry.active().unwrap().0, weights(7));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file name under `dir` (recursively) with its bytes.
+    fn footprint(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(footprint(&path));
+            } else {
+                out.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// A log in the intent + commit framing of the earlier protocol is
+    /// refused with a typed error by `open`, `fsck_dir` and the watcher,
+    /// and every file stays in place byte for byte.
+    #[test]
+    fn a_log_of_the_retired_format_is_refused_and_left_in_place() {
+        let dir = tmpdir("retired");
+        let bytes = crate::format::to_bytes(&weights(1));
+        std::fs::write(dir.join(generation_file(1)), &bytes).unwrap();
+        let entry = ManifestEntry {
+            generation: 1,
+            file: generation_file(1),
+            kind: Weights::KIND,
+            content_hash: fnv1a64(&bytes),
+            len: bytes.len() as u64,
+            config_fingerprint: 0,
+            parent: None,
+            tag: "v1".into(),
+        };
+        let mut intent = Encoder::new();
+        intent.put_u8(1);
+        entry.encode(&mut intent);
+        let mut commit = Encoder::new();
+        commit.put_u8(2);
+        commit.put_u64(1);
+        let mut log = crate::wal::frame(&intent.into_bytes());
+        log.extend(crate::wal::frame(&commit.into_bytes()));
+        std::fs::write(dir.join(DEPLOY_LOG_FILE), &log).unwrap();
+        let before = footprint(&dir);
+
+        let retired = |r: Result<()>| match r {
+            Err(PersistError::RetiredLogRecord {
+                offset: 0, tag: 1, ..
+            }) => {}
+            other => panic!("expected RetiredLogRecord, got {other:?}"),
+        };
+        retired(ModelStore::open(&dir).map(|_| ()));
+        retired(fsck_dir(&dir).map(|_| ()));
+        let registry = Arc::new(ModelRegistry::<Live>::new());
+        let handle: WatchHandle =
+            registry.watch_store(&dir, WatchConfig::new(Duration::from_millis(2)));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while handle.health().consecutive_failures < 2 {
+            assert!(std::time::Instant::now() < deadline, "watcher never failed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let error = handle.health().last_error.unwrap();
+        assert!(error.contains("retired record"), "{error}");
+        assert!(registry.active().is_none());
+        handle.stop();
+        assert_eq!(footprint(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

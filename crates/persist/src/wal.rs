@@ -1,5 +1,5 @@
 //! The append-only **deployment log** (`deploy.log`) behind
-//! [`crate::store::ModelStore`] — the crash-consistency source of truth.
+//! [`crate::store::ModelStore`]: the only deployment state on disk.
 //!
 //! Every record is framed `[len: u32][crc32(payload): u32][payload]`,
 //! appended with an fsync, so the log on disk is always a valid prefix
@@ -9,11 +9,19 @@
 //! the tail into quarantine and truncates, it never guesses at partial
 //! frames.
 //!
-//! Record kinds mirror the promotion protocol: an [`LogRecord::Intent`]
-//! lands after the snapshot file is durable, the matching
-//! [`LogRecord::Commit`] makes the generation the committed truth, and
+//! Three records make up the protocol. A [`LogRecord::Commit`] lands
+//! once the snapshot file is durable and carries its catalog entry: the
+//! generation is committed and active the moment its fsync returns.
 //! [`LogRecord::Rollback`] re-points the active generation without
-//! touching any snapshot bytes.
+//! touching any snapshot bytes. [`LogRecord::Quarantine`] records that
+//! recovery moved a damaged committed snapshot aside, which drops it
+//! from the catalog.
+//!
+//! Tags 1 and 2 belonged to an earlier two-record protocol (an intent,
+//! then a bare commit marker). A CRC-valid frame with either tag makes
+//! [`replay`] fail with [`PersistError::RetiredLogRecord`] instead of
+//! reading it as a torn tail, so recovery never quarantines such a log
+//! together with the snapshots it names.
 
 use crate::error::PersistError;
 use crate::format::crc32;
@@ -23,25 +31,23 @@ use crate::Result;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Record tag for [`LogRecord::Intent`].
-const TAG_INTENT: u8 = 1;
-/// Record tag for [`LogRecord::Commit`].
-const TAG_COMMIT: u8 = 2;
+/// Retired tag of the earlier protocol's intent record.
+const TAG_RETIRED_INTENT: u8 = 1;
+/// Retired tag of the earlier protocol's bare commit marker.
+const TAG_RETIRED_COMMIT: u8 = 2;
 /// Record tag for [`LogRecord::Rollback`].
 const TAG_ROLLBACK: u8 = 3;
+/// Record tag for [`LogRecord::Commit`].
+const TAG_COMMIT: u8 = 4;
+/// Record tag for [`LogRecord::Quarantine`].
+const TAG_QUARANTINE: u8 = 5;
 
 /// One deployment-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
-    /// A snapshot file is durable on disk and about to become a
-    /// generation; carries the full catalog entry.
-    Intent(ManifestEntry),
-    /// The generation named by a prior intent is now the committed,
-    /// active truth.
-    Commit {
-        /// Generation being committed.
-        generation: u64,
-    },
+    /// The entry's snapshot file is durable; the generation is now
+    /// cataloged, committed and active.
+    Commit(ManifestEntry),
     /// The active generation was re-pointed at a prior committed one.
     Rollback {
         /// Generation that was active before the rollback.
@@ -49,23 +55,30 @@ pub enum LogRecord {
         /// Committed generation now active.
         to: u64,
     },
+    /// Recovery moved a committed generation's damaged snapshot into
+    /// quarantine; the generation leaves the catalog, and if it was
+    /// active the newest remaining generation takes over.
+    Quarantine {
+        /// The generation dropped from the catalog.
+        generation: u64,
+    },
 }
 
 impl Encode for LogRecord {
     fn encode(&self, w: &mut Encoder) {
         match self {
-            LogRecord::Intent(entry) => {
-                w.put_u8(TAG_INTENT);
-                entry.encode(w);
-            }
-            LogRecord::Commit { generation } => {
+            LogRecord::Commit(entry) => {
                 w.put_u8(TAG_COMMIT);
-                w.put_u64(*generation);
+                entry.encode(w);
             }
             LogRecord::Rollback { from, to } => {
                 w.put_u8(TAG_ROLLBACK);
                 w.put_u64(*from);
                 w.put_u64(*to);
+            }
+            LogRecord::Quarantine { generation } => {
+                w.put_u8(TAG_QUARANTINE);
+                w.put_u64(*generation);
             }
         }
     }
@@ -74,13 +87,13 @@ impl Encode for LogRecord {
 impl Decode for LogRecord {
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         match r.take_u8()? {
-            TAG_INTENT => Ok(LogRecord::Intent(ManifestEntry::decode(r)?)),
-            TAG_COMMIT => Ok(LogRecord::Commit {
-                generation: r.take_u64()?,
-            }),
+            TAG_COMMIT => Ok(LogRecord::Commit(ManifestEntry::decode(r)?)),
             TAG_ROLLBACK => Ok(LogRecord::Rollback {
                 from: r.take_u64()?,
                 to: r.take_u64()?,
+            }),
+            TAG_QUARANTINE => Ok(LogRecord::Quarantine {
+                generation: r.take_u64()?,
             }),
             tag => Err(PersistError::UnknownTag {
                 what: "deploy log record",
@@ -112,15 +125,12 @@ pub struct Replay {
     pub torn: Option<TornTail>,
 }
 
-/// Serializes one record into its on-disk frame.
-fn frame(record: &LogRecord) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    record.encode(&mut enc);
-    let payload = enc.into_bytes();
+/// Frames one record payload for the log: length, CRC, payload.
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -136,7 +146,9 @@ pub fn append_record(path: &Path, record: &LogRecord) -> Result<()> {
         path: path.to_path_buf(),
         source,
     };
-    let bytes = frame(record);
+    let mut enc = Encoder::new();
+    record.encode(&mut enc);
+    let bytes = frame(&enc.into_bytes());
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -159,8 +171,9 @@ pub fn append_record(path: &Path, record: &LogRecord) -> Result<()> {
 }
 
 /// Replays the log at `path`, returning every valid record plus the
-/// torn tail, if any. A missing file is an empty log, not an error;
-/// only a genuine read failure returns `Err`.
+/// torn tail, if any. A missing file is an empty log, not an error.
+/// Read-only: it fails only on a read error or a record of the retired
+/// format ([`PersistError::RetiredLogRecord`]).
 pub fn replay(path: &Path) -> Result<Replay> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -200,6 +213,13 @@ pub fn replay(path: &Path) -> Result<Replay> {
                 "frame CRC mismatch: stored {stored_crc:#010X}, computed {computed:#010X}"
             )));
             break;
+        }
+        if let Some(&tag @ (TAG_RETIRED_INTENT | TAG_RETIRED_COMMIT)) = payload.first() {
+            return Err(PersistError::RetiredLogRecord {
+                path: path.to_path_buf(),
+                offset: offset as u64,
+                tag,
+            });
         }
         let mut dec = Decoder::new(payload);
         let record = match LogRecord::decode(&mut dec).and_then(|r| dec.finish().map(|()| r)) {
@@ -242,11 +262,10 @@ mod tests {
     fn append_then_replay_roundtrips_in_order() {
         let path = tmplog("roundtrip");
         let records = vec![
-            LogRecord::Intent(entry(1)),
-            LogRecord::Commit { generation: 1 },
-            LogRecord::Intent(entry(2)),
-            LogRecord::Commit { generation: 2 },
+            LogRecord::Commit(entry(1)),
+            LogRecord::Commit(entry(2)),
             LogRecord::Rollback { from: 2, to: 1 },
+            LogRecord::Quarantine { generation: 2 },
         ];
         for r in &records {
             append_record(&path, r).unwrap();
@@ -267,8 +286,8 @@ mod tests {
     #[test]
     fn every_truncation_of_the_tail_frame_is_a_torn_tail() {
         let path = tmplog("trunc");
-        append_record(&path, &LogRecord::Intent(entry(1))).unwrap();
-        append_record(&path, &LogRecord::Commit { generation: 1 }).unwrap();
+        append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
+        append_record(&path, &LogRecord::Commit(entry(2))).unwrap();
         let full = std::fs::read(&path).unwrap();
         let first_len = 8 + u32::from_le_bytes(full[..4].try_into().unwrap()) as usize;
         // cut anywhere strictly inside the second frame: first record
@@ -276,7 +295,7 @@ mod tests {
         for cut in first_len + 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let replay = replay(&path).unwrap();
-            assert_eq!(replay.records, vec![LogRecord::Intent(entry(1))]);
+            assert_eq!(replay.records, vec![LogRecord::Commit(entry(1))]);
             let torn = replay.torn.expect("torn tail");
             assert_eq!(torn.offset, first_len as u64);
             assert_eq!(torn.len, (cut - first_len) as u64);
@@ -287,22 +306,60 @@ mod tests {
     #[test]
     fn every_byte_flip_in_a_frame_is_caught() {
         let path = tmplog("flip");
-        append_record(&path, &LogRecord::Commit { generation: 3 }).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        for i in 0..full.len() {
-            let mut bad = full.clone();
-            bad[i] ^= 0x01;
-            std::fs::write(&path, &bad).unwrap();
-            let replay = replay(&path).unwrap();
-            // a flipped byte may enlarge the len field (frame past EOF),
-            // break the CRC, or corrupt the payload — all are torn, and
-            // the record never silently decodes to something else
-            assert!(
-                replay.records.is_empty(),
-                "flip at {i} silently accepted: {:?}",
-                replay.records
-            );
-            assert!(replay.torn.is_some(), "flip at {i} not reported");
+        for record in [
+            LogRecord::Commit(entry(3)),
+            LogRecord::Rollback { from: 3, to: 2 },
+            LogRecord::Quarantine { generation: 3 },
+        ] {
+            std::fs::write(&path, b"").unwrap();
+            append_record(&path, &record).unwrap();
+            let full = std::fs::read(&path).unwrap();
+            for i in 0..full.len() {
+                let mut bad = full.clone();
+                bad[i] ^= 0x01;
+                std::fs::write(&path, &bad).unwrap();
+                let replay = replay(&path).unwrap();
+                // a flipped byte may enlarge the len field (frame past
+                // EOF), break the CRC, or corrupt the payload — all are
+                // torn, and the record never silently decodes to
+                // something else
+                assert!(
+                    replay.records.is_empty(),
+                    "{record:?}: flip at {i} silently accepted: {:?}",
+                    replay.records
+                );
+                assert!(
+                    replay.torn.is_some(),
+                    "{record:?}: flip at {i} not reported"
+                );
+            }
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn retired_records_are_a_typed_error_not_a_torn_tail() {
+        let path = tmplog("retired");
+        append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
+        let offset = std::fs::metadata(&path).unwrap().len();
+        let mut intent = vec![TAG_RETIRED_INTENT];
+        let mut enc = Encoder::new();
+        entry(2).encode(&mut enc);
+        intent.extend(enc.into_bytes());
+        let mut marker = vec![TAG_RETIRED_COMMIT];
+        marker.extend(2u64.to_le_bytes());
+        for (payload, tag) in [(intent, TAG_RETIRED_INTENT), (marker, TAG_RETIRED_COMMIT)] {
+            let mut log = std::fs::read(&path).unwrap()[..offset as usize].to_vec();
+            log.extend(frame(&payload));
+            std::fs::write(&path, &log).unwrap();
+            match replay(&path) {
+                Err(PersistError::RetiredLogRecord {
+                    offset: at,
+                    tag: got,
+                    ..
+                }) => assert_eq!((at, got), (offset, tag)),
+                other => panic!("tag {tag}: expected RetiredLogRecord, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -311,23 +368,23 @@ mod tests {
     fn injected_torn_append_is_durable_and_detected() {
         let _guard = mfod_faultline::serial_guard();
         let path = tmplog("inject");
-        append_record(&path, &LogRecord::Intent(entry(1))).unwrap();
+        append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         mfod_faultline::install(mfod_faultline::FaultPlan::new(7).rule(
             mfod_faultline::points::MANIFEST_APPEND_TORN,
             mfod_faultline::FaultRule::once(),
         ));
-        let err = append_record(&path, &LogRecord::Commit { generation: 1 }).unwrap_err();
+        let err = append_record(&path, &LogRecord::Commit(entry(2))).unwrap_err();
         mfod_faultline::disarm();
         assert!(matches!(err, PersistError::Io { .. }), "{err}");
         let replay = replay(&path).unwrap();
-        assert_eq!(replay.records, vec![LogRecord::Intent(entry(1))]);
+        assert_eq!(replay.records, vec![LogRecord::Commit(entry(1))]);
         assert!(replay.torn.is_some(), "partial frame must read as torn");
         // the log is append-only: a later healthy append lands after the
         // torn bytes, so recovery must truncate the tail first. mimic it.
         let torn = replay.torn.unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..torn.offset as usize]).unwrap();
-        append_record(&path, &LogRecord::Commit { generation: 1 }).unwrap();
+        append_record(&path, &LogRecord::Commit(entry(2))).unwrap();
         let healed = super::replay(&path).unwrap();
         assert_eq!(healed.records.len(), 2);
         assert!(healed.torn.is_none());

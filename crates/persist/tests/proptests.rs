@@ -263,68 +263,6 @@ fn every_truncation_is_rejected_at_lazy_open() {
     }
 }
 
-/// A representative manifest for the codec sweeps: several generations,
-/// a lineage chain, and an active pointer.
-fn manifest_fixture() -> mfod_persist::Manifest {
-    let mut m = mfod_persist::Manifest::new();
-    for generation in 1..=4u64 {
-        m.upsert(mfod_persist::ManifestEntry {
-            generation,
-            file: mfod_persist::generation_file(generation),
-            kind: 1,
-            content_hash: 0x1234_5678_9ABC_DEF0 ^ generation,
-            len: 4096 + generation,
-            config_fingerprint: 0xFEED,
-            parent: generation.checked_sub(1).filter(|&p| p > 0),
-            tag: format!("variant-{generation}"),
-        });
-    }
-    m.active = Some(4);
-    m
-}
-
-/// Exhaustive sweep: **every** single-byte corruption of an encoded
-/// manifest is rejected — the deployment catalog gets the same
-/// whole-file integrity gate as every other artifact.
-#[test]
-fn every_manifest_byte_flip_is_rejected() {
-    let good = to_bytes(&manifest_fixture());
-    for at in 0..good.len() {
-        let mut bad = good.clone();
-        bad[at] ^= 0x01;
-        assert!(
-            from_bytes::<mfod_persist::Manifest>(&bad).is_err(),
-            "manifest flip at byte {at} decoded"
-        );
-        assert!(
-            LazySnapshot::open(&bad).is_err(),
-            "manifest flip at byte {at} survived lazy open"
-        );
-    }
-    let back: mfod_persist::Manifest = from_bytes(&good).unwrap();
-    assert_eq!(back, manifest_fixture());
-}
-
-/// Exhaustive sweep: **every** truncation of an encoded manifest is
-/// rejected with a typed error, never a panic or partial catalog.
-#[test]
-fn every_manifest_truncation_is_rejected() {
-    let good = to_bytes(&manifest_fixture());
-    for n in 0..good.len() {
-        match from_bytes::<mfod_persist::Manifest>(&good[..n]) {
-            Ok(_) => panic!("manifest truncation to {n} bytes decoded"),
-            Err(
-                PersistError::BadMagic { .. }
-                | PersistError::Truncated { .. }
-                | PersistError::ChecksumMismatch { .. }
-                | PersistError::Malformed(_)
-                | PersistError::MissingSection { .. },
-            ) => {}
-            Err(e) => panic!("manifest truncation to {n}: unexpected error family: {e}"),
-        }
-    }
-}
-
 /// A tiny store artifact for the recovery-idempotence property.
 #[derive(Debug, Clone, PartialEq)]
 struct Probe {

@@ -1,16 +1,16 @@
 //! Fit-once / serve-many demo: fit the paper's pipeline on simulated ECG
-//! beats, snapshot it to disk, reload it in a fresh [`ModelRegistry`],
-//! hot-swap the active model mid-stream, and report how much restart
-//! time the snapshot saves over re-paying the LOOCV fit.
+//! beats, promote its snapshot into a [`ModelStore`], restore it in a
+//! fresh [`ModelRegistry`] (a restarted serving box), then let a watcher
+//! thread follow the store's deployment log through a second promotion
+//! and a rollback while a stream is in flight, and report how much
+//! restart time the snapshot saves over re-paying the LOOCV fit.
 //!
 //! Run with: `cargo run --release --example save_load_scoring`
 
-use mfod::persist::ModelRegistry;
+use mfod::persist::{ModelRegistry, ModelStore, WatchConfig};
 use mfod::prelude::*;
-use mfod::snapshot::PipelineSnapshot;
 use std::sync::Arc;
-use std::time::Instant;
-
+use std::time::{Duration, Instant};
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -54,66 +54,81 @@ fn main() {
         fit_time.as_secs_f64() * 1e3
     );
 
-    // ---- snapshot to disk --------------------------------------------
+    // ---- promote into a model store ----------------------------------
     let dir = std::env::temp_dir().join(format!("mfod-save-load-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model-001.mfod");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
     let t_save = Instant::now();
-    fitted.save(&path).unwrap();
+    let e1 = store
+        .promote(&fitted.snapshot().unwrap(), 1, "baseline")
+        .unwrap();
     let save_time = t_save.elapsed();
-    let size = std::fs::metadata(&path).unwrap().len();
     println!(
-        "snapshot: {} bytes written to {} in {:.2} ms",
-        size,
-        path.display(),
+        "promoted: generation {}, {} bytes written to {} in {:.2} ms",
+        e1.generation,
+        e1.len,
+        store.generation_path(e1.generation).unwrap().display(),
         save_time.as_secs_f64() * 1e3
     );
 
-    // ---- reload in a fresh registry (a "restarted serving box") ------
+    // ---- restore in a fresh registry (a "restarted serving box") -----
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
     let t_load = Instant::now();
-    let report = registry.load_dir(&dir).unwrap();
+    let installed = store.install_active(&registry).unwrap();
     let load_time = t_load.elapsed();
-    let (winner, generation) = report.installed.expect("snapshot must load");
+    assert_eq!(installed, Some(e1.generation));
     println!(
-        "registry: generation {generation} from {} in {:.2} ms \
+        "registry: store generation {} installed in {:.2} ms \
          (refit would cost {:.1} ms → {:.0}x restart speedup)",
-        winner.display(),
+        e1.generation,
         load_time.as_secs_f64() * 1e3,
         fit_time.as_secs_f64() * 1e3,
         fit_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9)
     );
+    assert_bits_eq(
+        &reference,
+        &registry.active().unwrap().score(test.samples()).unwrap(),
+        "restored generation",
+    );
 
-    // ---- background watcher: polls are no-ops until a file changes ---
-    // `watch_dir` re-runs load_dir on an interval from its own thread;
-    // when nothing new landed, the sweep hash-matches the active bytes
-    // and skips the decode + restore + swap entirely, so hot-swap needs
-    // no operator call at all — just drop a file in the directory.
+    // ---- a watcher follows the deployment log ------------------------
+    // Every poll stats deploy.log; only a changed log is replayed, and
+    // only a committed active generation that differs from the one it
+    // served is installed. Its first poll installs the committed active
+    // generation once more.
     let registry = Arc::new(registry);
-    let watcher = registry.watch_dir(&dir, std::time::Duration::from_millis(10));
+    let watcher = registry.watch_store(&dir, WatchConfig::new(Duration::from_millis(10)));
+    let wait_for_install = |after: u64, what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while registry.generation() <= after {
+            assert!(Instant::now() < deadline, "watcher never {what} within 30s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    wait_for_install(1, "served generation 1");
     let polls_before = watcher.polls();
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
+    let deadline = Instant::now() + Duration::from_secs(30);
     while watcher.polls() < polls_before + 2 {
         assert!(
             Instant::now() < deadline,
             "watcher stopped polling within 30s"
         );
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(registry.generation(), 1);
+    assert_eq!(registry.generation(), 2);
     println!(
-        "watcher: {} no-op polls, no new snapshot → generation still 1",
+        "watcher: {} polls, log unchanged → nothing new installed",
         watcher.polls()
     );
 
-    // ---- serve, hot-swapping mid-stream ------------------------------
-    // First half of the "stream" scores against the reloaded generation;
+    // ---- serve across a promotion and a rollback ---------------------
+    // First half of the "stream" scores against the served generation;
     // the handle is held for the whole stream, as a scoring thread would.
     let half = test.len() / 2;
     let in_flight = registry.active().unwrap();
     let first_half = in_flight.score(&test.samples()[..half]).unwrap();
 
-    // An operator drops a genuinely new generation in (a refit with a
+    // An operator promotes a genuinely new generation (a refit with a
     // smaller forest); the *watcher* notices and swaps it atomically —
     // the in-flight handle is untouched and nobody called the registry.
     let gen2 = GeomOutlierPipeline::new(
@@ -126,29 +141,37 @@ fn main() {
     )
     .fit(train.samples())
     .unwrap();
-    let snapshot: PipelineSnapshot = gen2.snapshot().unwrap();
-    mfod::persist::save(&snapshot, &dir.join("model-002.mfod")).unwrap();
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    while registry.generation() < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "watcher failed to install model-002 within 30s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    let e2 = store
+        .promote(&gen2.snapshot().unwrap(), 2, "smaller-forest")
+        .unwrap();
+    wait_for_install(2, "served the promotion");
+    assert_bits_eq(
+        &gen2.score(test.samples()).unwrap(),
+        &registry.active().unwrap().score(test.samples()).unwrap(),
+        "promoted generation",
+    );
     println!(
-        "hot-swap: generation {} now active, installed by the watcher \
-         (poll #{}) with no operator call",
-        registry.generation(),
+        "promotion: store generation {} served by the watcher (poll #{}) \
+         with no operator call",
+        e2.generation,
+        watcher.polls()
+    );
+
+    // The operator rolls back; the watcher serves generation 1 again.
+    store.rollback(e1.generation).unwrap();
+    wait_for_install(3, "served the rollback");
+    let fresh = registry.active().unwrap().score(test.samples()).unwrap();
+    assert_bits_eq(&reference, &fresh, "rolled-back generation");
+    println!(
+        "rollback: store generation {} served again (poll #{})",
+        e1.generation,
         watcher.polls()
     );
     watcher.stop();
 
     // The in-flight stream finishes on the generation it started with…
     let second_half = in_flight.score(&test.samples()[half..]).unwrap();
-    // …while fresh batches score on the new one.
-    let fresh = registry.active().unwrap().score(test.samples()).unwrap();
-    let auc_fresh = mfod::eval::auc(&fresh, test.labels()).unwrap();
+    let auc_gen2 = mfod::eval::auc(&gen2.score(test.samples()).unwrap(), test.labels()).unwrap();
 
     // ---- verify bit-exactness end to end -----------------------------
     let mut streamed = first_half;
@@ -156,12 +179,13 @@ fn main() {
     assert_bits_eq(
         &reference,
         &streamed,
-        "in-flight stream across the hot-swap",
+        "in-flight stream across the hot-swaps",
     );
     let auc = mfod::eval::auc(&streamed, test.labels()).unwrap();
     println!(
         "verified: {} test scores bit-identical to the in-memory fit across \
-         save → reload → hot-swap (in-flight AUC {auc:.3}, new generation AUC {auc_fresh:.3})",
+         promote → restore → promotion → rollback (in-flight AUC {auc:.3}, \
+         generation 2 AUC {auc_gen2:.3})",
         streamed.len()
     );
 

@@ -25,10 +25,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // ---- transactional promotion -------------------------------------
-    // Each promotion is write-snapshot → fsync(file + dir) → append
-    // intent → append commit → checkpoint; a crash anywhere leaves
-    // either the previous or the new generation committed, never a torn
-    // half-state.
+    // Each promotion takes three steps, one fsync each: write the
+    // snapshot to a temp file + fsync(file); rename it into place +
+    // fsync(dir); append one commit record carrying its catalog entry to
+    // deploy.log + fsync(log). A crash anywhere leaves either the
+    // previous or the new generation committed, never a torn half-state.
     let (mut store, recovery) = ModelStore::open(&dir).unwrap();
     println!(
         "opened fresh store at {} (replayed {} log records)",
@@ -48,7 +49,7 @@ fn main() {
     let e2 = store
         .promote(&v1.snapshot().unwrap(), 1, "wider-grid")
         .unwrap();
-    for e in store.manifest().entries.iter() {
+    for e in [&e1, &e2] {
         println!(
             "  gen {} [{}] {} — {} bytes, hash {:016x}, parent {:?}",
             e.generation, e.tag, e.file, e.len, e.content_hash, e.parent

@@ -2,26 +2,29 @@
 //!
 //! Each schedule arms a deterministic `mfod-faultline` plan covering every
 //! subsystem (persist reads, torn writes, mmap failures, CRC corruption,
-//! registry sweeps, stream flushes/delays/poison, pool panics/stragglers)
-//! and then drives a full serving session against it. Acceptance, per
-//! schedule:
+//! registry polls, stream flushes/delays/poison, pool panics/stragglers)
+//! and then drives a full serving session against it: a `ModelStore`
+//! promotes the models and a `ModelRegistry` watcher serves what its
+//! deployment log commits. Acceptance, per schedule:
 //!
 //! * **zero panics** escape — every injected failure surfaces as a typed
 //!   error (the test completing is the proof);
-//! * the **active model is never unseated** by torn writes or failing
-//!   sweeps — generation and identity are stable while faults fly;
+//! * the **active model is never unseated** by a promotion that failed
+//!   on a torn write or by failing polls — generation and identity are
+//!   stable while faults fly, and the store's committed generation does
+//!   not move;
 //! * once the capped stream/pool fault rules are exhausted, a clean
 //!   session scores **bit-identically** to a no-faults reference (a
 //!   straggler-only fault that stays armed must not change results);
-//! * after the plan is disarmed the registry **heals**: a valid new
-//!   generation installs and the watcher returns to its steady state.
+//! * after the plan is disarmed the registry **heals**: a new promotion
+//!   is served and the watcher returns to its steady state.
 //!
 //! Runs 3 schedules by default; `MFOD_CHAOS_FULL=1` runs 12. With
 //! `MFOD_CHAOS_JSON=<path>` a JSON report artifact (per-schedule error
 //! counts plus the faultline hit/fire report) is written at the end.
 
 use mfod::fda::RawSample;
-use mfod::persist::{ModelRegistry, WatchConfig};
+use mfod::persist::{ModelRegistry, ModelStore, WatchConfig};
 use mfod::FittedPipeline;
 use mfod_faultline::{points, FaultPlan, FaultRule};
 use mfod_fixtures::{sine_pipeline, FixtureConfig};
@@ -37,10 +40,9 @@ fn fixture() -> &'static (Arc<FittedPipeline>, Vec<RawSample>, Vec<f64>) {
     FIXTURE.get_or_init(|| sine_pipeline(&FixtureConfig::default()))
 }
 
-/// A second, differently-configured model for the post-fault upgrade.
-/// `fixture()` saved twice produces byte-identical snapshots, which the
-/// registry's content hash would (correctly) treat as "unchanged" — the
-/// heal phase needs a snapshot with genuinely new content to install.
+/// A second, differently-configured model for the upgrades: the heal
+/// phase must serve genuinely new content, not a byte-identical copy of
+/// the fixture.
 fn upgrade_fixture() -> &'static Arc<FittedPipeline> {
     static UPGRADE: OnceLock<Arc<FittedPipeline>> = OnceLock::new();
     UPGRADE.get_or_init(|| {
@@ -104,15 +106,33 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
     let (fitted, windows, ts) = fixture();
     let dir = tmpdir(&format!("s{seed}"));
 
-    // Generation 1 installs cleanly before any fault is armed.
-    fitted.save(&dir.join("model-001.mfod")).unwrap();
+    // Generation 1 is promoted, and served by the watcher, before any
+    // fault is armed.
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store
+        .promote(&fitted.snapshot().unwrap(), 0, "fixture")
+        .unwrap();
     let registry: Arc<ModelRegistry<FittedPipeline>> = Arc::new(ModelRegistry::new());
-    registry.load_dir(&dir).unwrap();
+    let handle = registry.watch_store(
+        &dir,
+        WatchConfig {
+            interval: Duration::from_millis(2),
+            jitter_seed: seed,
+        },
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while registry.generation() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "seed {seed}: generation 1 never served"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let gen0 = registry.generation();
     let active0 = registry.active().unwrap();
-    let mut watch_config = WatchConfig::new(Duration::from_millis(2));
-    watch_config.jitter_seed = seed;
-    let handle = registry.watch_dir_with(&dir, watch_config);
+    // Fit the upgrade before the plan is armed: the faults target the
+    // deployment and serving paths, not fixture construction.
+    let upgrade = upgrade_fixture().snapshot().unwrap();
 
     // Arm the full-spectrum plan. Stream/pool rules are capped so the
     // dirty session can exhaust them; persist rules are probabilistic but
@@ -149,15 +169,24 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
             ),
     );
 
-    // A model upgrade lands on the torn-write fault: the save fails with
-    // a typed error and leaves a truncated file for the watcher to chew
-    // on. It must never unseat the active generation.
-    let torn = fitted.save(&dir.join("model-002.mfod"));
-    assert!(torn.is_err(), "torn write must surface as an error");
-    assert!(
-        dir.join("model-002.mfod").exists(),
-        "the torn file must be on disk for sweeps to reject"
-    );
+    // A model upgrade lands on the armed plan: the promotion fails with
+    // a typed error (the torn snapshot write, or an injected CRC error
+    // while it validates the bytes) and commits nothing, so the watcher
+    // has nothing new to serve.
+    let torn = store.promote(&upgrade, 1, "upgrade");
+    assert!(torn.is_err(), "seed {seed}: the upgrade must fail");
+    assert_eq!(store.active_generation(), Some(1), "seed {seed}");
+
+    // A second serving box restarts while the persist faults fly: each
+    // install of the committed generation either lands or fails with a
+    // typed error (injected read or CRC faults), and the first box's
+    // registry is never touched.
+    let restarted: ModelRegistry<FittedPipeline> = ModelRegistry::new();
+    for _ in 0..8 {
+        if let Ok(generation) = store.install_active(&restarted) {
+            assert_eq!(generation, Some(1), "seed {seed}");
+        }
+    }
 
     // Dirty session: deadline-bounded scoring against the active model
     // while every fault fires. Everything lands as a typed error.
@@ -274,10 +303,10 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
         );
     }
 
-    // Disarm and heal: a valid new generation installs and the watcher
-    // settles back to its steady state.
+    // Disarm and heal: a new promotion is served and the watcher settles
+    // back to its steady state.
     let fault_report = mfod_faultline::disarm().unwrap();
-    upgrade_fixture().save(&dir.join("model-003.mfod")).unwrap();
+    store.promote(&upgrade, 1, "upgrade").unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let health = handle.health();
@@ -295,11 +324,11 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
     if fault_report.fires(points::REGISTRY_SWEEP) > 0 {
         assert!(
             health.recoveries >= 1,
-            "seed {seed}: failing sweeps must be followed by a recovery"
+            "seed {seed}: failing polls must be followed by a recovery"
         );
         assert!(
             health.last_error.is_some(),
-            "seed {seed}: the last sweep error is retained for post-mortems"
+            "seed {seed}: the last poll error is retained for post-mortems"
         );
     }
     handle.stop();

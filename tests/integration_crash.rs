@@ -117,7 +117,7 @@ fn crash_child() {
         refit(1).0.snapshot().unwrap(),
     ];
 
-    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    let (mut deploy, _) = ModelStore::open(&dir).unwrap();
     // Even seeds crash deterministically at the first hit of the point;
     // odd seeds use the seeded coin so the crash lands at a different
     // promotion (or not at all) per schedule.
@@ -137,12 +137,12 @@ fn crash_child() {
             writeln!(
                 out,
                 "PROMOTING {} {tag}",
-                store.manifest().next_generation()
+                deploy.manifest().next_generation()
             )
             .unwrap();
             out.flush().unwrap();
         }
-        let entry = store
+        let entry = deploy
             .promote(&snapshots[variant], variant as u64, &tag)
             .unwrap();
         let mut out = std::io::stdout().lock();
@@ -254,8 +254,8 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
     reader.join().unwrap();
 
     // Recovery: open must succeed on whatever the SIGKILL left behind.
-    let (store, recovery) = ModelStore::open(&dir).unwrap();
-    let active = store.active_generation();
+    let (recovered, recovery) = ModelStore::open(&dir).unwrap();
+    let active = recovered.active_generation();
 
     // Committed state is never lost: once the child printed COMMITTED,
     // that generation's commit record was durable, so recovery must land
@@ -301,7 +301,7 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
 
     // The recovered directory fscks clean — every surviving catalog
     // entry is hash-valid, no stray temps, no torn tails.
-    let fsck = store.fsck().unwrap();
+    let fsck = recovered.fsck().unwrap();
     assert!(
         fsck.is_clean(),
         "seed {seed} @ {point}: post-recovery fsck found {:?}",
@@ -311,8 +311,8 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
     // Bit-identical serving: the recovered model must score exactly like
     // a deterministic refit of the variant its manifest entry tags.
     if let Some(generation) = active {
-        let entry = store.manifest().entry(generation).unwrap().clone();
-        let loaded = FittedPipeline::load(&store.generation_path(generation).unwrap()).unwrap();
+        let entry = recovered.manifest().entry(generation).unwrap().clone();
+        let loaded = FittedPipeline::load(&recovered.generation_path(generation).unwrap()).unwrap();
         let (fitted, windows, _) = refit(variant_from_tag(&entry.tag));
         let got = loaded.score(windows).unwrap();
         let want = fitted.score(windows).unwrap();
@@ -328,11 +328,11 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
 
     // Recovery is idempotent and the store heals: a second open changes
     // nothing, and a fresh promotion lands cleanly on top.
-    let manifest_once = store.manifest().clone();
-    drop(store);
-    let (mut store, second) = ModelStore::open(&dir).unwrap();
+    let manifest_once = recovered.manifest().clone();
+    drop(recovered);
+    let (mut reopened, second) = ModelStore::open(&dir).unwrap();
     assert_eq!(
-        store.manifest(),
+        reopened.manifest(),
         &manifest_once,
         "seed {seed} @ {point}: second recovery changed the catalog"
     );
@@ -341,11 +341,11 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
         "seed {seed} @ {point}: second recovery re-quarantined {:?}",
         second.quarantined
     );
-    let healed = store
+    let healed = reopened
         .promote(&refit(0).0.snapshot().unwrap(), 0, "post-recovery")
         .unwrap();
-    assert_eq!(store.active_generation(), Some(healed.generation));
-    assert!(store.fsck().unwrap().is_clean(), "seed {seed} @ {point}");
+    assert_eq!(reopened.active_generation(), Some(healed.generation));
+    assert!(reopened.fsck().unwrap().is_clean(), "seed {seed} @ {point}");
 
     let fault_json = std::fs::read_to_string(&fault_report_path).ok();
     if killed {

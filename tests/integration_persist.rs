@@ -2,13 +2,19 @@
 //! pipeline saved to disk and reloaded must score the ECG test split
 //! **bit-identically** to the in-memory original — sequentially and in
 //! parallel — and malformed snapshot bytes must fail with typed errors,
-//! never a panic.
+//! never a panic. The deployment contracts close the file: what a
+//! registry serves, through `install_active` or a running
+//! `watch_store` watcher, is what the store's deployment log commits.
 
-use mfod::persist::{ModelRegistry, PersistError};
+use mfod::persist::{
+    Decode, Decoder, Encode, Encoder, LogRecord, ModelRegistry, ModelStore, PersistError,
+    Restorable, Snapshot, WatchConfig, WatchHandle,
+};
 use mfod::prelude::*;
 use mfod_fixtures::{ecg_fitted, ecg_split};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -53,6 +59,7 @@ fn saved_and_reloaded_pipeline_scores_ecg_bit_identically() {
 
 #[test]
 fn registry_hot_swaps_pipelines_under_scoring_traffic() {
+    use mfod::persist::ModelStore;
     let dir = tmpdir("registry");
     let (train, test) = ecg_split();
     let gen1 = ecg_fitted(&train);
@@ -67,34 +74,39 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
     )
     .fit(train.samples())
     .unwrap();
-    gen1.save(&dir.join("model-001.mfod")).unwrap();
-    gen2.save(&dir.join("model-002.mfod")).unwrap();
 
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    let e1 = store
+        .promote(&gen1.snapshot().unwrap(), 1, "baseline")
+        .unwrap();
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
-    let report = registry.load_dir(&dir).unwrap();
-    assert_eq!(report.considered, 2);
-    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
-    let (winner, _) = report.installed.as_ref().unwrap();
-    assert!(winner.ends_with("model-002.mfod"), "newest must win");
+    assert_eq!(
+        store.install_active(&registry).unwrap(),
+        Some(e1.generation)
+    );
 
-    // live traffic: a batch in flight keeps its generation while a swap
-    // lands, and the next batch sees the new one
+    // live traffic: a batch in flight keeps its generation while the
+    // next promotion lands, and the next batch sees the new one
     let active = registry.active().unwrap();
     let before = active.score(test.samples()).unwrap();
     assert_bits_eq(
         &before,
-        &gen2.score(test.samples()).unwrap(),
+        &gen1.score(test.samples()).unwrap(),
         "active generation",
     );
-    registry
-        .install_mapped(&dir.join("model-001.mfod"))
+    let e2 = store
+        .promote(&gen2.snapshot().unwrap(), 2, "wider-forest")
         .unwrap();
+    assert_eq!(
+        store.install_active(&registry).unwrap(),
+        Some(e2.generation)
+    );
     let in_flight = active.score(test.samples()).unwrap();
     assert_bits_eq(&before, &in_flight, "in-flight batch after swap");
     let after = registry.active().unwrap().score(test.samples()).unwrap();
     assert_bits_eq(
         &after,
-        &gen1.score(test.samples()).unwrap(),
+        &gen2.score(test.samples()).unwrap(),
         "post-swap generation",
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -335,5 +347,175 @@ fn store_rollback_re_points_serving_under_in_flight_traffic() {
         report.issues
     );
     assert_eq!(report.clean, vec![e1.generation]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A minimal servable artifact for the deployment contracts: one number,
+/// its own snapshot form.
+#[derive(Debug, Clone, PartialEq)]
+struct Version(f64);
+
+impl Encode for Version {
+    fn encode(&self, w: &mut Encoder) {
+        w.put_f64(self.0);
+    }
+}
+
+impl Decode for Version {
+    fn decode(r: &mut Decoder<'_>) -> mfod::persist::Result<Self> {
+        Ok(Version(r.take_f64()?))
+    }
+}
+
+impl Snapshot for Version {
+    const KIND: u32 = 0x5645;
+    const NAME: &'static str = "version";
+}
+
+impl Restorable for Version {
+    type Snapshot = Version;
+    fn restore(snapshot: Version) -> Result<Self, String> {
+        Ok(snapshot)
+    }
+}
+
+fn served(registry: &ModelRegistry<Version>) -> Option<f64> {
+    registry.active().map(|v| v.0)
+}
+
+/// Spins until `done` holds, failing the test after 10 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Waits for two more completed polls, so at least one whole poll ran
+/// after the call.
+fn wait_one_full_poll(handle: &WatchHandle) {
+    let polls = handle.polls();
+    wait_until("two more polls", || handle.polls() >= polls + 2);
+}
+
+/// Rewrites a generation's snapshot with one payload byte flipped (same
+/// length), through a rename so pages a served model maps stay intact.
+fn damage(store: &ModelStore, generation: u64) {
+    let path = store.generation_path(generation).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    let scratch = path.with_extension("damaged");
+    std::fs::write(&scratch, &bytes).unwrap();
+    std::fs::rename(&scratch, &path).unwrap();
+}
+
+fn watch(registry: &Arc<ModelRegistry<Version>>, dir: &Path) -> WatchHandle {
+    registry.watch_store(dir, WatchConfig::new(Duration::from_millis(2)))
+}
+
+/// A rollback made while a watcher runs is served within one poll and is
+/// still served after the next.
+#[test]
+fn store_rollback_is_served_by_a_running_watcher_within_one_poll() {
+    let dir = tmpdir("watch-rollback");
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store.promote(&Version(1.0), 0, "v1").unwrap();
+    store.promote(&Version(2.0), 0, "v2").unwrap();
+    let registry = Arc::new(ModelRegistry::<Version>::new());
+    let handle = watch(&registry, &dir);
+    wait_until("generation 2 served", || served(&registry) == Some(2.0));
+    store.rollback(1).unwrap();
+    wait_one_full_poll(&handle);
+    assert_eq!(served(&registry), Some(1.0), "rollback served");
+    wait_one_full_poll(&handle);
+    assert_eq!(served(&registry), Some(1.0), "rollback still served");
+    assert_eq!(registry.generation(), 2, "one install per change");
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A reopen that falls back past a damaged active generation is served by
+/// a running watcher, and the store fscks clean.
+#[test]
+fn store_recovery_past_a_damaged_active_generation_is_served_by_a_running_watcher() {
+    let dir = tmpdir("watch-fallback");
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store.promote(&Version(1.0), 0, "v1").unwrap();
+    store.promote(&Version(2.0), 0, "v2").unwrap();
+    let registry = Arc::new(ModelRegistry::<Version>::new());
+    let handle = watch(&registry, &dir);
+    wait_until("generation 2 served", || served(&registry) == Some(2.0));
+    damage(&store, 2);
+    drop(store);
+    let (store, report) = ModelStore::open(&dir).unwrap();
+    assert!(report.fell_back);
+    assert_eq!(report.active, Some(1));
+    wait_until("fallback served", || served(&registry) == Some(1.0));
+    assert!(store.fsck().unwrap().is_clean());
+    assert!(handle.health().healthy);
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A generation number names one model: after recovery quarantined
+/// generation 2, the next promotion is generation 3.
+#[test]
+fn generation_numbers_are_never_reused_after_a_fallback() {
+    let dir = tmpdir("no-reuse");
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store.promote(&Version(1.0), 0, "a").unwrap();
+    let e2 = store.promote(&Version(2.0), 0, "b").unwrap();
+    damage(&store, 2);
+    drop(store);
+    let (mut store, report) = ModelStore::open(&dir).unwrap();
+    assert_eq!(report.active, Some(1));
+    let e3 = store.promote(&Version(3.0), 0, "c").unwrap();
+    assert_eq!((e3.generation, e3.parent), (3, Some(1)));
+    assert_ne!(e3.content_hash, e2.content_hash);
+    // every commit in the log names a distinct generation, also after
+    // another reopen
+    drop(store);
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    assert_eq!(store.promote(&Version(4.0), 0, "d").unwrap().generation, 4);
+    let commits: Vec<u64> = mfod::persist::replay(&dir.join(mfod::persist::DEPLOY_LOG_FILE))
+        .unwrap()
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            LogRecord::Commit(e) => Some(e.generation),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(commits, vec![1, 2, 3, 4]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `install_active` serves only the bytes the catalog names: another
+/// valid container written over the active generation's file is a typed
+/// error, the registry keeps the model it serves, and fsck agrees.
+#[test]
+fn install_active_refuses_bytes_the_catalog_does_not_name() {
+    use mfod::persist::FsckIssue;
+    let dir = tmpdir("overwritten");
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store.promote(&Version(1.0), 0, "v1").unwrap();
+    let registry = ModelRegistry::<Version>::new();
+    assert_eq!(store.install_active(&registry).unwrap(), Some(1));
+    mfod::persist::save(&Version(9.0), &store.generation_path(1).unwrap()).unwrap();
+    let err = store.install_active(&registry).unwrap_err();
+    assert!(matches!(err, PersistError::ContentMismatch { .. }), "{err}");
+    assert_eq!(served(&registry), Some(1.0));
+    assert_eq!(registry.generation(), 1);
+    let report = store.fsck().unwrap();
+    assert!(report
+        .issues
+        .iter()
+        .any(|i| matches!(i, FsckIssue::HashMismatch { generation: 1, .. })));
+    assert!(report
+        .issues
+        .iter()
+        .any(|i| matches!(i, FsckIssue::ActiveMissing { generation: 1 })));
     std::fs::remove_dir_all(&dir).unwrap();
 }
