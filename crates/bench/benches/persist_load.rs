@@ -1,28 +1,30 @@
-//! Install cost of the two snapshot decode tiers, eager vs lazy, on
+//! Install cost of a snapshot through the one container reader
+//! (`LazySnapshot`), read-and-decode-everything vs a lazy mapped open, on
 //! tenant-fleet snapshots at 1×/8×/64× ECG scale.
 //!
-//! **Eager install** is what serving a snapshot used to cost: read the
-//! file into an owned buffer, validate the container, decode every
-//! section into owned matrices and digest-verify every layer. It is
+//! **Eager install** reads the file into an owned buffer, opens it
+//! ([`LazySnapshot::open`]: magic/version/table/CRC), decodes every
+//! section into owned matrices and digest-verifies every tenant. It is
 //! O(file) several times over — read, CRC, copy-decode, digest.
 //!
-//! **Lazy install** is the zero-copy tier: `mmap` the file, validate
-//! magic/version/table/CRC once ([`LazySnapshot::open_shared`]), decode
-//! *nothing*. The only O(file) term left is the single CRC scan over the
-//! mapped pages; section decode is deferred to first touch, which the
-//! report times separately per touched tenant.
+//! **Lazy install** maps the file and opens it through the same reader
+//! ([`LazySnapshot::open_shared`]), decoding *nothing*. The only O(file)
+//! term left is the single CRC scan over the mapped pages; section
+//! decode is deferred to first touch, which the report times separately
+//! per touched tenant.
 //!
 //! Parity is asserted before anything is timed: the digest of every
-//! touched tenant must be bit-identical across tiers (and to the
-//! generator), at every scale. The report also counts **copied heap
-//! bytes** per tier — on a little-endian unix target the lazy tier's
-//! aligned tenant sections decode as borrowed views, so its copied-bytes
-//! column stays at zero while the eager tier copies the full payload.
+//! touched tenant must be bit-identical across both installs (and to
+//! the generator), at every scale. The report also counts **copied heap
+//! bytes** per install — on a little-endian unix target the mapped
+//! open's aligned tenant sections decode as borrowed views, so its
+//! copied-bytes column stays at zero while the eager install copies the
+//! full payload.
 //!
 //! The report is written to `BENCH_persist.json` (override with
-//! `MFOD_BENCH_JSON`) for the `bench_ratchet` gate in CI: lazy install
-//! must stay ≥5× faster than eager at 64× scale, and its growth from 1×
-//! to 64× must stay sublinear in file size.
+//! `MFOD_BENCH_JSON`) for the `bench_ratchet` gate in CI: the lazy open
+//! must stay ≥5× faster than the full read-and-decode at 64× scale, and
+//! its growth from 1× to 64× must stay sublinear in file size.
 
 use criterion::{criterion_group, criterion_main, is_test_mode, Criterion};
 use mfod_fixtures::persist::{
@@ -45,15 +47,15 @@ fn fleet_file(dir: &Path, scale: usize) -> (PathBuf, TenantFleetConfig) {
     (path, config)
 }
 
-/// Eager tier: read, validate, decode and digest-verify every tenant.
-/// Returns the digests so parity can be checked against the lazy tier.
+/// Eager install: read, open, decode and digest-verify every tenant.
+/// Returns the digests so parity can be checked against the lazy open.
 fn eager_install(path: &Path) -> Vec<u64> {
     let bytes = std::fs::read(path).unwrap();
     let fleet = decode_fleet_eager(&bytes).unwrap();
     fleet.iter().map(matrix_digest).collect()
 }
 
-/// Lazy tier install: map + validate once, decode nothing.
+/// Lazy install: map + open once, decode nothing.
 fn lazy_install(path: &Path) -> usize {
     let shared = SharedBytes::map(path).unwrap();
     let snap = LazySnapshot::open_shared(&shared).unwrap();
@@ -62,7 +64,7 @@ fn lazy_install(path: &Path) -> usize {
 
 /// Min-of-reps wall clock for `work`.
 fn time<R>(reps: usize, work: impl Fn() -> R) -> Duration {
-    black_box(work()); // warm-up (and page-cache priming, same for both tiers)
+    black_box(work()); // warm-up (and page-cache priming, same for both installs)
     (0..reps)
         .map(|_| {
             let t0 = Instant::now();
@@ -113,7 +115,7 @@ fn report_tiers(_c: &mut Criterion) {
         let len = std::fs::metadata(&path).unwrap().len();
 
         // ---- parity before timing: every touched tenant digests
-        // bit-identically across tiers and against the generator --------
+        // bit-identically across installs and against the generator -----
         let eager_digests = eager_install(&path);
         assert_eq!(eager_digests.len(), config.tenants);
         let shared = SharedBytes::map(&path).unwrap();
@@ -128,7 +130,7 @@ fn report_tiers(_c: &mut Criterion) {
             );
         }
 
-        // copied heap bytes per tier: eager owns the whole payload,
+        // copied heap bytes per install: eager owns the whole payload,
         // lazy serves aligned sections as borrowed views
         let payload: u64 = (config.tenants * config.rows * config.cols * 8) as u64;
         let copied: u64 = [0, config.tenants / 2, config.tenants - 1]

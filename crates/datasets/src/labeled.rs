@@ -102,37 +102,6 @@ impl LabeledDataSet {
         LabeledDataSet::new(samples, self.labels.clone())
     }
 
-    /// Z-normalizes channel `channel` of every sample in place (per-sample
-    /// mean 0, standard deviation 1) — the preprocessing convention of the
-    /// UCR archive the paper's ECG200 data comes in. Channels with zero
-    /// variance are only centered.
-    pub fn znormalize_channel(&self, channel: usize) -> Result<Self> {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| {
-                let c = s.channels.get(channel).ok_or_else(|| {
-                    DatasetError::InvalidParameter(format!(
-                        "channel {channel} out of range (p = {})",
-                        s.dim()
-                    ))
-                })?;
-                let mean = c.iter().sum::<f64>() / c.len() as f64;
-                let var = c.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / c.len() as f64;
-                let std = var.sqrt();
-                let scale = if std > 1e-12 { 1.0 / std } else { 1.0 };
-                let normalized: Vec<f64> = c.iter().map(|v| (v - mean) * scale).collect();
-                let mut channels = s.channels.clone();
-                channels[channel] = normalized;
-                Ok(RawSample {
-                    t: s.t.clone(),
-                    channels,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        LabeledDataSet::new(samples, self.labels.clone())
-    }
-
     /// Writes the dataset as CSV: one row per sample, columns
     /// `label, t_1, …, t_m, y_11, …` (channels concatenated).
     pub fn save_csv(&self, path: impl AsRef<Path>) -> Result<()> {

@@ -65,7 +65,7 @@ impl IntegratedDepth {
     pub fn pointwise_depths(&self, data: &GriddedDataSet) -> Result<Vec<Vec<f64>>> {
         let directions = Directions::draw(data.dim(), &self.projection);
         let outlyingness = par::global().try_map(data.m(), |j| {
-            outlyingness_along(None, &directions, &data.point_cloud(j), None)
+            outlyingness_along(&directions, &data.point_cloud(j), None)
                 .map_err(|e| e.at_grid_point(j))
         })?;
         Ok((0..data.n())

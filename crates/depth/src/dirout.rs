@@ -76,8 +76,8 @@ impl DirOut {
         let directions = Directions::draw(data.dim(), &self.projection);
         decompose_pointwise_on(pool, dims, data.grid(), |j| {
             let cloud = data.point_cloud(j);
-            let outcome = outlyingness_along(None, &directions, &cloud, None)
-                .map_err(|e| e.at_grid_point(j))?;
+            let outcome =
+                outlyingness_along(&directions, &cloud, None).map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &cloud, &cloud))
         })
     }
@@ -104,20 +104,6 @@ pub struct DirOutScores {
     /// [`DirOutScores::degenerate_directions`] when reporting
     /// direction-budget collapse.
     pub attempted_directions: usize,
-}
-
-impl DirOutScores {
-    /// MS-plot coordinates `(‖MO‖, VO)` per sample — Dai & Genton's
-    /// magnitude–shape plot. Points far along the `‖MO‖` axis are
-    /// magnitude-style outliers; far along `VO`, shape-style; far in both,
-    /// mixed.
-    pub fn ms_points(&self) -> Vec<(f64, f64)> {
-        self.mo
-            .iter()
-            .zip(&self.vo)
-            .map(|(mo, &vo)| (vector::norm2(mo), vo))
-            .collect()
-    }
 }
 
 impl DirOut {
@@ -156,7 +142,7 @@ impl DirOut {
         decompose_pointwise_on(pool, dims, queries.grid(), |j| {
             let ref_cloud = reference.point_cloud(j);
             let query_cloud = queries.point_cloud(j);
-            let outcome = outlyingness_along(None, &directions, &ref_cloud, Some(&query_cloud))
+            let outcome = outlyingness_along(&directions, &ref_cloud, Some(&query_cloud))
                 .map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &ref_cloud, &query_cloud))
         })
@@ -399,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn ms_points_reflect_outlier_type() {
+    fn mo_and_vo_reflect_outlier_type() {
         let m = 40;
         let grid: Vec<f64> = (0..m).map(|j| j as f64 / (m - 1) as f64).collect();
         // magnitude outlier: large ‖MO‖, modest VO
@@ -408,12 +394,14 @@ mod tests {
             .map(|&t| (std::f64::consts::TAU * t).sin() + 3.0)
             .collect();
         let d = bundle_with(shifted, m);
-        let pts = DirOut::new().decompose(&d).unwrap().ms_points();
+        let scores = DirOut::new().decompose(&d).unwrap();
         let n = d.n();
-        let max_mo = pts
+        let max_mo = scores
+            .mo
             .iter()
+            .map(|mo| vector::norm2(mo))
             .enumerate()
-            .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap()
             .0;
         assert_eq!(max_mo, n - 1);
@@ -423,11 +411,12 @@ mod tests {
             .map(|&t| -(std::f64::consts::TAU * t).sin())
             .collect();
         let d = bundle_with(inverted, m);
-        let pts = DirOut::new().decompose(&d).unwrap().ms_points();
-        let max_vo = pts
+        let scores = DirOut::new().decompose(&d).unwrap();
+        let max_vo = scores
+            .vo
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .unwrap()
             .0;
         assert_eq!(max_vo, n - 1);

@@ -27,16 +27,16 @@
 //! applied twice, and the supremum is a maximum, so the visiting order
 //! cannot move a score.
 //!
-//! The public `*_on` functions fan contiguous direction blocks out across
-//! the worker pool of [`mfod_linalg::par`]; Dir.out, whose grid-point
-//! fan-out already feeds every thread, runs the same loop inline as one
-//! block. Either way the scores are bit-for-bit identical to the plain
-//! sequential loop at any thread count. Every public entry rejects NaN or
-//! infinite coordinates with [`DepthError::NonFinite`].
+//! The direction loop runs inline on the calling thread: its callers,
+//! Dir.out and the integrated depths, fan their grid points out over the
+//! worker pool of [`mfod_linalg::par`] instead, and reassemble them in
+//! grid order, so the scores are bit-for-bit identical to the plain
+//! sequential loop at any thread count. NaN or infinite coordinates are
+//! rejected with [`DepthError::NonFinite`].
 
 use crate::error::DepthError;
 use crate::Result;
-use mfod_linalg::{par, vector, Matrix};
+use mfod_linalg::{vector, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -91,82 +91,13 @@ impl Default for ProjectionConfig {
 /// — the approximation quality degrades long before every direction dies
 /// and the computation turns into a hard error.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProjectionOutcome {
+pub(crate) struct ProjectionOutcome {
     /// Outlyingness per scored point; **higher = more outlying**.
     pub scores: Vec<f64>,
     /// Directions that contributed to the supremum (positive finite MAD).
     pub used_directions: usize,
     /// Directions skipped because they degenerated.
     pub degenerate_directions: usize,
-}
-
-/// Approximates the projection outlyingness
-/// `O(x) = sup_u |uᵀx − med(uᵀZ)| / MAD(uᵀZ)` of every row of `cloud`
-/// (an `n x p` matrix) by maximizing over random unit directions plus the
-/// `p` coordinate axes.
-///
-/// For `p = 1` the exact univariate computation is used. Degenerate
-/// directions (zero MAD) are skipped; if *every* direction degenerates the
-/// cloud is concentrated and [`DepthError::DegenerateDirections`] is
-/// returned. Runs on the global worker pool; see
-/// [`projection_outlyingness_full`] for the direction diagnostics and
-/// [`projection_outlyingness_on`] for an explicit pool.
-pub fn projection_outlyingness(cloud: &Matrix, config: &ProjectionConfig) -> Result<Vec<f64>> {
-    projection_outlyingness_full(cloud, config).map(|outcome| outcome.scores)
-}
-
-/// [`projection_outlyingness`] with the degenerate-direction diagnostics.
-pub fn projection_outlyingness_full(
-    cloud: &Matrix,
-    config: &ProjectionConfig,
-) -> Result<ProjectionOutcome> {
-    projection_outlyingness_on(par::global(), cloud, config)
-}
-
-/// [`projection_outlyingness_full`] on an explicit worker pool. The output
-/// is bit-for-bit identical for every pool size ([`par::Pool::with_threads`]
-/// with 1 thread reproduces the sequential loop exactly).
-pub fn projection_outlyingness_on(
-    pool: &par::Pool,
-    cloud: &Matrix,
-    config: &ProjectionConfig,
-) -> Result<ProjectionOutcome> {
-    let directions = Directions::draw(cloud.ncols(), config);
-    outlyingness_along(Some(pool), &directions, cloud, None)
-}
-
-/// Approximates the projection outlyingness of each row of `queries`
-/// **with respect to the `reference` cloud**: the median and MAD of every
-/// direction's projections are estimated from `reference` only, so query
-/// points do not influence the location/scale estimates (the train/test
-/// protocol). Runs on the global worker pool.
-pub fn projection_outlyingness_against(
-    reference: &Matrix,
-    queries: &Matrix,
-    config: &ProjectionConfig,
-) -> Result<Vec<f64>> {
-    projection_outlyingness_against_full(reference, queries, config).map(|outcome| outcome.scores)
-}
-
-/// [`projection_outlyingness_against`] with the degenerate-direction
-/// diagnostics.
-pub fn projection_outlyingness_against_full(
-    reference: &Matrix,
-    queries: &Matrix,
-    config: &ProjectionConfig,
-) -> Result<ProjectionOutcome> {
-    projection_outlyingness_against_on(par::global(), reference, queries, config)
-}
-
-/// [`projection_outlyingness_against_full`] on an explicit worker pool.
-pub fn projection_outlyingness_against_on(
-    pool: &par::Pool,
-    reference: &Matrix,
-    queries: &Matrix,
-    config: &ProjectionConfig,
-) -> Result<ProjectionOutcome> {
-    let directions = Directions::draw(reference.ncols(), config);
-    outlyingness_along(Some(pool), &directions, reference, Some(queries))
 }
 
 /// The direction stream of a [`ProjectionConfig`] in `R^p`: the `p`
@@ -192,7 +123,7 @@ impl Directions {
     /// consumes its RNG values, so the draws after it do not shift.
     /// In the plane the drawn directions are then stored in angle order
     /// modulo `π` (`u` and `−u` order a cloud in reverse), the order
-    /// [`Directions::fold_block`] visits them in.
+    /// [`Directions::fold`] visits them in.
     pub(crate) fn draw(p: usize, config: &ProjectionConfig) -> Directions {
         let attempted = config.n_directions + p;
         let mut directions = Directions {
@@ -242,14 +173,9 @@ impl Directions {
         directions
     }
 
-    /// Folds directions `range` into a partial supremum over the scored
-    /// points, returning it with the block's used and degenerate counts.
-    fn fold_block(
-        &self,
-        range: std::ops::Range<usize>,
-        reference: &Matrix,
-        queries: Option<&Matrix>,
-    ) -> (Vec<f64>, usize, usize) {
+    /// Folds every direction into the supremum over the scored points,
+    /// returning it with the used and degenerate direction counts.
+    fn fold(&self, reference: &Matrix, queries: Option<&Matrix>) -> (Vec<f64>, usize, usize) {
         let n_ref = reference.nrows();
         // Column-major copies: a projection is then `p` sweeps over
         // contiguous columns, summed in `vector::dot`'s order.
@@ -261,7 +187,7 @@ impl Directions {
         let mut scale = MedianMad::new(self.p, n_ref, self.count);
         let mut used = 0usize;
         let mut degenerate = 0usize;
-        for d in range {
+        for d in 0..self.count {
             let u = &self.units[d * self.p..(d + 1) * self.p];
             project(&ref_columns, u, &mut proj);
             let (med, mad) = scale.of(&proj, u);
@@ -439,17 +365,18 @@ fn sorted_median_mad(sorted: &[f64]) -> (f64, f64) {
     (med, 0.5 * (last + next))
 }
 
-/// Shared body of the joint and against variants: location and scale
-/// come from `reference`; scores are computed for `queries` when given,
-/// else for `reference` itself. `directions` must be drawn for the
-/// cloud's dimension.
+/// Approximates the projection outlyingness
+/// `O(x) = sup_u |uᵀx − med(uᵀZ)| / MAD(uᵀZ)` by maximizing over the
+/// unit `directions` (drawn for the cloud's dimension): location and
+/// scale come from the `reference` cloud `Z` (an `n x p` matrix), and
+/// scores are computed for the rows of `queries` when given, else for
+/// `reference` itself.
 ///
-/// With `fan_out`, contiguous blocks of directions spread over that pool;
-/// without it, the loop runs inline on the calling thread as one block.
-/// The block partials fold in block (= direction) order, so both give
-/// the same bits.
+/// For `p = 1` the exact univariate computation is used. Degenerate
+/// directions (zero MAD) are skipped; if *every* direction degenerates the
+/// cloud is concentrated and [`DepthError::DegenerateDirections`] is
+/// returned.
 pub(crate) fn outlyingness_along(
-    fan_out: Option<&par::Pool>,
     directions: &Directions,
     reference: &Matrix,
     queries: Option<&Matrix>,
@@ -495,66 +422,21 @@ pub(crate) fn outlyingness_along(
     }
     assert_eq!(directions.p, p, "directions drawn for another dimension");
 
-    // Each block folds its residuals into a partial supremum as it goes,
-    // so the transient memory is O(blocks × n) rather than
-    // O(directions × n). The block count follows the pool's stealing
-    // granularity (`task_chunks`, i.e. split-factor × threads) instead of
-    // the thread count, so a block whose directions all degenerate early
-    // cannot leave its thread idle while another grinds through
-    // expensive ones — idle threads steal the remaining blocks.
-    let n_dirs = directions.count;
-    let blocks = match fan_out {
-        None => vec![directions.fold_block(0..n_dirs, reference, queries)],
-        Some(pool) => {
-            let n_blocks = pool.task_chunks(n_dirs).max(1);
-            let (base, extra) = (n_dirs / n_blocks, n_dirs % n_blocks);
-            let mut bounds = Vec::with_capacity(n_blocks + 1);
-            let mut start = 0usize;
-            bounds.push(0);
-            for b in 0..n_blocks {
-                start += base + usize::from(b < extra);
-                bounds.push(start);
-            }
-            pool.map(n_blocks, |b| {
-                directions.fold_block(bounds[b]..bounds[b + 1], reference, queries)
-            })
-        }
-    };
-
-    // Merge the block partials in block order. The strictly-greater max
-    // update over the nonnegative, never-NaN residuals is associative and
-    // commutative, so neither the blocking nor the plane's angle order
-    // moves a bit against the one-direction-at-a-time loop in draw order.
-    let mut out = vec![0.0; queries.map_or(n_ref, Matrix::nrows)];
-    let mut used = 0usize;
-    let mut degenerate = directions.short_draws;
-    for (partial, block_used, block_degenerate) in blocks {
-        used += block_used;
-        degenerate += block_degenerate;
-        for (o, &v) in out.iter_mut().zip(partial.iter()) {
-            if v > *o {
-                *o = v;
-            }
-        }
-    }
+    // The strictly-greater max update over the nonnegative, never-NaN
+    // residuals is associative and commutative, so the plane's angle
+    // order moves no bit against the one-direction-at-a-time loop in
+    // draw order.
+    let (scores, used, degenerate) = directions.fold(reference, queries);
     if used == 0 {
         return Err(DepthError::DegenerateDirections {
             attempted: directions.attempted,
         });
     }
     Ok(ProjectionOutcome {
-        scores: out,
+        scores,
         used_directions: used,
-        degenerate_directions: degenerate,
+        degenerate_directions: directions.short_draws + degenerate,
     })
-}
-
-/// Projection depth `PD(x) = 1 / (1 + O(x))` for every row of `cloud`.
-pub fn projection_depth(cloud: &Matrix, config: &ProjectionConfig) -> Result<Vec<f64>> {
-    Ok(projection_outlyingness(cloud, config)?
-        .into_iter()
-        .map(|o| 1.0 / (1.0 + o))
-        .collect())
 }
 
 /// Standard normal variate via Box–Muller (keeps the dependency surface to
@@ -576,6 +458,23 @@ pub fn coordinate_median(cloud: &Matrix) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Scores `reference` (or `queries` against it) along the direction
+    /// stream of `config`, the way Dir.out does at one grid point.
+    fn outlyingness(
+        reference: &Matrix,
+        queries: Option<&Matrix>,
+        config: &ProjectionConfig,
+    ) -> Result<ProjectionOutcome> {
+        let directions = Directions::draw(reference.ncols(), config);
+        outlyingness_along(&directions, reference, queries)
+    }
+
+    fn cloud_of(rows: &[Vec<f64>]) -> Matrix {
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        Matrix::from_rows(&refs)
+    }
 
     #[test]
     fn univariate_known_values() {
@@ -611,7 +510,7 @@ mod tests {
     #[test]
     fn multivariate_center_is_least_outlying() {
         // cross-shaped cloud around the origin plus one extreme point
-        let rows: Vec<Vec<f64>> = vec![
+        let cloud = cloud_of(&[
             vec![0.0, 0.0],
             vec![1.0, 0.0],
             vec![-1.0, 0.0],
@@ -622,10 +521,10 @@ mod tests {
             vec![0.5, -0.5],
             vec![-0.5, -0.5],
             vec![8.0, 8.0],
-        ];
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cloud = Matrix::from_rows(&refs);
-        let o = projection_outlyingness(&cloud, &ProjectionConfig::default()).unwrap();
+        ]);
+        let o = outlyingness(&cloud, None, &ProjectionConfig::default())
+            .unwrap()
+            .scores;
         // origin must have the smallest outlyingness, the far point the largest
         let min_idx = o
             .iter()
@@ -644,20 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_is_monotone_in_outlyingness() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, (i as f64).sin()]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cloud = Matrix::from_rows(&refs);
-        let cfg = ProjectionConfig::default();
-        let o = projection_outlyingness(&cloud, &cfg).unwrap();
-        let d = projection_depth(&cloud, &cfg).unwrap();
-        for i in 0..10 {
-            assert!((d[i] - 1.0 / (1.0 + o[i])).abs() < 1e-12);
-            assert!(d[i] > 0.0 && d[i] <= 1.0);
-        }
-    }
-
-    #[test]
     fn reproducible_with_same_seed() {
         let rows: Vec<Vec<f64>> = (0..15)
             .map(|i| {
@@ -668,65 +553,25 @@ mod tests {
                 ]
             })
             .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cloud = Matrix::from_rows(&refs);
+        let cloud = cloud_of(&rows);
         let cfg = ProjectionConfig {
             n_directions: 64,
             seed: 42,
         };
-        let o1 = projection_outlyingness(&cloud, &cfg).unwrap();
-        let o2 = projection_outlyingness(&cloud, &cfg).unwrap();
+        let o1 = outlyingness(&cloud, None, &cfg).unwrap();
+        let o2 = outlyingness(&cloud, None, &cfg).unwrap();
         assert_eq!(o1, o2);
-    }
-
-    #[test]
-    fn pool_sizes_agree_bit_for_bit() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                vec![
-                    (i as f64 * 0.31).sin(),
-                    (i as f64 * 0.77).cos(),
-                    (i as f64 * 0.13).tan().atan(),
-                    i as f64 * 0.05,
-                ]
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cloud = Matrix::from_rows(&refs);
-        let queries = Matrix::from_rows(&refs[..7]);
-        let cfg = ProjectionConfig {
-            n_directions: 48,
-            seed: 9,
-        };
-        let p1 = par::Pool::with_threads(1);
-        let p8 = par::Pool::with_threads(8);
-        let seq = projection_outlyingness_on(&p1, &cloud, &cfg).unwrap();
-        let par8 = projection_outlyingness_on(&p8, &cloud, &cfg).unwrap();
-        let global = projection_outlyingness_full(&cloud, &cfg).unwrap();
-        assert_eq!(seq, par8);
-        assert_eq!(seq, global);
-        for (a, b) in seq.scores.iter().zip(&par8.scores) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let seq_q = projection_outlyingness_against_on(&p1, &cloud, &queries, &cfg).unwrap();
-        let par_q = projection_outlyingness_against_on(&p8, &cloud, &queries, &cfg).unwrap();
-        assert_eq!(seq_q, par_q);
-        assert_eq!(
-            seq_q,
-            projection_outlyingness_against_full(&cloud, &queries, &cfg).unwrap()
-        );
     }
 
     #[test]
     fn direction_budget_is_accounted() {
         let rows: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, (i as f64).cos()]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let cloud = Matrix::from_rows(&refs);
+        let cloud = cloud_of(&rows);
         let cfg = ProjectionConfig {
             n_directions: 32,
             seed: 5,
         };
-        let outcome = projection_outlyingness_full(&cloud, &cfg).unwrap();
+        let outcome = outlyingness(&cloud, None, &cfg).unwrap();
         // a generic cloud degenerates along no direction
         assert_eq!(outcome.used_directions, cfg.n_directions + 2);
         assert_eq!(outcome.degenerate_directions, 0);
@@ -738,9 +583,8 @@ mod tests {
         // cloud still uses every direction — instead, collapse one
         // coordinate to force axis-aligned degeneracy.
         let rows: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, 3.0]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let flat = Matrix::from_rows(&refs);
-        let outcome = projection_outlyingness_full(&flat, &cfg).unwrap();
+        let flat = cloud_of(&rows);
+        let outcome = outlyingness(&flat, None, &cfg).unwrap();
         // the y axis projects every point to 3.0: zero MAD, degenerate
         assert!(outcome.degenerate_directions >= 1, "{outcome:?}");
         assert_eq!(
@@ -752,7 +596,7 @@ mod tests {
     #[test]
     fn degenerate_cloud_errors() {
         let cloud = Matrix::filled(6, 2, 3.0); // all points identical
-        let err = projection_outlyingness(&cloud, &ProjectionConfig::default()).unwrap_err();
+        let err = outlyingness(&cloud, None, &ProjectionConfig::default()).unwrap_err();
         assert!(
             matches!(err, DepthError::DegenerateDirections { attempted } if attempted == 130),
             "{err:?}"
@@ -805,7 +649,7 @@ mod tests {
         {
             let cloud = cloud_with(p, bad);
             assert_eq!(
-                projection_outlyingness(&cloud, &small_config()),
+                outlyingness(&cloud, None, &small_config()),
                 Err(DepthError::NonFinite),
                 "p = {p}"
             );
@@ -813,86 +657,26 @@ mod tests {
     }
 
     #[test]
-    fn joint_outlyingness_full_rejects_non_finite_clouds() {
-        for bad in NON_FINITE {
-            let cloud = cloud_with(2, bad);
-            assert_eq!(
-                projection_outlyingness_full(&cloud, &small_config()),
-                Err(DepthError::NonFinite)
-            );
-        }
-    }
-
-    #[test]
-    fn joint_outlyingness_on_a_pool_rejects_non_finite_clouds() {
-        let pool = par::Pool::with_threads(2);
-        for bad in NON_FINITE {
-            let cloud = cloud_with(3, bad);
-            assert_eq!(
-                projection_outlyingness_on(&pool, &cloud, &small_config()),
-                Err(DepthError::NonFinite)
-            );
-        }
-    }
-
-    #[test]
     fn against_outlyingness_rejects_non_finite_reference_or_queries() {
-        let clean = cloud_with(2, 0.5);
-        for bad in NON_FINITE {
-            let dirty = cloud_with(2, bad);
+        for (p, bad) in [1, 2, 3]
+            .into_iter()
+            .flat_map(|p| NON_FINITE.map(|b| (p, b)))
+        {
+            let clean = cloud_with(p, 0.5);
+            let dirty = cloud_with(p, bad);
             for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
                 assert_eq!(
-                    projection_outlyingness_against(reference, queries, &small_config()),
-                    Err(DepthError::NonFinite)
+                    outlyingness(reference, Some(queries), &small_config()),
+                    Err(DepthError::NonFinite),
+                    "p = {p}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn against_outlyingness_full_rejects_non_finite_reference_or_queries() {
-        let clean = cloud_with(1, 0.5);
-        for bad in NON_FINITE {
-            let dirty = cloud_with(1, bad);
-            for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
-                assert_eq!(
-                    projection_outlyingness_against_full(reference, queries, &small_config()),
-                    Err(DepthError::NonFinite)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn against_outlyingness_on_a_pool_rejects_non_finite_reference_or_queries() {
-        let pool = par::Pool::with_threads(2);
-        let clean = cloud_with(3, 0.5);
-        for bad in NON_FINITE {
-            let dirty = cloud_with(3, bad);
-            for (reference, queries) in [(&dirty, &clean), (&clean, &dirty)] {
-                assert_eq!(
-                    projection_outlyingness_against_on(&pool, reference, queries, &small_config()),
-                    Err(DepthError::NonFinite)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn projection_depth_rejects_non_finite_clouds() {
-        for bad in NON_FINITE {
-            let cloud = cloud_with(2, bad);
-            assert_eq!(
-                projection_depth(&cloud, &small_config()),
-                Err(DepthError::NonFinite)
-            );
         }
     }
 
     /// Values with ties, duplicates and both zeros: a quarter are `±0.0`,
     /// a quarter sit on a coarse lattice, the rest are arbitrary.
-    fn tied_values() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
-        use proptest::prelude::*;
+    fn tied_values() -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec((0usize..5, -4.0..4.0f64), 1..=200).prop_map(|draws| {
             draws
                 .into_iter()
@@ -906,8 +690,132 @@ mod tests {
         })
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+    /// Projection outlyingness as the per-direction selection loop computed
+    /// it: directions in draw order, the median by `median_in_place`, then the
+    /// MAD by `median_in_place` over the absolute deviations.
+    fn selection_loop(
+        reference: &Matrix,
+        queries: Option<&Matrix>,
+        config: &ProjectionConfig,
+    ) -> Result<ProjectionOutcome> {
+        let (n_ref, p) = (reference.nrows(), reference.ncols());
+        let scored = queries.unwrap_or(reference);
+        if p == 1 {
+            let refs = reference.col(0);
+            let (med, mad) = (vector::median(&refs), vector::mad_raw(&refs));
+            if mad <= 0.0 || !mad.is_finite() {
+                let set = if queries.is_some() {
+                    "reference set"
+                } else {
+                    "set"
+                };
+                return Err(DepthError::DegenerateScale {
+                    context: format!("MAD of the {n_ref}-point univariate {set} is zero"),
+                });
+            }
+            return Ok(ProjectionOutcome {
+                scores: scored
+                    .col(0)
+                    .iter()
+                    .map(|&x| (x - med).abs() / mad)
+                    .collect(),
+                used_directions: 1,
+                degenerate_directions: 0,
+            });
+        }
+        let normal = |rng: &mut StdRng| {
+            let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+            let u2: f64 = rng.random();
+            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        };
+        let total = config.n_directions + p;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut out = vec![0.0; scored.nrows()];
+        let (mut used, mut degenerate) = (0usize, 0usize);
+        let mut dir = vec![0.0; p];
+        for d in 0..total {
+            if d < p {
+                dir.fill(0.0);
+                dir[d] = 1.0;
+            } else {
+                for v in dir.iter_mut() {
+                    *v = normal(&mut rng);
+                }
+                if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
+                    degenerate += 1;
+                    continue;
+                }
+            }
+            let proj: Vec<f64> = (0..n_ref)
+                .map(|i| vector::dot(reference.row(i), &dir))
+                .collect();
+            let mut scratch = proj.clone();
+            let med = vector::median_in_place(&mut scratch);
+            for (s, &x) in scratch.iter_mut().zip(&proj) {
+                *s = (x - med).abs();
+            }
+            let mad = vector::median_in_place(&mut scratch);
+            if mad <= 1e-300 || !mad.is_finite() {
+                degenerate += 1;
+                continue;
+            }
+            used += 1;
+            for (i, o) in out.iter_mut().enumerate() {
+                let v = (vector::dot(scored.row(i), &dir) - med).abs() / mad;
+                if v > *o {
+                    *o = v;
+                }
+            }
+        }
+        if used == 0 {
+            return Err(DepthError::DegenerateDirections { attempted: total });
+        }
+        Ok(ProjectionOutcome {
+            scores: out,
+            used_directions: used,
+            degenerate_directions: degenerate,
+        })
+    }
+
+    /// An outcome with its scores as bit patterns, so `-0.0` and `0.0` differ.
+    fn bits(outcome: Result<ProjectionOutcome>) -> Result<(Vec<u64>, usize, usize)> {
+        outcome.map(|o| {
+            let scores = o.scores.iter().map(|v| v.to_bits()).collect();
+            (scores, o.used_directions, o.degenerate_directions)
+        })
+    }
+
+    /// A cloud of `rows` points in `R^p` whose coordinates are often tied:
+    /// half of them sit on a coarse lattice that includes `±0.0`, so some
+    /// directions degenerate and many projections repeat.
+    fn tied_cloud(
+        rows: std::ops::RangeInclusive<usize>,
+        p: usize,
+    ) -> impl Strategy<Value = Matrix> {
+        let coordinate = (0usize..6, -3.0..3.0f64).prop_map(|(kind, x)| match kind {
+            0 => -0.0,
+            1 => 0.0,
+            2 | 3 => x.round(),
+            _ => x,
+        });
+        prop::collection::vec(prop::collection::vec(coordinate, p), rows)
+            .prop_map(|rows| cloud_of(&rows))
+    }
+
+    /// A reference cloud, a query cloud of the same dimension and a direction
+    /// budget, for `p` in 1..=3.
+    fn clouds() -> impl Strategy<Value = (Matrix, Matrix, ProjectionConfig)> {
+        (1usize..=3, 8usize..=40, 0u64..1000).prop_flat_map(|(p, n_directions, seed)| {
+            (
+                tied_cloud(1..=60, p),
+                tied_cloud(1..=12, p),
+                Just(ProjectionConfig { n_directions, seed }),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
 
         #[test]
         fn sorted_median_mad_matches_two_selections(values in tied_values()) {
@@ -918,8 +826,45 @@ mod tests {
             let want_med = vector::median_in_place(&mut scratch);
             let mut deviations: Vec<f64> = values.iter().map(|x| (x - want_med).abs()).collect();
             let want_mad = vector::median_in_place(&mut deviations);
-            proptest::prop_assert_eq!(med.to_bits(), want_med.to_bits(), "median of {:?}", values);
-            proptest::prop_assert_eq!(mad.to_bits(), want_mad.to_bits(), "MAD of {:?}", values);
+            prop_assert_eq!(med.to_bits(), want_med.to_bits(), "median of {:?}", values);
+            prop_assert_eq!(mad.to_bits(), want_mad.to_bits(), "MAD of {:?}", values);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn outlyingness_along_matches_the_selection_loop_bit_for_bit(
+            (reference, queries, config) in clouds()
+        ) {
+            prop_assert_eq!(
+                bits(outlyingness(&reference, None, &config)),
+                bits(selection_loop(&reference, None, &config)),
+                "joint, p = {}", reference.ncols()
+            );
+            prop_assert_eq!(
+                bits(outlyingness(&reference, Some(&queries), &config)),
+                bits(selection_loop(&reference, Some(&queries), &config)),
+                "against, p = {}", reference.ncols()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn projection_against_self_matches_joint(rows in prop::collection::vec(
+            prop::collection::vec(-5.0..5.0f64, 2), 9)) {
+            let cloud = cloud_of(&rows);
+            let cfg = ProjectionConfig::default();
+            if let Ok(joint) = outlyingness(&cloud, None, &cfg) {
+                let against = outlyingness(&cloud, Some(&cloud), &cfg).unwrap();
+                for (a, b) in joint.scores.iter().zip(&against.scores) {
+                    prop_assert!((a - b).abs() < 1e-9);
+                }
+            }
         }
     }
 

@@ -28,15 +28,6 @@ pub enum DepthScorerSnapshot {
 }
 
 impl DepthScorerSnapshot {
-    /// The name the restored scorer will report (e.g. `"funta"`).
-    pub fn scorer_name(&self) -> &'static str {
-        match self {
-            DepthScorerSnapshot::Funta { trim } if *trim > 0.0 => "rfunta",
-            DepthScorerSnapshot::Funta { .. } => "funta",
-            DepthScorerSnapshot::DirOut { .. } => "dir.out",
-        }
-    }
-
     /// Rebuilds the scorer, re-running the constructors' parameter
     /// validation (e.g. the rFUNTA trim range), so a tampered snapshot
     /// cannot resurrect a scorer the constructor would have rejected.
@@ -59,10 +50,12 @@ mod tests {
         let f = Funta::robust(0.1).unwrap();
         let snap = f.snapshot().unwrap();
         assert_eq!(snap, DepthScorerSnapshot::Funta { trim: 0.1 });
-        assert_eq!(snap.scorer_name(), "rfunta");
         let restored = snap.restore().unwrap();
         assert_eq!(restored.name(), "rfunta");
-        assert_eq!(Funta::new().snapshot().unwrap().scorer_name(), "funta");
+        assert_eq!(
+            Funta::new().snapshot().unwrap().restore().unwrap().name(),
+            "funta"
+        );
     }
 
     #[test]

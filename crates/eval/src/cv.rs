@@ -59,21 +59,6 @@ impl KFold {
         }
         Ok(folds)
     }
-
-    /// Splits `0..n` and evaluates `eval(fold_index, train, val)` on every
-    /// fold across the **global worker pool**, returning the per-fold
-    /// results in fold order. Folds are fitted/evaluated independently,
-    /// so the output is bit-for-bit identical to the sequential loop at
-    /// any thread count; the first failing fold (in fold order) reports.
-    pub fn par_evaluate<T, E, F>(&self, n: usize, eval: F) -> std::result::Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send + From<EvalError>,
-        F: Fn(usize, &[usize], &[usize]) -> std::result::Result<T, E> + Sync,
-    {
-        let folds = self.folds(n).map_err(E::from)?;
-        par_eval_folds(par::global(), &folds, eval)
-    }
 }
 
 /// Evaluates `eval(fold_index, train, val)` over pre-computed `folds` on
@@ -141,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn par_evaluate_matches_the_sequential_loop() {
+    fn par_eval_folds_matches_the_sequential_loop() {
         let kf = KFold::new(5, 11).unwrap();
         let n = 37;
         let folds = kf.folds(n).unwrap();
@@ -155,29 +140,28 @@ mod tests {
             .enumerate()
             .map(|(f, (tr, va))| score(f, tr, va))
             .collect();
-        let pooled: Vec<f64> = kf
-            .par_evaluate(n, |f, tr, va| Ok::<_, EvalError>(score(f, tr, va)))
-            .unwrap();
-        assert_eq!(
-            sequential.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            pooled.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        // explicit pools agree too
-        for threads in [1usize, 4] {
-            let pool = par::Pool::with_threads(threads);
-            let on_pool: Vec<f64> = par_eval_folds(&pool, &folds, |f, tr, va| {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // the global pool (the one the ν tuner uses) and explicit pools
+        let explicit: Vec<par::Pool> = [1usize, 4].map(par::Pool::with_threads).into();
+        for pool in std::iter::once(par::global()).chain(&explicit) {
+            let on_pool: Vec<f64> = par_eval_folds(pool, &folds, |f, tr, va| {
                 Ok::<_, EvalError>(score(f, tr, va))
             })
             .unwrap();
-            assert_eq!(sequential, on_pool, "threads={threads}");
+            assert_eq!(
+                bits(&sequential),
+                bits(&on_pool),
+                "threads={}",
+                pool.threads()
+            );
         }
     }
 
     #[test]
-    fn par_evaluate_reports_earliest_fold_error() {
-        let kf = KFold::new(4, 3).unwrap();
-        let err = kf
-            .par_evaluate::<usize, EvalError, _>(20, |f, _, _| {
+    fn par_eval_folds_reports_earliest_fold_error() {
+        let folds = KFold::new(4, 3).unwrap().folds(20).unwrap();
+        for pool in [par::global(), &par::Pool::with_threads(4)] {
+            let err = par_eval_folds::<usize, EvalError, _>(pool, &folds, |f, _, _| {
                 if f >= 1 {
                     Err(EvalError::InvalidParameter(format!("fold {f}")))
                 } else {
@@ -185,10 +169,7 @@ mod tests {
                 }
             })
             .unwrap_err();
-        assert!(err.to_string().contains("fold 1"), "{err}");
-        // a split failure surfaces through the same error type
-        assert!(kf
-            .par_evaluate::<usize, EvalError, _>(2, |f, _, _| Ok(f))
-            .is_err());
+            assert!(err.to_string().contains("fold 1"), "{err}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Evaluation machinery for the paper's experimental protocol (Sec. 4.1):
 //!
 //! * [`roc`] — ROC curves and the tie-aware Mann–Whitney AUC used as the
-//!   headline metric of Fig. 3, plus precision@k / F1 utilities;
+//!   headline metric of Fig. 3;
 //! * [`cv`] — seeded k-fold cross-validation index generation (the paper
 //!   tunes the OCSVM ν by 5-fold CV on the training set);
 //! * [`runner`] — the repeated-split experiment runner that produces the

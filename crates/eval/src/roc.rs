@@ -100,61 +100,6 @@ pub fn auc_from_curve(curve: &[RocPoint]) -> f64 {
     area
 }
 
-/// Precision among the `k` highest-scoring samples.
-pub fn precision_at_k(scores: &[f64], labels: &[bool], k: usize) -> Result<f64> {
-    validate(scores, labels)?;
-    if k == 0 || k > scores.len() {
-        return Err(EvalError::InvalidParameter(format!(
-            "k must be in [1, n]; got {k} for n = {}",
-            scores.len()
-        )));
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    let hits = order[..k].iter().filter(|&&i| labels[i]).count();
-    Ok(hits as f64 / k as f64)
-}
-
-/// F1 score when predicting "outlier" for `score >= threshold`.
-pub fn f1_at_threshold(scores: &[f64], labels: &[bool], threshold: f64) -> Result<f64> {
-    validate(scores, labels)?;
-    let mut tp = 0.0;
-    let mut fp = 0.0;
-    let mut fnn = 0.0;
-    for (&s, &l) in scores.iter().zip(labels) {
-        let pred = s >= threshold;
-        match (pred, l) {
-            (true, true) => tp += 1.0,
-            (true, false) => fp += 1.0,
-            (false, true) => fnn += 1.0,
-            (false, false) => {}
-        }
-    }
-    if tp == 0.0 {
-        return Ok(0.0);
-    }
-    let precision = tp / (tp + fp);
-    let recall = tp / (tp + fnn);
-    Ok(2.0 * precision * recall / (precision + recall))
-}
-
-/// The threshold maximizing F1, with its F1 value (scans every distinct
-/// score as a candidate threshold).
-pub fn best_f1(scores: &[f64], labels: &[bool]) -> Result<(f64, f64)> {
-    validate(scores, labels)?;
-    let mut best = (f64::INFINITY, 0.0);
-    let mut distinct: Vec<f64> = scores.to_vec();
-    distinct.sort_by(|a, b| a.total_cmp(b));
-    distinct.dedup();
-    for &t in &distinct {
-        let f1 = f1_at_threshold(scores, labels, t)?;
-        if f1 > best.1 {
-            best = (t, f1);
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,29 +191,5 @@ mod tests {
             auc(&[f64::NAN, 2.0], &[true, false]),
             Err(EvalError::NonFinite)
         ));
-    }
-
-    #[test]
-    fn precision_at_k_values() {
-        let scores = [0.9, 0.8, 0.1, 0.2];
-        let labels = [true, false, false, true];
-        assert_eq!(precision_at_k(&scores, &labels, 1).unwrap(), 1.0);
-        assert_eq!(precision_at_k(&scores, &labels, 2).unwrap(), 0.5);
-        assert_eq!(precision_at_k(&scores, &labels, 4).unwrap(), 0.5);
-        assert!(precision_at_k(&scores, &labels, 0).is_err());
-        assert!(precision_at_k(&scores, &labels, 5).is_err());
-    }
-
-    #[test]
-    fn f1_and_best_threshold() {
-        let scores = [0.1, 0.2, 0.8, 0.9];
-        let labels = [false, false, true, true];
-        // threshold 0.5: perfect
-        assert_eq!(f1_at_threshold(&scores, &labels, 0.5).unwrap(), 1.0);
-        // threshold above everything: no predictions → 0
-        assert_eq!(f1_at_threshold(&scores, &labels, 2.0).unwrap(), 0.0);
-        let (t, f1) = best_f1(&scores, &labels).unwrap();
-        assert_eq!(f1, 1.0);
-        assert!(t > 0.2 && t <= 0.8);
     }
 }

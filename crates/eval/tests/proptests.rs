@@ -1,6 +1,6 @@
 //! Property-based tests for the evaluation utilities.
 
-use mfod_eval::roc::{auc_from_curve, best_f1, f1_at_threshold, precision_at_k};
+use mfod_eval::roc::auc_from_curve;
 use mfod_eval::{auc, roc_curve, KFold};
 use proptest::prelude::*;
 
@@ -64,22 +64,6 @@ proptest! {
         }
         prop_assert_eq!(curve.first().map(|p| (p.fpr, p.tpr)), Some((0.0, 0.0)));
         prop_assert_eq!(curve.last().map(|p| (p.fpr, p.tpr)), Some((1.0, 1.0)));
-    }
-
-    #[test]
-    fn precision_at_k_bounds((scores, labels) in scored_labels(10), k in 1usize..10) {
-        let p = precision_at_k(&scores, &labels, k).unwrap();
-        prop_assert!((0.0..=1.0).contains(&p));
-    }
-
-    #[test]
-    fn best_f1_dominates_arbitrary_thresholds(
-        (scores, labels) in scored_labels(10),
-        t in -100.0..100.0f64,
-    ) {
-        let (_, best) = best_f1(&scores, &labels).unwrap();
-        let any = f1_at_threshold(&scores, &labels, t).unwrap();
-        prop_assert!(best + 1e-12 >= any, "best {best} < f1@{t} = {any}");
     }
 
     #[test]

@@ -337,11 +337,6 @@ impl FaultReport {
             .map_or(0, |&(_, _, f)| f)
     }
 
-    /// Total fires across all points.
-    pub fn total_fires(&self) -> u64 {
-        self.points.iter().map(|&(_, _, f)| f).sum()
-    }
-
     /// Flat JSON object: seed plus `"<point>": {"hits": .., "fires": ..}`
     /// per touched point.
     pub fn to_json(&self) -> String {
@@ -581,7 +576,6 @@ mod tests {
         let report = disarm().unwrap();
         assert_eq!(report.hits(points::PERSIST_CRC), 7);
         assert_eq!(report.fires(points::PERSIST_CRC), 0);
-        assert_eq!(report.total_fires(), 0);
     }
 
     #[test]

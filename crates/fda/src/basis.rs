@@ -44,9 +44,7 @@ pub trait Basis: Send + Sync {
     /// persistence (see `mfod-persist`).
     ///
     /// The default is `None`: a custom basis simply cannot be written to
-    /// a model snapshot until it opts in, and callers surface that as a
-    /// typed error at snapshot time ([`crate::snapshot::snapshot_basis`])
-    /// rather than silently dropping state. Implementations must return a
+    /// a model snapshot until it opts in. Implementations must return a
     /// snapshot whose [`crate::snapshot::BasisSnapshot::restore`] yields
     /// a basis that evaluates **bit-identically** to `self`.
     fn snapshot(&self) -> Option<crate::snapshot::BasisSnapshot> {
@@ -68,19 +66,6 @@ pub trait Basis: Send + Sync {
             self.eval_into(t, deriv, out.row_mut(j));
         }
         out
-    }
-}
-
-/// Blanket helpers available on trait objects.
-impl dyn Basis + '_ {
-    /// Evaluates a linear combination `Σ coefs[l] · D^deriv φ_l(t)`.
-    ///
-    /// # Panics
-    /// Panics if `coefs.len() != self.len()`.
-    pub fn eval_expansion(&self, coefs: &[f64], t: f64, deriv: usize) -> f64 {
-        assert_eq!(coefs.len(), self.len(), "coefficient length mismatch");
-        let vals = self.eval(t, deriv);
-        mfod_linalg::vector::dot(coefs, &vals)
     }
 }
 
@@ -142,16 +127,6 @@ mod tests {
         let dphi = b.design_matrix(&[0.3], 1);
         assert_eq!(dphi[(0, 0)], 0.0);
         assert_eq!(dphi[(0, 1)], 1.0);
-    }
-
-    #[test]
-    fn eval_expansion_combines() {
-        let b: &dyn Basis = &LinearBasis;
-        // f(t) = 2 + 3t
-        let f = b.eval_expansion(&[2.0, 3.0], 0.5, 0);
-        assert!((f - 3.5).abs() < 1e-12);
-        let df = b.eval_expansion(&[2.0, 3.0], 0.5, 1);
-        assert!((df - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -96,18 +96,6 @@ impl Grid {
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, f64>> {
         self.points.iter().copied()
     }
-
-    /// Restricts the grid to points inside `[a, b]`; errors if fewer than
-    /// two survive.
-    pub fn restrict(&self, a: f64, b: f64) -> Result<Grid> {
-        Grid::new(
-            self.points
-                .iter()
-                .copied()
-                .filter(|&t| t >= a && t <= b)
-                .collect(),
-        )
-    }
 }
 
 impl AsRef<[f64]> for Grid {
@@ -171,15 +159,6 @@ mod tests {
         assert!(Grid::new(vec![0.0, f64::NAN]).is_err());
         assert!(Grid::new(vec![0.0]).is_err());
         assert!(Grid::new(vec![0.0, 0.3, 0.9]).is_ok());
-    }
-
-    #[test]
-    fn restrict_keeps_inner_points() {
-        let g = Grid::uniform(0.0, 1.0, 11).unwrap();
-        let r = g.restrict(0.25, 0.75).unwrap();
-        assert_eq!(r.len(), 5);
-        assert!((r.start() - 0.3).abs() < 1e-12);
-        assert!(g.restrict(0.99, 1.0).is_err()); // only one survivor
     }
 
     #[test]

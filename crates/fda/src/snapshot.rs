@@ -13,7 +13,6 @@
 
 use crate::basis::Basis;
 use crate::bspline::BSplineBasis;
-use crate::error::FdaError;
 use crate::fourier::FourierBasis;
 use crate::polynomial::PolynomialBasis;
 use crate::smooth::{BasisSelector, SelectionCriterion};
@@ -70,17 +69,6 @@ impl BasisSnapshot {
             BasisSnapshot::Polynomial { a, b, len } => Arc::new(PolynomialBasis::new(a, b, len)?),
         })
     }
-}
-
-/// Takes the snapshot of a dyn basis, failing with a typed error when the
-/// implementation does not support persistence.
-pub fn snapshot_basis(basis: &dyn Basis) -> Result<BasisSnapshot> {
-    basis.snapshot().ok_or_else(|| {
-        FdaError::InvalidParameter(format!(
-            "basis '{}' does not support snapshots",
-            basis.name()
-        ))
-    })
 }
 
 const TAG_BSPLINE: u32 = 1;
@@ -189,7 +177,6 @@ impl Decode for BasisSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfod_linalg::Matrix;
 
     fn roundtrip_bytes<T: Encode + Decode>(v: &T) -> T {
         let mut w = Encoder::new();
@@ -284,28 +271,5 @@ mod tests {
         };
         let back = roundtrip_bytes(&sel);
         assert_eq!(sel, back);
-    }
-
-    #[test]
-    fn custom_basis_without_hook_fails_typed() {
-        struct Weird;
-        impl Basis for Weird {
-            fn len(&self) -> usize {
-                1
-            }
-            fn domain(&self) -> (f64, f64) {
-                (0.0, 1.0)
-            }
-            fn eval_into(&self, _t: f64, _deriv: usize, out: &mut [f64]) {
-                out[0] = 1.0;
-            }
-            fn penalty(&self, _q: usize) -> Matrix {
-                Matrix::zeros(1, 1)
-            }
-        }
-        assert!(matches!(
-            snapshot_basis(&Weird),
-            Err(FdaError::InvalidParameter(_))
-        ));
     }
 }

@@ -12,8 +12,8 @@
 //!   These moved here from `mfod-stream`'s former `fixtures` cargo
 //!   feature, which this crate replaces.
 //! * [`persist`] — synthetic persist-layer fixtures: large multi-section
-//!   "tenant fleet" snapshots for exercising the eager vs lazy decode
-//!   tiers at controllable scale.
+//!   "tenant fleet" snapshots for exercising eager vs lazy decodes at
+//!   controllable scale.
 
 pub mod persist;
 mod pipeline;

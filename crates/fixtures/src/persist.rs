@@ -5,7 +5,8 @@
 //! to make eager-vs-lazy install costs measurable, (b) split across many
 //! independently addressable sections so a lazy reader can touch one
 //! tenant without decoding the rest, and (c) fully deterministic so
-//! per-section digests can be asserted bit-for-bit across decode tiers.
+//! per-section digests can be asserted bit-for-bit across eager and lazy
+//! decodes.
 //! Real fitted pipelines satisfy none of these at controllable scale, so
 //! this module builds a synthetic fleet: one section per tenant, each
 //! holding one [`Matrix`] of LCG-generated values.
@@ -13,13 +14,10 @@
 //! Section bodies start with the matrix header (two `u64` dims = 16
 //! bytes), and the container pads every section to an 8-aligned file
 //! offset, so the `f64` payload of every tenant lands 8-byte aligned in
-//! a mapped file — the zero-copy tier serves all of them in place.
+//! a mapped file — a mapped open serves all of them in place.
 
 use mfod_linalg::Matrix;
-use mfod_persist::{
-    crc32, hash_f64s, Decode, Encode, LazySnapshot, PersistError, SnapshotReader, SnapshotWriter,
-    FORMAT_VERSION, MAGIC,
-};
+use mfod_persist::{hash_f64s, Decode, Encode, LazySnapshot, PersistError, SnapshotWriter};
 use std::path::Path;
 
 /// Artifact-kind tag for tenant-fleet fixture snapshots. Far above the
@@ -105,18 +103,19 @@ pub fn write_tenant_fleet(path: &Path, config: &TenantFleetConfig) -> mfod_persi
 }
 
 /// Eagerly decodes every tenant of a fleet snapshot, in section order —
-/// the "owned tier" arm of eager-vs-lazy comparisons.
+/// the eager arm of eager-vs-lazy comparisons: one open, then every
+/// section decoded whole into owned matrices.
 pub fn decode_fleet_eager(bytes: &[u8]) -> mfod_persist::Result<Vec<Matrix>> {
-    let reader = SnapshotReader::parse(bytes)?;
-    if reader.kind() != TENANT_FLEET_KIND {
+    let snap = LazySnapshot::open(bytes)?;
+    if snap.kind() != TENANT_FLEET_KIND {
         return Err(PersistError::WrongKind {
-            got: reader.kind(),
+            got: snap.kind(),
             expected: TENANT_FLEET_KIND,
         });
     }
     let mut out = Vec::new();
-    for id in reader.section_ids() {
-        let mut dec = reader.section(id)?;
+    for id in snap.section_ids() {
+        let mut dec = snap.section(id)?;
         let m = Matrix::decode(&mut dec)?;
         dec.finish()?;
         out.push(m);
@@ -125,29 +124,17 @@ pub fn decode_fleet_eager(bytes: &[u8]) -> mfod_persist::Result<Vec<Matrix>> {
 }
 
 /// Stable content digest of a matrix (shape + `f64` bit patterns) for
-/// asserting bit-for-bit equality across decode tiers without holding
+/// asserting bit-for-bit equality across eager and lazy decodes without holding
 /// both copies.
 pub fn matrix_digest(m: &Matrix) -> u64 {
     hash_f64s(m.as_slice()) ^ ((m.nrows() as u64) << 32 | m.ncols() as u64)
 }
 
 /// Touches tenant `i` of an opened lazy fleet snapshot and returns its
-/// digest — the "borrowed tier" arm of eager-vs-lazy comparisons.
+/// digest — the lazy arm of eager-vs-lazy comparisons.
 pub fn lazy_tenant_digest(snap: &LazySnapshot<'_>, i: usize) -> mfod_persist::Result<u64> {
     let m: &Matrix = snap.section_value(tenant_section_id(i))?;
     Ok(matrix_digest(m))
-}
-
-/// The container magic/version this fixture emits — re-exported so
-/// tamper tests can assert they corrupt what they think they corrupt.
-pub fn header_fingerprint() -> (u32, [u8; 4]) {
-    (FORMAT_VERSION, MAGIC)
-}
-
-/// CRC-32 of the fleet bytes minus the trailer — handy for tamper
-/// fixtures that want to re-seal a deliberately corrupted payload.
-pub fn reseal_crc(bytes_without_trailer: &[u8]) -> u32 {
-    crc32(bytes_without_trailer)
 }
 
 #[cfg(test)]
@@ -168,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_tenant_digests_match_the_eager_tier() {
+    fn lazy_tenant_digests_match_the_eager_decode() {
         let config = TenantFleetConfig {
             tenants: 3,
             rows: 7,

@@ -58,17 +58,6 @@ pub trait MappingFunction: Send + Sync {
     }
 }
 
-/// Maps a whole batch of data onto the grid, producing one feature vector
-/// per sample — the matrix handed to the multivariate outlier detector in
-/// the paper's pipeline (Sec. 4.2).
-pub fn map_batch(
-    mapping: &dyn MappingFunction,
-    data: &[MultiFunctionalDatum],
-    grid: &Grid,
-) -> Result<Vec<Vec<f64>>> {
-    data.iter().map(|d| mapping.map(d, grid)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,15 +100,5 @@ mod tests {
         let bi = linear_mfd(2);
         let v = m.map(&bi, &Grid::uniform(0.0, 1.0, 5).unwrap()).unwrap();
         assert_eq!(v.len(), 5);
-    }
-
-    #[test]
-    fn map_batch_produces_one_row_per_sample() {
-        let m = FirstChannel;
-        let data = vec![linear_mfd(2), linear_mfd(3)];
-        let grid = Grid::uniform(0.0, 1.0, 4).unwrap();
-        let rows = map_batch(&m, &data, &grid).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.len() == 4));
     }
 }

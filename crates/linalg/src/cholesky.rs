@@ -165,37 +165,6 @@ impl Cholesky {
         }
     }
 
-    /// Solves `A X = B` column-by-column.
-    ///
-    /// # Panics
-    /// Panics if `b.nrows() != dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        assert_eq!(
-            b.nrows(),
-            self.dim(),
-            "cholesky solve_matrix dimension mismatch"
-        );
-        let mut out = Matrix::zeros(b.nrows(), b.ncols());
-        for j in 0..b.ncols() {
-            let col = b.col(j);
-            let x = self.solve(&col);
-            for i in 0..b.nrows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        out
-    }
-
-    /// Computes `A⁻¹` explicitly.
-    ///
-    /// Quadratic forms `bᵀA⁻¹b` (e.g. hat-matrix diagonals) are cheaper
-    /// and more stable via [`Cholesky::solve_lower`]:
-    /// `bᵀ(LLᵀ)⁻¹b = ‖L⁻¹b‖²`, one forward substitution instead of a full
-    /// O(n³) inverse.
-    pub fn inverse(&self) -> Matrix {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// Solves the lower-triangular half-system `L y = b` by forward
     /// substitution (`A = L Lᵀ`), in O(n²).
     ///
@@ -269,11 +238,6 @@ impl Cholesky {
         }
         y
     }
-
-    /// log-determinant of `A` (sum of `2 log L_ii`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| 2.0 * self.l[(i, i)].ln()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -290,6 +254,7 @@ mod tests {
 
     #[test]
     fn factor_known_matrix() {
+        let _guard = mfod_faultline::serial_guard();
         // Classic example: L = [[2,0,0],[6,1,0],[-8,5,3]]
         let c = Cholesky::new(&spd3()).unwrap();
         let l = c.factor();
@@ -303,6 +268,7 @@ mod tests {
 
     #[test]
     fn from_factor_roundtrip_and_validation() {
+        let _guard = mfod_faultline::serial_guard();
         let c = Cholesky::new(&spd3()).unwrap();
         let rebuilt = Cholesky::from_factor(c.factor().clone()).unwrap();
         let b = [1.0, -2.0, 0.5];
@@ -332,6 +298,7 @@ mod tests {
 
     #[test]
     fn reconstruction() {
+        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let l = c.factor();
@@ -341,6 +308,7 @@ mod tests {
 
     #[test]
     fn solve_roundtrip() {
+        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let x_true = [1.0, -2.0, 0.5];
@@ -352,16 +320,8 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let inv = c.inverse();
-        let prod = a.matmul(&inv);
-        assert!(prod.sub(&Matrix::identity(3)).max_abs() < 1e-9);
-    }
-
-    #[test]
     fn solve_lower_matches_quadratic_form() {
+        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         // L y = b by construction: L yᵀy = ‖L⁻¹b‖² = bᵀ A⁻¹ b
@@ -378,6 +338,7 @@ mod tests {
 
     #[test]
     fn rejects_non_spd() {
+        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert!(matches!(
             Cholesky::new(&a),
@@ -387,6 +348,7 @@ mod tests {
 
     #[test]
     fn rejects_rectangular_and_nan() {
+        let _guard = mfod_faultline::serial_guard();
         assert!(matches!(
             Cholesky::new(&Matrix::zeros(2, 3)),
             Err(LinalgError::NotSquare { .. })
@@ -397,6 +359,7 @@ mod tests {
 
     #[test]
     fn jitter_rescues_semidefinite() {
+        let _guard = mfod_faultline::serial_guard();
         // rank-1 matrix, positive semi-definite but singular
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         assert!(Cholesky::new(&a).is_err());
@@ -405,14 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_known_value() {
-        // det = (2*1*3)² = 36
-        let c = Cholesky::new(&spd3()).unwrap();
-        assert!((c.log_det() - 36.0_f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
     fn solve_lower_multi_is_bit_identical_to_columnwise() {
+        let _guard = mfod_faultline::serial_guard();
         let c = Cholesky::new(&spd3()).unwrap();
         // 5 columns exercise both the blocked width and odd shapes
         let b = Matrix::from_fn(3, 5, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
@@ -434,15 +391,5 @@ mod tests {
         let mut buf2 = Vec::new();
         c.solve_into(&b.col(1), &mut buf2);
         assert_eq!(buf2, c.solve(&b.col(1)));
-    }
-
-    #[test]
-    fn solve_matrix_matches_columnwise() {
-        let a = spd3();
-        let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let x = c.solve_matrix(&b);
-        let rec = a.matmul(&x);
-        assert!(rec.sub(&b).max_abs() < 1e-9);
     }
 }

@@ -25,13 +25,6 @@ pub enum LinalgError {
         /// Pivot index at which the breakdown occurred.
         pivot: usize,
     },
-    /// An iterative method failed to converge within its iteration budget.
-    NoConvergence {
-        /// Name of the algorithm.
-        algorithm: &'static str,
-        /// Number of iterations performed.
-        iterations: usize,
-    },
     /// A reconstructed factorization (e.g. restored from a snapshot) does
     /// not satisfy the factor's structural invariants.
     InvalidFactor {
@@ -61,15 +54,6 @@ impl fmt::Display for LinalgError {
                     "matrix is singular or not positive definite at pivot {pivot}"
                 )
             }
-            LinalgError::NoConvergence {
-                algorithm,
-                iterations,
-            } => {
-                write!(
-                    f,
-                    "{algorithm} did not converge after {iterations} iterations"
-                )
-            }
             LinalgError::InvalidFactor { reason } => {
                 write!(f, "invalid factorization factor: {reason}")
             }
@@ -87,6 +71,7 @@ mod tests {
 
     #[test]
     fn display_formats_are_informative() {
+        let _guard = mfod_faultline::serial_guard();
         let e = LinalgError::DimensionMismatch {
             op: "matmul",
             lhs: (2, 3),
@@ -98,11 +83,6 @@ mod tests {
         assert!(e.to_string().contains("square"));
         let e = LinalgError::Singular { pivot: 7 };
         assert!(e.to_string().contains('7'));
-        let e = LinalgError::NoConvergence {
-            algorithm: "jacobi",
-            iterations: 100,
-        };
-        assert!(e.to_string().contains("jacobi"));
         let e = LinalgError::InvalidFactor {
             reason: "not lower-triangular",
         };
@@ -113,6 +93,7 @@ mod tests {
 
     #[test]
     fn error_is_std_error() {
+        let _guard = mfod_faultline::serial_guard();
         fn assert_err<E: std::error::Error>(_: &E) {}
         assert_err(&LinalgError::Empty);
     }

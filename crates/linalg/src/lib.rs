@@ -6,13 +6,10 @@
 //! covariance manipulation for depth functions, and Gauss–Legendre
 //! quadrature for penalty matrices.
 //!
-//! The centerpiece is [`Matrix`], a row-major dense `f64` matrix with the
-//! factorizations used throughout the workspace:
-//!
-//! * [`cholesky::Cholesky`] — SPD solves for ridge/smoothing systems,
-//! * [`lu::Lu`] — general square solves, determinants and inverses,
-//! * [`qr::Qr`] — Householder QR for least squares,
-//! * [`eigen::jacobi_eigen`] — symmetric eigendecomposition (Jacobi).
+//! The centerpiece is [`Matrix`], a row-major dense `f64` matrix, with the
+//! one factorization the workspace uses: [`cholesky::Cholesky`], for the
+//! SPD solves of the ridge and smoothing systems. The work-stealing pool
+//! behind every parallel fan-out lives in [`par`].
 //!
 //! Free-function vector kernels (dot products, norms, robust statistics such
 //! as the median and the MAD) live in [`vector`]; Gauss–Legendre nodes in
@@ -37,21 +34,16 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cholesky;
-pub mod eigen;
 pub mod error;
-pub mod lu;
 pub mod matrix;
 pub mod par;
-pub mod qr;
 pub mod quadrature;
 pub mod shared;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use shared::{SharedF64s, SharedOwner};
 
 /// Workspace-wide `Result` alias for linear algebra operations.

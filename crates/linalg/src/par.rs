@@ -45,11 +45,9 @@
 //! The global pool's thread count is resolved once, at first use, with
 //! this precedence:
 //!
-//! 1. [`Pool::global_with_config`], when called before any other global
-//!    pool use (first initializer wins);
-//! 2. the `MFOD_THREADS` environment variable ([`THREADS_ENV`]), when set
+//! 1. the `MFOD_THREADS` environment variable ([`THREADS_ENV`]), when set
 //!    to a positive integer — malformed or zero values fall through;
-//! 3. [`max_threads`] (`available_parallelism`).
+//! 2. [`max_threads`] (`available_parallelism`).
 //!
 //! `MFOD_THREADS=1` turns every global-pool call site into the exact
 //! sequential loop. Every pool splits by [`DEFAULT_SPLIT`] unless
@@ -124,11 +122,9 @@ pub fn max_threads() -> usize {
 /// Thread count the global pool will be created with, resolving the
 /// sizing precedence (highest first):
 ///
-/// 1. an explicit [`Pool::global_with_config`] call that wins the
-///    first-use race (this function only covers the next two tiers);
-/// 2. the [`THREADS_ENV`] (`MFOD_THREADS`) environment variable, when set
+/// 1. the [`THREADS_ENV`] (`MFOD_THREADS`) environment variable, when set
 ///    to a positive integer — malformed or zero values are ignored;
-/// 3. [`max_threads`] (`available_parallelism`).
+/// 2. [`max_threads`] (`available_parallelism`).
 pub fn configured_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
@@ -180,7 +176,6 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 /// on first use with [`configured_threads`] threads (the `MFOD_THREADS`
 /// environment variable when set, `available_parallelism` otherwise) and
 /// the [`DEFAULT_SPLIT`] split factor.
-/// [`Pool::global_with_config`] can pin an explicit size before first use.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::with_threads(configured_threads()))
 }
@@ -289,11 +284,7 @@ impl Pool {
     /// The number of index-ordered sub-chunks a map over `n` items is
     /// pre-split into: `min(n, threads × split)` (0 for an empty range,
     /// 1 on a single-thread pool).
-    ///
-    /// Public so that callers which fold per-block partial results
-    /// *manually* (e.g. the projection-depth supremum) can match the
-    /// scheduler's granularity and inherit its straggler resistance.
-    pub fn task_chunks(&self, n: usize) -> usize {
+    fn task_chunks(&self, n: usize) -> usize {
         if n == 0 {
             return 0;
         }
@@ -301,20 +292,6 @@ impl Pool {
             return 1;
         }
         n.min(self.threads.saturating_mul(self.split))
-    }
-
-    /// Initializes the global pool with an explicit thread count,
-    /// returning the global pool either way.
-    ///
-    /// Sizing precedence: the **first** initializer of the global pool
-    /// wins, so a `global_with_config` call that runs before any
-    /// [`par_map`] / [`par_try_map`] / [`global`] use pins the size;
-    /// afterwards the request is ignored and the existing pool is
-    /// returned (check [`Pool::threads`] on the result). When the pool is
-    /// instead created lazily, the `MFOD_THREADS` environment variable
-    /// applies, then `available_parallelism` — see [`configured_threads`].
-    pub fn global_with_config(threads: usize) -> &'static Pool {
-        GLOBAL.get_or_init(|| Pool::with_threads(threads.max(1)))
     }
 
     /// Applies `f` to every index in `0..n`, collecting results in index
@@ -331,7 +308,7 @@ impl Pool {
     }
 
     /// Fallible [`Pool::map`] on the stealing scheduler: the range is
-    /// pre-split into [`Pool::task_chunks`] index-ordered sub-chunks that
+    /// pre-split into `min(n, threads × split)` index-ordered sub-chunks that
     /// idle threads steal from a shared deque. Reports the first error
     /// **in index order**. Running sub-chunks are not cancelled — every
     /// sub-chunk finishes before the error is returned, so error
@@ -632,6 +609,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_map() {
+        let _guard = mfod_faultline::serial_guard();
         for n in [0usize, 1, 2, 7, 64, 1000] {
             let seq: Vec<u64> = (0..n)
                 .map(|i| (i as u64).wrapping_mul(0x9E37) >> 3)
@@ -643,6 +621,7 @@ mod tests {
 
     #[test]
     fn error_propagates() {
+        let _guard = mfod_faultline::serial_guard();
         let r: Result<Vec<usize>, String> = par_try_map(100, |i| {
             if i == 63 {
                 Err(format!("boom {i}"))
@@ -657,6 +636,7 @@ mod tests {
 
     #[test]
     fn first_error_in_index_order_wins() {
+        let _guard = mfod_faultline::serial_guard();
         // Errors at indices 10 and 90 land in different sub-chunks on any
         // thread count; the reassembly order guarantees index 10 reports.
         let pool = Pool::with_threads(4);
@@ -672,6 +652,7 @@ mod tests {
 
     #[test]
     fn reports_at_least_one_thread() {
+        let _guard = mfod_faultline::serial_guard();
         assert!(max_threads() >= 1);
         assert!(configured_threads() >= 1);
         assert!(global().threads() >= 1);
@@ -680,6 +661,7 @@ mod tests {
 
     #[test]
     fn env_values_parse_leniently() {
+        let _guard = mfod_faultline::serial_guard();
         assert_eq!(positive_from_env("4"), Some(4));
         assert_eq!(positive_from_env(" 16 "), Some(16));
         assert_eq!(positive_from_env("1"), Some(1));
@@ -693,6 +675,7 @@ mod tests {
 
     #[test]
     fn task_chunks_is_a_pure_function_of_shape() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_config(4, 8);
         assert_eq!(pool.split(), 8);
         // capped by the item count…
@@ -709,17 +692,8 @@ mod tests {
     }
 
     #[test]
-    fn global_with_config_returns_the_one_global_pool() {
-        // Whoever initialized the global pool first (this call or an
-        // earlier lazy use), both handles must be the same pool.
-        let configured = Pool::global_with_config(3);
-        let lazy = global();
-        assert!(std::ptr::eq(configured, lazy));
-        assert!(configured.threads() >= 1);
-    }
-
-    #[test]
     fn explicit_pools_agree_with_each_other_and_sequential() {
+        let _guard = mfod_faultline::serial_guard();
         let work = |i: usize| ((i as f64) * 0.6180339887).sin().to_bits();
         let seq: Vec<u64> = (0..257).map(work).collect();
         for threads in [1usize, 2, 3, 8] {
@@ -733,6 +707,7 @@ mod tests {
 
     #[test]
     fn unbalanced_items_are_bit_identical_to_sequential() {
+        let _guard = mfod_faultline::serial_guard();
         // Exponential per-item cost: the last items dominate, exactly the
         // shape the stealing scheduler exists for. The *output* must not
         // care which thread stole what.
@@ -756,6 +731,7 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_many_calls() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         for round in 0..200usize {
             let out = pool.map(round % 37, |i| i * round);
@@ -765,6 +741,7 @@ mod tests {
 
     #[test]
     fn panic_payload_reaches_the_caller_and_pool_survives() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.map(64, |i| {
@@ -828,6 +805,7 @@ mod tests {
 
     #[test]
     fn earliest_chunk_failure_wins_across_kinds() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         // Error in an early sub-chunk beats a panic in a late one (that
         // is what a sequential loop would have hit first).
@@ -860,6 +838,7 @@ mod tests {
 
     #[test]
     fn sequential_path_panics_transparently() {
+        let _guard = mfod_faultline::serial_guard();
         // n < 2 runs inline; the panic must still carry the payload.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map(1, |_| -> usize { std::panic::panic_any(7usize) })
@@ -870,6 +849,7 @@ mod tests {
 
     #[test]
     fn nested_maps_on_the_same_pool_do_not_deadlock() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(2);
         let out = pool.map(4, |i| pool.map(4, move |j| i * 10 + j));
         let expected: Vec<Vec<usize>> = (0..4)
@@ -880,6 +860,7 @@ mod tests {
 
     #[test]
     fn global_functions_use_one_shared_pool() {
+        let _guard = mfod_faultline::serial_guard();
         // Nested global calls exercise the steal-while-waiting path on
         // the machine's real pool.
         let out = par_try_map(8, |i| {

@@ -179,16 +179,6 @@ impl FittedDepthBaseline {
     pub fn load(path: &Path) -> Result<FittedDepthBaseline> {
         mfod_persist::load::<DepthBaselineSnapshot>(path)?.restore()
     }
-
-    /// Loads a baseline by memory-mapping the snapshot file: identical
-    /// validation and bit-identical scores to
-    /// [`FittedDepthBaseline::load`], with the training-reference sample
-    /// matrices served zero-copy out of the mapping where alignment
-    /// allows. The restored baseline owns the keep-alive handles, so the
-    /// mapping lives exactly as long as its views.
-    pub fn load_mapped(path: &Path) -> Result<FittedDepthBaseline> {
-        mfod_persist::load_mapped::<DepthBaselineSnapshot>(path)?.restore()
-    }
 }
 
 /// The on-disk form of a [`FittedDepthBaseline`]: the scorer's constructor

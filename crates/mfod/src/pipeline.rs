@@ -239,23 +239,18 @@ impl GeomOutlierPipeline {
     }
 
     /// Smooths and maps a batch into the *raw* (untransformed) feature
-    /// matrix: row `i` is the mapped UFD of sample `i` on the common grid.
+    /// matrix on `pool`: row `i` is the mapped UFD of sample `i` on the
+    /// common grid.
     ///
     /// All samples must share the same observation domain (the paper's
-    /// setting: a common interval `T`). Runs on the global worker pool;
-    /// see [`GeomOutlierPipeline::raw_features_on`].
-    pub fn raw_features(&self, samples: &[RawSample]) -> Result<Matrix> {
-        self.raw_features_on(par::global(), samples)
-    }
-
-    /// [`GeomOutlierPipeline::raw_features`] on an explicit worker pool.
+    /// setting: a common interval `T`).
     pub fn raw_features_on(&self, pool: &Pool, samples: &[RawSample]) -> Result<Matrix> {
         Ok(self.raw_features_votes_on(pool, samples)?.0)
     }
 
-    /// Like [`GeomOutlierPipeline::raw_features`] with the configured
-    /// [`FeatureTransform`] applied (the winsorize cap, if any, comes from
-    /// this same batch).
+    /// Like [`GeomOutlierPipeline::raw_features_on`] on the global worker
+    /// pool, with the configured [`FeatureTransform`] applied (the
+    /// winsorize cap, if any, comes from this same batch).
     pub fn features(&self, samples: &[RawSample]) -> Result<Matrix> {
         self.features_on(par::global(), samples)
     }
@@ -794,7 +789,7 @@ mod tests {
         }
         samples[4] = RawSample::new(warped, samples[4].channels.clone()).unwrap();
         let p = fast_pipeline();
-        let planned = p.raw_features(&samples).unwrap();
+        let planned = p.raw_features_on(par::global(), &samples).unwrap();
         // hand-rolled unplanned reference loop
         let (a, b) = samples[0].domain();
         let grid = Grid::uniform(a, b, p.config().grid_len).unwrap();
@@ -838,7 +833,7 @@ mod tests {
         let p = fast_pipeline();
         assert!(matches!(p.fit(&samples), Err(MfodError::Pipeline(_))));
         assert!(matches!(
-            p.raw_features(&samples),
+            p.raw_features_on(par::global(), &samples),
             Err(MfodError::Pipeline(_))
         ));
     }

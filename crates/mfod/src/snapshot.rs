@@ -246,16 +246,6 @@ impl FittedPipeline {
     pub fn load(path: &Path) -> Result<FittedPipeline> {
         mfod_persist::load::<PipelineSnapshot>(path)?.restore()
     }
-
-    /// Loads a pipeline by memory-mapping the snapshot file: identical
-    /// validation and bit-identical scores to [`FittedPipeline::load`],
-    /// with large matrix payloads (detector weights, smoothing systems)
-    /// served zero-copy out of the mapping instead of copied at install.
-    /// The restored pipeline owns the keep-alive handles, so the mapping
-    /// lives exactly as long as the pipeline's views into it.
-    pub fn load_mapped(path: &Path) -> Result<FittedPipeline> {
-        mfod_persist::load_mapped::<PipelineSnapshot>(path)?.restore()
-    }
 }
 
 /// The on-disk form of a [`FittedMappingEnsemble`]
@@ -343,13 +333,6 @@ impl FittedMappingEnsemble {
     pub fn load(path: &Path) -> Result<FittedMappingEnsemble> {
         mfod_persist::load::<EnsembleSnapshot>(path)?.restore()
     }
-
-    /// Loads an ensemble by memory-mapping the snapshot file — the
-    /// zero-copy twin of [`FittedMappingEnsemble::load`]; see
-    /// [`FittedPipeline::load_mapped`].
-    pub fn load_mapped(path: &Path) -> Result<FittedMappingEnsemble> {
-        mfod_persist::load_mapped::<EnsembleSnapshot>(path)?.restore()
-    }
 }
 
 #[cfg(test)]
@@ -434,6 +417,13 @@ mod tests {
         w.finish()
     }
 
+    /// Restores a pipeline through the mapped zero-copy reader, the way
+    /// `ModelRegistry::install_mapped` does.
+    fn load_from_map(path: &Path) -> Result<FittedPipeline> {
+        let shared = mfod_persist::SharedBytes::map(path)?;
+        mfod_persist::from_shared::<PipelineSnapshot>(&shared)?.restore()
+    }
+
     fn is_retired_kind<T>(r: Result<T>) -> bool {
         matches!(
             r,
@@ -493,7 +483,7 @@ mod tests {
         let path = dir.join("pipeline.mfod");
         pipeline.save(&path).unwrap();
         let eager = FittedPipeline::load(&path).unwrap();
-        let mapped = FittedPipeline::load_mapped(&path).unwrap();
+        let mapped = load_from_map(&path).unwrap();
         // The restored model keeps the mapping alive on its own: deleting
         // the file (and its directory) must not invalidate borrowed state.
         std::fs::remove_dir_all(&dir).unwrap();
@@ -513,7 +503,7 @@ mod tests {
         let p2 = fs_path.join("retired.mfod");
         mfod_persist::save_bytes(&p2, &retired_kind_2_bytes(&pipeline, &data.samples()[0].t))
             .unwrap();
-        assert!(is_retired_kind(FittedPipeline::load_mapped(&p2)));
+        assert!(is_retired_kind(load_from_map(&p2)));
         assert!(is_retired_kind(FittedPipeline::load(&p2)));
         std::fs::remove_dir_all(&fs_path).unwrap();
     }

@@ -88,10 +88,12 @@ pub struct Metrics {
     /// validate + decode + swap, excluding file discovery).
     pub registry_install_time: Histogram,
 
-    // -- Snapshot decode tiers (mfod_persist) -------------------------
-    /// Sections decoded through the eager owned tier.
+    // -- Snapshot decode (mfod_persist) -------------------------------
+    /// Sections handed out whole by `LazySnapshot::section`: every
+    /// `from_bytes`/`from_shared` body decode and every eager walk.
     pub persist_sections_eager: Counter,
-    /// Sections decoded lazily on first touch.
+    /// Sections decoded and memoized on first touch by
+    /// `LazySnapshot::section_value`.
     pub persist_sections_lazy: Counter,
     /// Nanoseconds per lazy first-touch section decode.
     pub persist_first_touch: Histogram,
@@ -465,7 +467,7 @@ pub struct RegistrySnapshot {
     pub install_time: HistogramSnapshot,
 }
 
-/// Snapshot-decode-tier snapshot (`mfod-persist`).
+/// Snapshot-decode snapshot (`mfod-persist`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PersistSnapshot {
     pub sections_eager: u64,
@@ -476,7 +478,7 @@ pub struct PersistSnapshot {
 
 impl PersistSnapshot {
     /// Share of section decodes deferred to first touch (`None` until a
-    /// section was decoded through either tier).
+    /// section was decoded either way).
     pub fn lazy_share(&self) -> Option<f64> {
         let total = self.sections_eager + self.sections_lazy;
         (total > 0).then(|| self.sections_lazy as f64 / total as f64)

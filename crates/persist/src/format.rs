@@ -19,9 +19,16 @@
 //! against the payload bounds before any section is handed to a decoder.
 //! Table offsets are authoritative, so the inter-section alignment gaps
 //! are invisible to readers (they are covered by the CRC); they exist so
-//! `f64` runs inside a mapped file land 8-byte aligned and the zero-copy
-//! decode tier ([`LazySnapshot`], [`from_shared`]) can serve matrix
-//! payloads in place.
+//! `f64` runs inside a mapped file land 8-byte aligned and a container
+//! opened over the mapping ([`LazySnapshot::open_shared`],
+//! [`from_shared`]) can serve matrix payloads in place.
+//!
+//! ## One reader
+//!
+//! [`LazySnapshot`] is the only container reader. [`from_bytes`] (and
+//! [`load`], which reads the file first) opens it over owned bytes,
+//! [`from_shared`] over a [`SharedBytes`] mapping; after the open both
+//! run the same body decode: kind check, decode, exact consumption.
 //!
 //! ## Versioning policy
 //!
@@ -254,8 +261,8 @@ impl SnapshotWriter {
     ///
     /// Each section body is padded to start at a **file offset that is a
     /// multiple of 8**, so that `f64` runs inside a section land 8-byte
-    /// aligned in a mapped file and the zero-copy decode tier can serve
-    /// them in place. The padding is deterministic zero bytes living in
+    /// aligned in a mapped file and a mapped open can serve them in
+    /// place. The padding is deterministic zero bytes living in
     /// the gaps *between* table-addressed sections — readers never see it
     /// (table offsets are authoritative), the CRC covers it, and files
     /// remain readable by any [`FORMAT_VERSION`] 1 reader, so this is
@@ -290,19 +297,53 @@ impl SnapshotWriter {
     }
 }
 
-/// Parsed view over a snapshot byte buffer with the header, CRC and
-/// section bounds already validated.
+/// The one container reader: validated once, decoded on touch.
+///
+/// Opening validates magic, CRC, version and section-table bounds
+/// **once** over the whole byte slice — O(file) for the checksum scan
+/// and nothing else — and after that no decoding happens until a section
+/// is touched. A tampered section that is *never* touched is still
+/// rejected up front by the CRC gate, and a touched one fails with a
+/// typed error (decode failures are never cached — every touch of a
+/// corrupt section re-fails identically).
+///
+/// Opened over caller-held bytes ([`LazySnapshot::open`]) every decode
+/// copies; opened over a [`SharedBytes`] owner
+/// ([`LazySnapshot::open_shared`], typically a mapped file), section
+/// decoders are owner-aware, so `Matrix` payloads decode as zero-copy
+/// views into the map. [`from_bytes`] and [`from_shared`] are the two
+/// opens followed by one body decode.
+///
+/// A section is touched either whole through [`LazySnapshot::section`]
+/// (counted as `persist_sections_eager`) or memoized through
+/// [`LazySnapshot::section_value`] (counted as `persist_sections_lazy`),
+/// which pays the decode once per section.
 #[derive(Debug)]
-pub struct SnapshotReader<'a> {
+pub struct LazySnapshot<'a> {
     kind: u32,
     version: u32,
     /// `(id, body)` in file order.
     sections: Vec<(u32, &'a [u8])>,
+    shared: Option<&'a SharedBytes>,
+    cells: Vec<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
-impl<'a> SnapshotReader<'a> {
-    /// Validates magic, version, CRC and section bounds.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+impl<'a> LazySnapshot<'a> {
+    /// Opens a container over caller-held bytes (CRC, magic, version and
+    /// table validated now; sections decoded on touch).
+    pub fn open(bytes: &'a [u8]) -> Result<Self> {
+        Self::parse(bytes, None)
+    }
+
+    /// Opens a container over owner-pinned bytes (a mapped snapshot
+    /// file): same validation as [`LazySnapshot::open`], plus zero-copy
+    /// matrix payloads in every section.
+    pub fn open_shared(shared: &'a SharedBytes) -> Result<Self> {
+        Self::parse(shared.as_slice(), Some(shared))
+    }
+
+    /// Validates magic, CRC, version and section bounds.
+    fn parse(bytes: &'a [u8], shared: Option<&'a SharedBytes>) -> Result<Self> {
         // trailer first: without an intact CRC nothing else is trusted
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PersistError::Truncated {
@@ -366,10 +407,12 @@ impl<'a> SnapshotReader<'a> {
             }
             sections.push((id, &payload[offset..end]));
         }
-        Ok(SnapshotReader {
+        Ok(LazySnapshot {
             kind,
             version,
+            cells: (0..sections.len()).map(|_| OnceLock::new()).collect(),
             sections,
+            shared,
         })
     }
 
@@ -388,150 +431,43 @@ impl<'a> SnapshotReader<'a> {
         self.sections.iter().map(|&(id, _)| id).collect()
     }
 
-    /// Decoder over a required section's body.
-    pub fn section(&self, id: u32) -> Result<Decoder<'a>> {
-        self.sections
-            .iter()
-            .find(|&&(sid, _)| sid == id)
-            .map(|&(_, body)| {
-                if let Some(m) = mfod_obs::active() {
-                    m.persist_sections_eager.add(1);
-                }
-                Decoder::new(body)
-            })
-            .ok_or(PersistError::MissingSection { id })
-    }
-}
-
-/// A validated-once, decode-on-touch view over a snapshot container.
-///
-/// Opening validates magic, version, section-table bounds and the CRC
-/// **once** over the whole byte slice — O(file) for the checksum scan
-/// and nothing else — and after that no decoding happens until a section
-/// is touched. This is the integrity contract of the lazy tier: a
-/// tampered section that is *never* touched is still rejected up front
-/// by the CRC gate, and a touched one fails with the same typed error
-/// the eager path produces (decode failures are never cached — every
-/// touch of a corrupt section re-fails identically).
-///
-/// Opened over a [`SharedBytes`] owner ([`LazySnapshot::open_shared`],
-/// typically a mapped file), section decoders are owner-aware, so
-/// `Matrix` payloads decode as zero-copy views into the map;
-/// [`LazySnapshot::shared_section`] additionally hands out owner-pinned
-/// section bytes for `'static` consumers ([`crate::map::LazySection`]).
-///
-/// [`LazySnapshot::section_value`] memoizes successful decodes, so
-/// repeated touches of one section pay the decode once.
-#[derive(Debug)]
-pub struct LazySnapshot<'a> {
-    reader: SnapshotReader<'a>,
-    shared: Option<&'a SharedBytes>,
-    base: usize,
-    cells: Vec<OnceLock<Box<dyn Any + Send + Sync>>>,
-}
-
-impl<'a> LazySnapshot<'a> {
-    /// Opens a container over caller-held bytes (CRC, magic, version and
-    /// table validated now; sections decoded on touch).
-    pub fn open(bytes: &'a [u8]) -> Result<Self> {
-        let reader = SnapshotReader::parse(bytes)?;
-        let cells = (0..reader.sections.len())
-            .map(|_| OnceLock::new())
-            .collect();
-        Ok(LazySnapshot {
-            reader,
-            shared: None,
-            base: bytes.as_ptr() as usize,
-            cells,
-        })
-    }
-
-    /// Opens a container over owner-pinned bytes (a mapped snapshot
-    /// file): same validation as [`LazySnapshot::open`], plus the
-    /// zero-copy decode tier for every section.
-    pub fn open_shared(shared: &'a SharedBytes) -> Result<Self> {
-        let reader = SnapshotReader::parse(shared.as_slice())?;
-        let cells = (0..reader.sections.len())
-            .map(|_| OnceLock::new())
-            .collect();
-        Ok(LazySnapshot {
-            reader,
-            shared: Some(shared),
-            base: shared.as_slice().as_ptr() as usize,
-            cells,
-        })
-    }
-
-    /// Artifact kind from the header.
-    pub fn kind(&self) -> u32 {
-        self.reader.kind()
-    }
-
-    /// Container version the file was written with.
-    pub fn version(&self) -> u32 {
-        self.reader.version()
-    }
-
-    /// Ids of every section present, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.reader.section_ids()
-    }
-
-    /// Whether a section with this id is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.reader.sections.iter().any(|&(sid, _)| sid == id)
-    }
-
-    fn find(&self, id: u32) -> Result<(usize, &'a [u8])> {
-        self.reader
+    /// Index and owner-aware decoder of a required section.
+    fn find(&self, id: u32) -> Result<(usize, Decoder<'a>)> {
+        let idx = self
             .sections
             .iter()
             .position(|&(sid, _)| sid == id)
-            .map(|idx| (idx, self.reader.sections[idx].1))
-            .ok_or(PersistError::MissingSection { id })
-    }
-
-    /// A required section's raw bytes.
-    pub fn section_bytes(&self, id: u32) -> Result<&'a [u8]> {
-        Ok(self.find(id)?.1)
+            .ok_or(PersistError::MissingSection { id })?;
+        let body = self.sections[idx].1;
+        let dec = match self.shared {
+            Some(owner) => Decoder::with_owner(body, owner),
+            None => Decoder::new(body),
+        };
+        Ok((idx, dec))
     }
 
     /// Decoder over a required section's body — owner-aware (zero-copy
     /// capable) when the container was opened over [`SharedBytes`].
     pub fn section(&self, id: u32) -> Result<Decoder<'a>> {
-        let (_, body) = self.find(id)?;
-        Ok(match self.shared {
-            Some(owner) => Decoder::with_owner(body, owner),
-            None => Decoder::new(body),
-        })
-    }
-
-    /// A required section's bytes as an owner-pinned [`SharedBytes`]
-    /// sub-view — the handle to hand to [`crate::map::LazySection`] for
-    /// `'static` first-touch decoding. Requires the container to have
-    /// been opened via [`LazySnapshot::open_shared`].
-    pub fn shared_section(&self, id: u32) -> Result<SharedBytes> {
-        let (_, body) = self.find(id)?;
-        let owner = self.shared.ok_or_else(|| {
-            PersistError::Malformed("shared_section on a container opened without an owner".into())
-        })?;
-        let start = body.as_ptr() as usize - self.base;
-        Ok(owner.slice(start..start + body.len()))
+        let (_, dec) = self.find(id)?;
+        if let Some(m) = mfod_obs::active() {
+            m.persist_sections_eager.add(1);
+        }
+        Ok(dec)
     }
 
     /// Decodes a required section on first touch and memoizes the
     /// result; later calls return the cached value without re-decoding.
     /// Only successes are cached: a corrupt section fails with the same
-    /// typed error on every touch, exactly like the eager path.
+    /// typed error on every touch.
     ///
     /// The decoder must consume the section exactly (trailing bytes are
     /// corruption). Requesting the same section as two different types
     /// is a caller bug and reported as [`PersistError::Malformed`].
     pub fn section_value<T: Decode + Send + Sync + 'static>(&self, id: u32) -> Result<&T> {
-        let (idx, _) = self.find(id)?;
+        let (idx, mut dec) = self.find(id)?;
         if self.cells[idx].get().is_none() {
             let started = mfod_obs::active().map(|_| std::time::Instant::now());
-            let mut dec = self.section(id)?;
             let value = T::decode(&mut dec)?;
             dec.finish()?;
             if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
@@ -549,6 +485,21 @@ impl<'a> LazySnapshot<'a> {
                 PersistError::Malformed(format!("section {id} touched as two different types"))
             })
     }
+
+    /// The body of a [`to_bytes`]-shaped snapshot: artifact kind, body
+    /// decode, exact consumption.
+    fn decode_body<T: Snapshot>(&self) -> Result<T> {
+        if self.kind != T::KIND {
+            return Err(PersistError::WrongKind {
+                got: self.kind,
+                expected: T::KIND,
+            });
+        }
+        let mut dec = self.section(SECTION_BODY)?;
+        let value = T::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(value)
+    }
 }
 
 /// Encodes `value` into a complete single-section snapshot byte buffer.
@@ -561,17 +512,7 @@ pub fn to_bytes<T: Snapshot>(value: &T) -> Vec<u8> {
 /// Decodes a [`to_bytes`]-shaped snapshot, validating container
 /// integrity, artifact kind and exact body consumption.
 pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
-    let reader = SnapshotReader::parse(bytes)?;
-    if reader.kind() != T::KIND {
-        return Err(PersistError::WrongKind {
-            got: reader.kind(),
-            expected: T::KIND,
-        });
-    }
-    let mut dec = reader.section(SECTION_BODY)?;
-    let value = T::decode(&mut dec)?;
-    dec.finish()?;
-    Ok(value)
+    LazySnapshot::open(bytes)?.decode_body()
 }
 
 /// [`from_bytes`] over owner-pinned bytes: identical validation and
@@ -582,27 +523,7 @@ pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
 /// can outlive both `shared` and the call stack (e.g. live inside a
 /// `ModelRegistry` entry).
 pub fn from_shared<T: Snapshot>(shared: &SharedBytes) -> Result<T> {
-    let snap = LazySnapshot::open_shared(shared)?;
-    if snap.kind() != T::KIND {
-        return Err(PersistError::WrongKind {
-            got: snap.kind(),
-            expected: T::KIND,
-        });
-    }
-    let mut dec = snap.section(SECTION_BODY)?;
-    let value = T::decode(&mut dec)?;
-    dec.finish()?;
-    Ok(value)
-}
-
-/// Loads a snapshot by memory-mapping the file ([`SharedBytes::map`])
-/// and decoding through the zero-copy tier ([`from_shared`]): install
-/// cost is header + table + CRC validation plus structural decode, with
-/// large `f64` payloads served straight from the page cache instead of
-/// copied. The mapping stays alive as long as any decoded view does.
-pub fn load_mapped<T: Snapshot>(path: &Path) -> Result<T> {
-    let shared = SharedBytes::map(path)?;
-    from_shared(&shared)
+    LazySnapshot::open_shared(shared)?.decode_body()
 }
 
 /// Infix every writer-unique temp file carries between the original file
@@ -730,6 +651,7 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
+        let _guard = mfod_faultline::serial_guard();
         // standard check value for "123456789"
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
@@ -741,6 +663,7 @@ mod tests {
     /// multiples of the 16-byte block or the three-way split.
     #[test]
     fn crc32_interleaved_matches_reference() {
+        let _guard = mfod_faultline::serial_guard();
         fn reference(bytes: &[u8]) -> u32 {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in bytes {
@@ -777,6 +700,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reencode_identical() {
+        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let back: Blob = from_bytes(&bytes).unwrap();
@@ -789,6 +713,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let mut bytes = to_bytes(&blob());
         bytes[0] = b'X';
         assert!(matches!(
@@ -799,6 +724,7 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let mut bytes = to_bytes(&blob());
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         // fix the CRC so the version check (not the checksum) fires
@@ -813,6 +739,7 @@ mod tests {
 
     #[test]
     fn wrong_kind_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         #[derive(Debug)]
         struct Other;
         impl Encode for Other {
@@ -836,6 +763,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_caught() {
+        let _guard = mfod_faultline::serial_guard();
         let bytes = to_bytes(&blob());
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
@@ -849,6 +777,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_typed() {
+        let _guard = mfod_faultline::serial_guard();
         let bytes = to_bytes(&blob());
         for n in 0..bytes.len() {
             assert!(
@@ -860,19 +789,21 @@ mod tests {
 
     #[test]
     fn missing_section_is_typed() {
+        let _guard = mfod_faultline::serial_guard();
         let w = SnapshotWriter::new(Blob::KIND);
         let bytes = w.finish(); // zero sections
-        let reader = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(reader.version(), FORMAT_VERSION);
-        assert!(reader.section_ids().is_empty());
+        let snap = LazySnapshot::open(&bytes).unwrap();
+        assert_eq!(snap.version(), FORMAT_VERSION);
+        assert!(snap.section_ids().is_empty());
         assert!(matches!(
-            reader.section(SECTION_BODY),
+            snap.section(SECTION_BODY),
             Err(PersistError::MissingSection { id: SECTION_BODY })
         ));
     }
 
     #[test]
     fn unknown_extra_sections_are_ignored() {
+        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let mut w = SnapshotWriter::new(Blob::KIND);
         w.section(SECTION_BODY, |enc| b.encode(enc));
@@ -884,6 +815,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_bitwise_reference() {
+        let _guard = mfod_faultline::serial_guard();
         fn reference(bytes: &[u8]) -> u32 {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in bytes {
@@ -909,12 +841,13 @@ mod tests {
 
     #[test]
     fn sections_start_at_8_aligned_file_offsets() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = SnapshotWriter::new(7);
         w.section(1, |enc| enc.put_u8(0xAA)); // odd length forces padding
         w.section(2, |enc| enc.put_u64(0xDEAD_BEEF));
         w.section(3, |enc| enc.put_bytes(&[1, 2, 3]));
         let bytes = w.finish();
-        let reader = SnapshotReader::parse(&bytes).unwrap();
+        let snap = LazySnapshot::open(&bytes).unwrap();
         let payload_base = 16 + 20 * 3;
         let mut r = Decoder::new(&bytes[16..payload_base]);
         for expect_id in [1u32, 2, 3] {
@@ -926,18 +859,17 @@ mod tests {
             assert!(len > 0);
         }
         // padding is invisible to section readers
-        assert_eq!(reader.section(2).unwrap().take_u64().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(snap.section(2).unwrap().take_u64().unwrap(), 0xDEAD_BEEF);
     }
 
     #[test]
     fn lazy_snapshot_decodes_on_touch_and_memoizes() {
+        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let snap = LazySnapshot::open(&bytes).unwrap();
         assert_eq!(snap.kind(), Blob::KIND);
         assert_eq!(snap.version(), FORMAT_VERSION);
-        assert!(snap.has_section(SECTION_BODY));
-        assert!(!snap.has_section(0xFFFF));
         assert_eq!(snap.section_ids(), vec![SECTION_BODY]);
 
         let first = snap.section_value::<Blob>(SECTION_BODY).unwrap();
@@ -960,6 +892,7 @@ mod tests {
 
     #[test]
     fn lazy_and_eager_paths_are_bit_identical() {
+        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let eager: Blob = from_bytes(&bytes).unwrap();
@@ -977,6 +910,7 @@ mod tests {
 
     #[test]
     fn mapped_decode_serves_matrices_zero_copy() {
+        let _guard = mfod_faultline::serial_guard();
         #[derive(Debug)]
         struct Weights {
             m: mfod_linalg::Matrix,
@@ -1007,7 +941,7 @@ mod tests {
 
         let eager: Weights = load(&path).unwrap();
         assert!(!eager.m.is_borrowed());
-        let mapped: Weights = load_mapped(&path).unwrap();
+        let mapped: Weights = from_shared(&SharedBytes::map(&path).unwrap()).unwrap();
         assert!(
             mapped.m.is_borrowed(),
             "aligned matrix payload must be served from the map"
@@ -1023,6 +957,7 @@ mod tests {
 
     #[test]
     fn tampering_is_caught_at_open_even_if_never_touched() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = SnapshotWriter::new(9);
         w.section(1, |enc| enc.put_u64(1));
         w.section(2, |enc| enc.put_u64(2));
@@ -1039,6 +974,7 @@ mod tests {
 
     #[test]
     fn touched_corruption_fails_typed_like_the_eager_path() {
+        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let mut w = SnapshotWriter::new(Blob::KIND);
         // a body section that lies about its vec length
@@ -1063,6 +999,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_typed_on_io_error() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blob.mfod");
@@ -1088,6 +1025,7 @@ mod tests {
 
     #[test]
     fn concurrent_savers_to_one_path_never_clobber_each_other() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("contended.mfod");
@@ -1124,7 +1062,7 @@ mod tests {
             on_disk.len()
         );
         // and the winner still parses as a valid snapshot
-        SnapshotReader::parse(&on_disk).unwrap();
+        LazySnapshot::open(&on_disk).unwrap();
         let strays: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -12,7 +12,10 @@
 //!   allocation, so untrusted bytes produce typed errors, never panics.
 //! * [`mod@format`] — the container: `MFOD` magic, format version, artifact
 //!   kind, section table, CRC-32 trailer ([`Snapshot`],
-//!   [`to_bytes`]/[`from_bytes`], atomic [`save`]/[`load`]).
+//!   [`to_bytes`]/[`from_bytes`], atomic [`save`]/[`load`]). One reader,
+//!   [`LazySnapshot`], opens every container, over owned bytes or over a
+//!   memory-mapped file ([`map`], [`from_shared`]) whose matrix payloads
+//!   then decode as zero-copy views.
 //! * [`registry`] — [`ModelRegistry`]: atomic hot-swap of the active
 //!   `Arc<T>` under live traffic, and a watcher thread that serves what a
 //!   model store's deployment log commits ([`Restorable`] bridges decoded
@@ -66,19 +69,19 @@ pub mod wire;
 
 pub use error::PersistError;
 pub use format::{
-    crc32, from_bytes, from_shared, load, load_mapped, save, save_bytes, to_bytes, LazySnapshot,
-    Snapshot, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
+    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, LazySnapshot, Snapshot,
+    SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
 pub use hash::{fnv1a64, hash_f64s, Fnv1a};
 pub use manifest::{Manifest, ManifestEntry};
-pub use map::{LazySection, SharedBytes};
+pub use map::SharedBytes;
 pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
 pub use store::{
     fsck_dir, generation_file, FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport,
     DEPLOY_LOG_FILE, QUARANTINE_DIR,
 };
 pub use wal::{append_record, replay, LogRecord, Replay, TornTail};
-pub use wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};
+pub use wire::{Decode, Decoder, Encode, Encoder};
 
 /// Crate-wide `Result` alias.
 pub type Result<T> = std::result::Result<T, PersistError>;
@@ -87,14 +90,14 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 pub mod prelude {
     pub use crate::error::PersistError;
     pub use crate::format::{
-        from_bytes, from_shared, load, load_mapped, save, to_bytes, LazySnapshot, Snapshot,
+        from_bytes, from_shared, load, save, to_bytes, LazySnapshot, Snapshot,
     };
     pub use crate::hash::{fnv1a64, hash_f64s, Fnv1a};
     pub use crate::manifest::{Manifest, ManifestEntry};
-    pub use crate::map::{LazySection, SharedBytes};
+    pub use crate::map::SharedBytes;
     pub use crate::registry::{
         ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
     };
     pub use crate::store::{FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport};
-    pub use crate::wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};
+    pub use crate::wire::{Decode, Decoder, Encode, Encoder};
 }

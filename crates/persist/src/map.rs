@@ -1,14 +1,16 @@
 //! Memory-mapped snapshot bytes and the owner-pinned [`SharedBytes`]
-//! buffer behind the zero-copy decode tier.
+//! buffer a container is opened over for zero-copy decoding
+//! ([`crate::format::LazySnapshot::open_shared`],
+//! [`crate::format::from_shared`]).
 //!
 //! A [`SharedBytes`] is a read-only byte view kept alive by a
 //! reference-counted owner — on unix a real `mmap(2)` of the snapshot
-//! file (direct `extern "C"` FFI; no registry crates are reachable in
-//! this environment), elsewhere an 8-aligned heap copy of the file.
-//! Sub-views ([`SharedBytes::slice`]) and decoded [`SharedF64s`] matrix
-//! payloads all hold clones of the owner `Arc`, so the mapping cannot be
-//! unmapped while anything still points into it: a `ModelRegistry` entry
-//! whose matrices borrow the map keeps the map alive by itself.
+//! file (direct `extern "C"` FFI, no third-party crate), elsewhere an
+//! 8-aligned heap copy of the file.
+//! Decoded [`SharedF64s`] matrix payloads hold clones of the owner `Arc`,
+//! so the mapping cannot be unmapped while anything still points into
+//! it: a `ModelRegistry` entry whose matrices borrow the map keeps the
+//! map alive by itself.
 //!
 //! ## Safety argument
 //!
@@ -31,16 +33,14 @@
 //! processes is lost.
 
 use crate::error::PersistError;
-use crate::wire::Decoder;
 use crate::Result;
 use mfod_linalg::{SharedF64s, SharedOwner};
-use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A read-only byte buffer pinned by a reference-counted owner: a mapped
-/// snapshot file or an aligned heap copy. Cloning and slicing are O(1)
-/// and never copy the payload.
+/// snapshot file or an aligned heap copy. Cloning is O(1) and never
+/// copies the payload.
 #[derive(Clone)]
 pub struct SharedBytes {
     owner: SharedOwner,
@@ -131,25 +131,6 @@ impl SharedBytes {
         self.len == 0
     }
 
-    /// A sub-view over `range`, sharing the same owner (no copy).
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "slice {range:?} out of bounds for {} shared bytes",
-            self.len
-        );
-        SharedBytes {
-            owner: Arc::clone(&self.owner),
-            // SAFETY: start <= len, so the offset stays inside (or one
-            // past) the owned allocation.
-            ptr: unsafe { self.ptr.add(range.start) },
-            len: range.end - range.start,
-        }
-    }
-
     /// A clone of the keep-alive owner handle, for building views
     /// (e.g. [`SharedF64s`]) that must pin this memory themselves.
     pub fn owner_handle(&self) -> SharedOwner {
@@ -185,58 +166,6 @@ impl std::fmt::Debug for SharedBytes {
         f.debug_struct("SharedBytes")
             .field("len", &self.len)
             .finish()
-    }
-}
-
-/// An owner-tier lazy section: raw mapped bytes plus a memoized decoded
-/// value, for `'static` consumers (registry entries, fixtures) that hold
-/// sections across call stacks. The first successful [`LazySection::touch`]
-/// decodes and caches; later touches return the cached value. A failed
-/// decode is **not** cached: every touch of a corrupt section re-fails
-/// with the same typed error the eager path produces.
-#[derive(Debug)]
-pub struct LazySection<T> {
-    bytes: SharedBytes,
-    cell: OnceLock<T>,
-}
-
-impl<T> LazySection<T> {
-    /// Wraps a section's raw bytes (see
-    /// [`crate::format::LazySnapshot::shared_section`]).
-    pub fn new(bytes: SharedBytes) -> Self {
-        LazySection {
-            bytes,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The raw section bytes.
-    pub fn raw(&self) -> &SharedBytes {
-        &self.bytes
-    }
-
-    /// The decoded value, if some touch already succeeded.
-    pub fn get(&self) -> Option<&T> {
-        self.cell.get()
-    }
-
-    /// Decodes on first touch via `f` (over an owner-aware decoder, so
-    /// matrix payloads stay zero-copy) and memoizes the success. Under a
-    /// concurrent first touch both threads decode and one result wins —
-    /// decoding is pure, so this only costs duplicated work.
-    pub fn touch(&self, f: impl FnOnce(&mut Decoder<'_>) -> Result<T>) -> Result<&T> {
-        if let Some(v) = self.cell.get() {
-            return Ok(v);
-        }
-        let started = mfod_obs::active().map(|_| std::time::Instant::now());
-        let mut dec = Decoder::over_shared(&self.bytes);
-        let v = f(&mut dec)?;
-        dec.finish()?;
-        if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
-            m.persist_sections_lazy.add(1);
-            m.persist_first_touch.record(t.elapsed().as_nanos() as u64);
-        }
-        Ok(self.cell.get_or_init(|| v))
     }
 }
 
@@ -341,6 +270,7 @@ mod tests {
 
     #[test]
     fn from_vec_is_aligned_and_faithful() {
+        let _guard = mfod_faultline::serial_guard();
         for n in [0usize, 1, 7, 8, 9, 4096] {
             let data: Vec<u8> = (0..n).map(|i| (i * 37 % 251) as u8).collect();
             let shared = SharedBytes::from_vec(data.clone());
@@ -355,6 +285,7 @@ mod tests {
 
     #[test]
     fn map_reads_real_files_and_types_missing_ones() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-map-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("payload.bin");
@@ -376,28 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn slices_share_the_owner_and_nest() {
-        let shared = SharedBytes::from_vec((0..=255u8).collect());
-        let mid = shared.slice(16..48);
-        assert_eq!(mid.len(), 32);
-        assert_eq!(mid.as_slice()[0], 16);
-        let inner = mid.slice(8..16);
-        assert_eq!(inner.as_slice(), &(24..32).collect::<Vec<u8>>()[..]);
-        drop(shared);
-        drop(mid);
-        // the owner Arc keeps the bytes alive through any view
-        assert_eq!(inner.as_slice()[7], 31);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_slice_panics() {
-        let shared = SharedBytes::from_vec(vec![0; 8]);
-        let _ = shared.slice(4..12);
-    }
-
-    #[test]
     fn f64_views_require_alignment_and_bounds() {
+        let _guard = mfod_faultline::serial_guard();
         let mut bytes = Vec::new();
         for v in [1.5f64, -0.0, f64::NAN] {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -411,37 +322,5 @@ mod tests {
         assert!(shared.f64s_at(4, 1).is_none());
         assert!(shared.f64s_at(0, 4).is_none());
         assert!(shared.f64s_at(usize::MAX, 1).is_none());
-    }
-
-    #[test]
-    fn lazy_section_memoizes_success_and_repeats_failure() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u64.to_le_bytes());
-        let section = LazySection::<u64>::new(SharedBytes::from_vec(bytes));
-        assert!(section.get().is_none());
-        let mut decodes = 0;
-        let v = section
-            .touch(|r| {
-                decodes += 1;
-                r.take_u64()
-            })
-            .unwrap();
-        assert_eq!(*v, 7);
-        let v = section
-            .touch(|r| {
-                decodes += 1;
-                r.take_u64()
-            })
-            .unwrap();
-        assert_eq!(*v, 7);
-        assert_eq!(decodes, 1, "second touch must hit the memo");
-        assert_eq!(section.get(), Some(&7));
-
-        let bad = LazySection::<u64>::new(SharedBytes::from_vec(vec![1, 2, 3]));
-        for _ in 0..2 {
-            let err = bad.touch(|r| r.take_u64()).unwrap_err();
-            assert!(matches!(err, PersistError::Truncated { .. }), "{err}");
-        }
-        assert!(bad.get().is_none(), "failures are never cached");
     }
 }

@@ -605,6 +605,7 @@ mod tests {
 
     #[test]
     fn empty_registry_has_no_active_model() {
+        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         assert!(reg.active().is_none());
         assert_eq!(reg.generation(), 0);
@@ -613,6 +614,7 @@ mod tests {
 
     #[test]
     fn install_swaps_and_bumps_generation() {
+        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         let g1 = reg.install(Arc::new(Weights { w: vec![1.0] }));
         assert_eq!(g1, 1);
@@ -626,6 +628,7 @@ mod tests {
 
     #[test]
     fn install_bytes_validates_and_restores() {
+        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         let ok = to_bytes(&WeightsSnapshot { w: vec![3.0, 4.0] });
         reg.install_bytes(&ok).unwrap();
@@ -649,6 +652,7 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_exponential_capped_and_jittered() {
+        let _guard = mfod_faultline::serial_guard();
         let interval = Duration::from_millis(10);
         // healthy: exactly the interval, jitter ignored
         assert_eq!(backoff_interval(interval, 0, 0.9), interval);
@@ -675,6 +679,7 @@ mod tests {
 
     #[test]
     fn install_mapped_swaps_from_a_mapped_file() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("mapped");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![7.0, 8.0] }, &path).unwrap();
@@ -699,6 +704,7 @@ mod tests {
 
     #[test]
     fn watcher_follows_the_log_and_stops_cleanly() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("watch");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
         let handle = watch(&reg, &dir);
@@ -729,6 +735,7 @@ mod tests {
 
     #[test]
     fn watcher_backs_off_on_failures_and_heals_on_recovery() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("heal");
         let gone = dir.join("not-yet-there");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
@@ -800,6 +807,7 @@ mod tests {
     /// health surface, and the served model stays.
     #[test]
     fn watcher_refuses_a_committed_file_with_other_bytes() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("overwritten");
         commit(&dir, 1, 1.0);
         std::fs::write(dir.join(generation_file(1)), to_bytes(&weights(9.0))).unwrap();
@@ -823,6 +831,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_during_swaps_never_tear() {
+        let _guard = mfod_faultline::serial_guard();
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
         reg.install(Arc::new(Weights { w: vec![0.0; 4] }));
         std::thread::scope(|scope| {

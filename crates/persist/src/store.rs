@@ -35,6 +35,12 @@
 //!    entry, fsync(log). The generation is committed and active the
 //!    moment this returns; a torn append is a torn log tail.
 //!
+//! A store handle remembers how long the log's valid prefix is. After
+//! one of its appends fails, its next append first cuts whatever the
+//! failed one left past that length (the torn-tail step of
+//! [`ModelStore::open`]), so an acknowledged record never lands behind
+//! torn bytes that replay would stop at.
+//!
 //! [`ModelStore::rollback`] is one [`LogRecord::Rollback`] append: one
 //! fsync, no snapshot bytes touched.
 //!
@@ -50,7 +56,7 @@
 //! [`ModelRegistry::watch_store`]: crate::registry::ModelRegistry::watch_store
 
 use crate::error::PersistError;
-use crate::format::{to_bytes, Snapshot, SnapshotReader, SNAPSHOT_EXT, TMP_INFIX};
+use crate::format::{to_bytes, LazySnapshot, Snapshot, SNAPSHOT_EXT, TMP_INFIX};
 use crate::hash::fnv1a64;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::registry::{ModelRegistry, Restorable};
@@ -241,6 +247,8 @@ pub(crate) struct LogState {
     records: usize,
     /// Bytes past the last valid record, if any.
     torn: Option<TornTail>,
+    /// Length of the valid prefix.
+    log_len: u64,
 }
 
 /// Derives the committed state of the store at `dir` from a replay of
@@ -255,6 +263,7 @@ pub(crate) fn read_log(dir: &Path) -> Result<LogState> {
         manifest,
         records: replay.records.len(),
         torn: replay.torn,
+        log_len: replay.valid_len,
     })
 }
 
@@ -286,6 +295,48 @@ fn io(path: &Path) -> impl FnOnce(std::io::Error) -> PersistError + '_ {
     }
 }
 
+/// A path in `dir/quarantine/` for `name` that no earlier evidence
+/// holds: quarantine never overwrites.
+fn quarantine_path(dir: &Path, name: &str) -> Result<PathBuf> {
+    let qdir = dir.join(QUARANTINE_DIR);
+    std::fs::create_dir_all(&qdir).map_err(io(&qdir))?;
+    let mut dest = qdir.join(name);
+    let mut bump = 0u32;
+    while dest.exists() {
+        bump += 1;
+        dest = qdir.join(format!("{name}.{bump}"));
+    }
+    Ok(dest)
+}
+
+/// The torn-tail step of [`ModelStore::open`], shared with the first
+/// append after a failed one: copies the log bytes past `valid_len` into
+/// `quarantine/`, truncates the log back to `valid_len` and fsyncs it.
+/// Returns where the tail went, or `None` if the log had nothing past
+/// `valid_len`.
+fn cut_log_tail(dir: &Path, valid_len: u64) -> Result<Option<PathBuf>> {
+    use std::io::{Read as _, Seek as _};
+    let log_path = dir.join(DEPLOY_LOG_FILE);
+    let mut log = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&log_path)
+        .map_err(io(&log_path))?;
+    let mut tail = Vec::new();
+    log.seek(std::io::SeekFrom::Start(valid_len))
+        .and_then(|_| log.read_to_end(&mut tail))
+        .map_err(io(&log_path))?;
+    if tail.is_empty() {
+        return Ok(None);
+    }
+    let tail_path = quarantine_path(dir, &format!("{DEPLOY_LOG_FILE}.tail-{valid_len}"))?;
+    std::fs::write(&tail_path, &tail).map_err(io(&tail_path))?;
+    log.set_len(valid_len)
+        .and_then(|()| log.sync_all())
+        .map_err(io(&log_path))?;
+    Ok(Some(tail_path))
+}
+
 /// Moves `path` into `dir/quarantine/` under a name no earlier evidence
 /// holds, and records why in `report`.
 fn quarantine(
@@ -294,19 +345,11 @@ fn quarantine(
     reason: QuarantineReason,
     report: &mut RecoveryReport,
 ) -> Result<()> {
-    let qdir = dir.join(QUARANTINE_DIR);
-    std::fs::create_dir_all(&qdir).map_err(io(&qdir))?;
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
-    // never overwrite earlier quarantined evidence
-    let mut dest = qdir.join(&name);
-    let mut bump = 0u32;
-    while dest.exists() {
-        bump += 1;
-        dest = qdir.join(format!("{name}.{bump}"));
-    }
+    let dest = quarantine_path(dir, &name)?;
     std::fs::rename(path, &dest).map_err(io(path))?;
     if let Some(m) = mfod_obs::active() {
         m.store_quarantined.add(1);
@@ -325,6 +368,12 @@ fn quarantine(
 pub struct ModelStore {
     dir: PathBuf,
     manifest: Manifest,
+    /// Length of the log's valid prefix as of `open` and this handle's
+    /// acknowledged appends.
+    log_len: u64,
+    /// Whether an append failed since, possibly leaving torn bytes past
+    /// `log_len`.
+    append_failed: bool,
 }
 
 impl ModelStore {
@@ -341,6 +390,7 @@ impl ModelStore {
             mut manifest,
             records,
             torn,
+            mut log_len,
         } = read_log(&dir)?;
         let mut report = RecoveryReport {
             replayed_records: records,
@@ -349,19 +399,12 @@ impl ModelStore {
 
         // 1. Copy a torn log tail into quarantine, then truncate it.
         if let Some(torn) = torn {
-            let bytes = std::fs::read(&log_path).map_err(io(&log_path))?;
-            let qdir = dir.join(QUARANTINE_DIR);
-            std::fs::create_dir_all(&qdir).map_err(io(&qdir))?;
-            let tail_path = qdir.join(format!("deploy.log.tail-{}", torn.offset));
-            std::fs::write(&tail_path, &bytes[torn.offset as usize..]).map_err(io(&tail_path))?;
-            std::fs::write(&log_path, &bytes[..torn.offset as usize]).map_err(io(&log_path))?;
-            std::fs::File::open(&log_path)
-                .and_then(|f| f.sync_all())
-                .map_err(io(&log_path))?;
-            report.torn_log_tail = true;
-            report
-                .quarantined
-                .push((tail_path, QuarantineReason::TornLogTail(torn.reason)));
+            if let Some(tail_path) = cut_log_tail(&dir, log_len)? {
+                report.torn_log_tail = true;
+                report
+                    .quarantined
+                    .push((tail_path, QuarantineReason::TornLogTail(torn.reason)));
+            }
         }
 
         // 2. Sweep the directory: quarantine stray temps and every
@@ -405,7 +448,7 @@ impl ModelStore {
             let record = LogRecord::Quarantine {
                 generation: entry.generation,
             };
-            append_record(&log_path, &record)?;
+            log_len += append_record(&log_path, &record)?;
             apply(&mut manifest, &record);
         }
         report.fell_back = manifest.active != before;
@@ -415,7 +458,13 @@ impl ModelStore {
             m.store_recoveries.add(1);
             mfod_obs::journal::instant("store.recover");
         }
-        Ok((ModelStore { dir, manifest }, report))
+        let store = ModelStore {
+            dir,
+            manifest,
+            log_len,
+            append_failed: false,
+        };
+        Ok((store, report))
     }
 
     /// The directory this store manages.
@@ -459,10 +508,10 @@ impl ModelStore {
         config_fingerprint: u64,
         tag: &str,
     ) -> Result<ManifestEntry> {
-        let reader = SnapshotReader::parse(bytes)?;
-        if reader.kind() != kind {
+        let snap = LazySnapshot::open(bytes)?;
+        if snap.kind() != kind {
             return Err(PersistError::WrongKind {
-                got: reader.kind(),
+                got: snap.kind(),
                 expected: kind,
             });
         }
@@ -495,9 +544,7 @@ impl ModelStore {
             });
         }
         // 3. commit — the generation exists the moment this lands
-        let record = LogRecord::Commit(entry.clone());
-        append_record(&log_path, &record)?;
-        apply(&mut self.manifest, &record);
+        self.append(LogRecord::Commit(entry.clone()))?;
         if let Some(m) = mfod_obs::active() {
             m.store_promotions.add(1);
             mfod_obs::journal::instant("store.promote");
@@ -528,17 +575,37 @@ impl ModelStore {
         if let Some(issue) = check_entry(&self.dir, &entry).first() {
             return Err(PersistError::Malformed(issue.to_string()));
         }
-        let record = LogRecord::Rollback {
+        self.append(LogRecord::Rollback {
             from: self.manifest.active.unwrap_or(0),
             to: generation,
-        };
-        append_record(&self.dir.join(DEPLOY_LOG_FILE), &record)?;
-        apply(&mut self.manifest, &record);
+        })?;
         if let Some(m) = mfod_obs::active() {
             m.store_rollbacks.add(1);
             mfod_obs::journal::instant("store.rollback");
         }
         Ok(entry)
+    }
+
+    /// Appends `record` to the log and applies it to the catalog. The
+    /// first append after a failed one first cuts the bytes the failed
+    /// one left past the valid prefix, so the record lands right after
+    /// the last acknowledged one.
+    fn append(&mut self, record: LogRecord) -> Result<()> {
+        if self.append_failed {
+            cut_log_tail(&self.dir, self.log_len)?;
+            self.append_failed = false;
+        }
+        match append_record(&self.dir.join(DEPLOY_LOG_FILE), &record) {
+            Ok(len) => {
+                self.log_len += len;
+                apply(&mut self.manifest, &record);
+                Ok(())
+            }
+            Err(e) => {
+                self.append_failed = true;
+                Err(e)
+            }
+        }
     }
 
     /// Installs the generation the log commits as active into `registry`
@@ -594,11 +661,11 @@ fn check_entry(dir: &Path, entry: &ManifestEntry) -> Vec<FsckIssue> {
             actual,
         });
     }
-    let error = match SnapshotReader::parse(&bytes) {
+    let error = match LazySnapshot::open(&bytes) {
         Err(e) => Some(e.to_string()),
-        Ok(reader) if reader.kind() != entry.kind => Some(format!(
+        Ok(snap) if snap.kind() != entry.kind => Some(format!(
             "artifact kind {} != catalog kind {}",
-            reader.kind(),
+            snap.kind(),
             entry.kind
         )),
         Ok(_) => None,
@@ -744,6 +811,7 @@ mod tests {
 
     #[test]
     fn promoting_invalid_bytes_is_rejected_before_any_disk_mutation() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote-garbage");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         // not a container at all
@@ -769,6 +837,7 @@ mod tests {
 
     #[test]
     fn promote_open_promote_assigns_monotone_generations() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote");
         let (mut store, report) = ModelStore::open(&dir).unwrap();
         assert_eq!(report.active, None);
@@ -785,6 +854,47 @@ mod tests {
         assert_eq!((e3.generation, e3.parent), (3, Some(2)));
         // lineage survives in the reloaded catalog
         assert_eq!(reopened.manifest().entry(2).unwrap().parent, Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_commit_append_is_cut_before_the_next_append_on_the_same_handle() {
+        let _guard = mfod_faultline::serial_guard();
+        let dir = tmpdir("torn-append");
+        let (mut store, _) = ModelStore::open(&dir).unwrap();
+        store.promote(&weights(1), 1, "one").unwrap();
+        mfod_faultline::install(
+            FaultPlan::new(19).rule(points::MANIFEST_APPEND_TORN, FaultRule::once()),
+        );
+        let err = store.promote(&weights(2), 1, "torn").unwrap_err();
+        mfod_faultline::disarm();
+        assert!(matches!(err, PersistError::Io { .. }), "{err}");
+        assert!(replay(&dir.join(DEPLOY_LOG_FILE)).unwrap().torn.is_some());
+
+        // the next promotion on the same handle is acknowledged and served
+        let e2 = store.promote(&weights(2), 1, "two").unwrap();
+        assert_eq!(e2.generation, 2);
+        let registry = ModelRegistry::<Live>::new();
+        assert_eq!(store.install_active(&registry).unwrap(), Some(2));
+        assert_eq!(registry.active().unwrap().0, weights(2));
+        // and so is a rollback after it
+        store.rollback(1).unwrap();
+        assert_eq!(store.install_active(&registry).unwrap(), Some(1));
+        assert_eq!(registry.active().unwrap().0, weights(1));
+
+        let replayed = replay(&dir.join(DEPLOY_LOG_FILE)).unwrap();
+        assert!(replayed.torn.is_none(), "{:?}", replayed.torn);
+        assert_eq!(replayed.records.len(), 3);
+        // the torn bytes were moved aside, not lost
+        let tails = std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count();
+        assert_eq!(tails, 1);
+
+        drop(store);
+        let (reopened, report) = ModelStore::open(&dir).unwrap();
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        assert!(!report.torn_log_tail);
+        assert_eq!(manifest_state(&reopened), (Some(1), vec![1, 2]));
+        assert!(reopened.fsck().unwrap().is_clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -834,6 +944,7 @@ mod tests {
 
     #[test]
     fn orphans_and_torn_log_tails_are_preserved_in_quarantine() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("orphan");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "ok").unwrap();
@@ -869,6 +980,7 @@ mod tests {
 
     #[test]
     fn damaged_active_generation_falls_back_to_previous_committed() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fallback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "good").unwrap();
@@ -899,6 +1011,7 @@ mod tests {
 
     #[test]
     fn rollback_re_points_without_touching_snapshots_and_survives_reopen() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("rollback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "v1").unwrap();
@@ -957,6 +1070,7 @@ mod tests {
 
     #[test]
     fn fsck_reports_every_mismatch_with_typed_issues_and_never_panics() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fsck");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "a").unwrap();
@@ -999,6 +1113,7 @@ mod tests {
 
     #[test]
     fn install_active_threads_the_store_into_the_registry() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("install");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         let registry = ModelRegistry::<Live>::new();
@@ -1030,6 +1145,7 @@ mod tests {
     /// and every file stays in place byte for byte.
     #[test]
     fn a_log_of_the_retired_format_is_refused_and_left_in_place() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("retired");
         let bytes = crate::format::to_bytes(&weights(1));
         std::fs::write(dir.join(generation_file(1)), &bytes).unwrap();

@@ -123,6 +123,8 @@ pub struct Replay {
     pub records: Vec<LogRecord>,
     /// The torn tail, if the file does not end on a frame boundary.
     pub torn: Option<TornTail>,
+    /// Length of the valid prefix: where the next record belongs.
+    pub valid_len: u64,
 }
 
 /// Frames one record payload for the log: length, CRC, payload.
@@ -135,13 +137,14 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Appends one record to the log at `path` (created if missing) and
-/// fsyncs it, so a returned `Ok` means the record is durable.
+/// fsyncs it, so a returned `Ok` means the record is durable. Returns
+/// the number of bytes appended.
 ///
 /// Crash point [`mfod_faultline::points::MANIFEST_APPEND_TORN`] writes
 /// only a durable *prefix* of the frame before failing — the exact state
 /// a power cut mid-append leaves behind — which [`replay`] must detect
 /// as a torn tail.
-pub fn append_record(path: &Path, record: &LogRecord) -> Result<()> {
+pub fn append_record(path: &Path, record: &LogRecord) -> Result<u64> {
     let io = |source| PersistError::Io {
         path: path.to_path_buf(),
         source,
@@ -167,7 +170,8 @@ pub fn append_record(path: &Path, record: &LogRecord) -> Result<()> {
         )));
     }
     file.write_all(&bytes).map_err(io)?;
-    file.sync_all().map_err(io)
+    file.sync_all().map_err(io)?;
+    Ok(bytes.len() as u64)
 }
 
 /// Replays the log at `path`, returning every valid record plus the
@@ -232,6 +236,7 @@ pub fn replay(path: &Path) -> Result<Replay> {
         replay.records.push(record);
         offset += 8 + len;
     }
+    replay.valid_len = offset as u64;
     Ok(replay)
 }
 
@@ -260,6 +265,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_roundtrips_in_order() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("roundtrip");
         let records = vec![
             LogRecord::Commit(entry(1)),
@@ -278,6 +284,7 @@ mod tests {
 
     #[test]
     fn missing_log_is_empty_not_an_error() {
+        let _guard = mfod_faultline::serial_guard();
         let replay = replay(Path::new("/nonexistent/deploy.log")).unwrap();
         assert!(replay.records.is_empty());
         assert!(replay.torn.is_none());
@@ -285,6 +292,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_the_tail_frame_is_a_torn_tail() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("trunc");
         append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         append_record(&path, &LogRecord::Commit(entry(2))).unwrap();
@@ -305,6 +313,7 @@ mod tests {
 
     #[test]
     fn every_byte_flip_in_a_frame_is_caught() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("flip");
         for record in [
             LogRecord::Commit(entry(3)),
@@ -339,6 +348,7 @@ mod tests {
 
     #[test]
     fn retired_records_are_a_typed_error_not_a_torn_tail() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("retired");
         append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         let offset = std::fs::metadata(&path).unwrap().len();
@@ -368,7 +378,7 @@ mod tests {
     fn injected_torn_append_is_durable_and_detected() {
         let _guard = mfod_faultline::serial_guard();
         let path = tmplog("inject");
-        append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
+        let first = append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         mfod_faultline::install(mfod_faultline::FaultPlan::new(7).rule(
             mfod_faultline::points::MANIFEST_APPEND_TORN,
             mfod_faultline::FaultRule::once(),
@@ -379,6 +389,10 @@ mod tests {
         let replay = replay(&path).unwrap();
         assert_eq!(replay.records, vec![LogRecord::Commit(entry(1))]);
         assert!(replay.torn.is_some(), "partial frame must read as torn");
+        assert_eq!(
+            replay.valid_len, first,
+            "the valid prefix is the acknowledged append"
+        );
         // the log is append-only: a later healthy append lands after the
         // torn bytes, so recovery must truncate the tail first. mimic it.
         let torn = replay.torn.unwrap();

@@ -85,11 +85,11 @@ impl Encoder {
 
 /// Bounds-checked reader over snapshot payload bytes.
 ///
-/// A decoder can optionally carry the [`SharedBytes`] owner its buffer
-/// lives inside ([`Decoder::over_shared`]); owner-aware decoders let
-/// payload decoders hand out zero-copy views whose memory is pinned by
-/// the owner (see [`Decoder::take_shared_f64s`]). Every read stays
-/// bounds-checked and allocation-guarded either way.
+/// A decoder over a section of a container opened over [`SharedBytes`]
+/// carries that owner; owner-aware decoders let payload decoders hand
+/// out zero-copy views whose memory is pinned by the owner (see
+/// [`Decoder::take_shared_f64s`]). Every read stays bounds-checked and
+/// allocation-guarded either way.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -107,18 +107,8 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads from the start of `shared`, remembering the owner so
-    /// decoded views can pin the backing memory (zero-copy tier).
-    pub fn over_shared(shared: &'a SharedBytes) -> Self {
-        Decoder {
-            buf: shared.as_slice(),
-            pos: 0,
-            owner: Some(shared),
-        }
-    }
-
-    /// Reads `buf`, a sub-slice of `owner`'s memory, keeping the
-    /// zero-copy tier available (used for sections of a mapped
+    /// Reads `buf`, a sub-slice of `owner`'s memory, so matrix payloads
+    /// can decode as zero-copy views (used for sections of a mapped
     /// container).
     pub(crate) fn with_owner(buf: &'a [u8], owner: &'a SharedBytes) -> Self {
         debug_assert!(
@@ -284,111 +274,6 @@ pub trait Decode: Sized {
     /// Reads one value, consuming exactly the bytes [`Encode::encode`]
     /// wrote for it.
     fn decode(r: &mut Decoder<'_>) -> Result<Self>;
-}
-
-/// The borrowed decode tier: values that reconstruct themselves as
-/// **views into the decoder's buffer** instead of owned copies — the
-/// wire-level half of the zero-copy path. A `DecodeRef` value is only
-/// valid while the underlying bytes are (a mapped snapshot held open, a
-/// caller-owned buffer); consumers that need `'static` values wrap the
-/// buffer in a [`SharedBytes`] owner and use [`Decoder::take_shared_f64s`]
-/// / [`crate::map::LazySection`] instead.
-///
-/// Implementations consume exactly the bytes the owned-tier
-/// [`Encode`] wrote, so the two tiers are interchangeable over the same
-/// wire bytes.
-pub trait DecodeRef<'a>: Sized {
-    /// Reads one borrowed value from `r`.
-    fn decode_ref(r: &mut Decoder<'a>) -> Result<Self>;
-}
-
-/// Length-prefixed raw bytes, borrowed (pairs with
-/// [`Encoder::put_str`]-style `put_usize` + `put_bytes` writing).
-impl<'a> DecodeRef<'a> for &'a [u8] {
-    fn decode_ref(r: &mut Decoder<'a>) -> Result<Self> {
-        let len = r.take_len(1, "bytes")?;
-        r.take_bytes(len, "byte run")
-    }
-}
-
-/// Length-prefixed UTF-8, borrowed — the zero-copy twin of
-/// [`Decoder::take_str`] over the same wire bytes.
-impl<'a> DecodeRef<'a> for &'a str {
-    fn decode_ref(r: &mut Decoder<'a>) -> Result<Self> {
-        let len = r.take_len(1, "string")?;
-        let bytes = r.take_bytes(len, "string bytes")?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| PersistError::Malformed("string is not UTF-8".into()))
-    }
-}
-
-/// A borrowed view over a length-prefixed run of `f64` bit patterns —
-/// the same wire bytes `Vec<f64>` encodes to, without materializing the
-/// floats. Individual values are assembled from the little-endian bytes
-/// on access; [`F64Bits::as_f64_slice`] reinterprets the whole run in
-/// place when the platform and alignment allow.
-#[derive(Debug, Clone, Copy)]
-pub struct F64Bits<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> F64Bits<'a> {
-    /// Number of `f64` values in the view.
-    pub fn len(&self) -> usize {
-        self.bytes.len() / 8
-    }
-
-    /// Whether the view holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Value `i`, decoded from its bit pattern (bit-exact).
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> f64 {
-        let b: [u8; 8] = self.bytes[i * 8..(i + 1) * 8]
-            .try_into()
-            .expect("8 bytes per f64");
-        f64::from_bits(u64::from_le_bytes(b))
-    }
-
-    /// Iterates the values in order.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        self.bytes
-            .chunks_exact(8)
-            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes per f64"))))
-    }
-
-    /// The run reinterpreted in place as `&[f64]`, when the target is
-    /// little-endian and the bytes happen to be 8-aligned; `None` means
-    /// the caller should fall back to [`F64Bits::to_vec`] or per-element
-    /// access.
-    pub fn as_f64_slice(&self) -> Option<&'a [f64]> {
-        if cfg!(not(target_endian = "little")) {
-            return None;
-        }
-        if !(self.bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>()) {
-            return None;
-        }
-        // SAFETY: aligned (checked), initialized, and every 8-byte LE
-        // pattern is a valid f64 bit pattern.
-        Some(unsafe { std::slice::from_raw_parts(self.bytes.as_ptr().cast::<f64>(), self.len()) })
-    }
-
-    /// Materializes the values into an owned vector.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.iter().collect()
-    }
-}
-
-impl<'a> DecodeRef<'a> for F64Bits<'a> {
-    fn decode_ref(r: &mut Decoder<'a>) -> Result<Self> {
-        let count = r.take_len(8, "f64 run")?;
-        let bytes = r.take_bytes(count * 8, "f64 bits")?;
-        Ok(F64Bits { bytes })
-    }
 }
 
 impl Encode for u8 {
@@ -563,7 +448,7 @@ impl Decode for Matrix {
                 available: r.remaining(),
             });
         }
-        // Zero-copy tier: when the decoder reads out of an owner-pinned
+        // Zero-copy: when the decoder reads out of an owner-pinned
         // buffer (a mapped snapshot) and the run is 8-aligned, serve the
         // payload directly from that memory; otherwise copy — bit-exact
         // either way, since f64s travel as raw LE bit patterns.
@@ -610,6 +495,7 @@ mod tests {
 
     #[test]
     fn primitive_roundtrips() {
+        let _guard = mfod_faultline::serial_guard();
         roundtrip(0u8);
         roundtrip(255u8);
         roundtrip(0xDEAD_BEEFu32);
@@ -626,6 +512,7 @@ mod tests {
 
     #[test]
     fn f64_bit_patterns_survive() {
+        let _guard = mfod_faultline::serial_guard();
         for bits in [
             0u64,
             0x8000_0000_0000_0000, // -0.0
@@ -644,6 +531,7 @@ mod tests {
 
     #[test]
     fn truncation_is_typed_not_panic() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u64(42);
         let bytes = w.into_bytes();
@@ -653,6 +541,7 @@ mod tests {
 
     #[test]
     fn corrupted_length_rejected_before_allocation() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u64(u64::MAX); // absurd vec length
         let bytes = w.into_bytes();
@@ -669,6 +558,7 @@ mod tests {
 
     #[test]
     fn bad_bool_and_option_bytes_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let mut r = Decoder::new(&[7]);
         assert!(matches!(r.take_bool(), Err(PersistError::Malformed(_))));
         let mut r = Decoder::new(&[9]);
@@ -680,6 +570,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_detected() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u8(1);
         w.put_u8(2);
@@ -691,6 +582,7 @@ mod tests {
 
     #[test]
     fn matrix_roundtrip_and_guards() {
+        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_rows(&[&[1.5, -2.0], &[0.25, f64::MIN_POSITIVE]]);
         let mut w = Encoder::new();
         m.encode(&mut w);
@@ -712,6 +604,7 @@ mod tests {
 
     #[test]
     fn cholesky_roundtrip_solves_bit_identically() {
+        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let c = mfod_linalg::Cholesky::new(&a).unwrap();
         let mut w = Encoder::new();
@@ -737,74 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn decode_ref_views_share_wire_bytes_with_owned_tier() {
-        let mut w = Encoder::new();
-        w.put_str("mapped κ");
-        vec![1.5f64, -0.0, f64::NAN].encode(&mut w);
-        w.put_usize(3);
-        w.put_bytes(&[9, 8, 7]);
-        let bytes = w.into_bytes();
-
-        // owned tier
-        let mut r = Decoder::new(&bytes);
-        assert_eq!(r.take_str().unwrap(), "mapped κ");
-        let owned = Vec::<f64>::decode(&mut r).unwrap();
-        let raw = <&[u8]>::decode_ref(&mut r).unwrap();
-        assert_eq!(raw, &[9, 8, 7]);
-        r.finish().unwrap();
-
-        // borrowed tier over the same bytes
-        let mut r = Decoder::new(&bytes);
-        let s = <&str>::decode_ref(&mut r).unwrap();
-        assert_eq!(s, "mapped κ");
-        assert!(std::ptr::eq(s.as_bytes().as_ptr(), &bytes[8]));
-        let bits = F64Bits::decode_ref(&mut r).unwrap();
-        assert_eq!(bits.len(), 3);
-        assert!(!bits.is_empty());
-        for (i, v) in bits.iter().enumerate() {
-            assert_eq!(v.to_bits(), owned[i].to_bits());
-            assert_eq!(bits.get(i).to_bits(), owned[i].to_bits());
-        }
-        let back = bits.to_vec();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[1].to_bits(), (-0.0f64).to_bits());
-        let _ = <&[u8]>::decode_ref(&mut r).unwrap();
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn f64bits_in_place_slice_requires_alignment() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&2u64.to_le_bytes());
-        bytes.extend_from_slice(&1.25f64.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(-3.5f64).to_bits().to_le_bytes());
-        // force a deliberately misaligned backing buffer
-        let mut shifted = vec![0u8];
-        shifted.extend_from_slice(&bytes);
-        let mut r = Decoder::new(&shifted[1..]);
-        let bits = F64Bits::decode_ref(&mut r).unwrap();
-        match bits.as_f64_slice() {
-            Some(s) => {
-                // alignment happened to work out — values must match
-                assert_eq!(s[0], 1.25);
-                assert_eq!(s[1], -3.5);
-            }
-            None => {
-                // fallback tier still yields exact values
-                assert_eq!(bits.get(0), 1.25);
-                assert_eq!(bits.get(1), -3.5);
-            }
-        }
-        // truncated runs are typed
-        let mut r = Decoder::new(&bytes[..12]);
-        assert!(matches!(
-            F64Bits::decode_ref(&mut r),
-            Err(PersistError::Truncated { .. })
-        ));
-    }
-
-    #[test]
     fn ownerless_decoders_never_yield_shared_views() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         for v in [1.0f64, 2.0, 3.0] {
             w.put_f64(v);
@@ -822,13 +649,14 @@ mod tests {
 
     #[test]
     fn owner_aware_decoder_yields_pinned_views() {
+        let _guard = mfod_faultline::serial_guard();
         use crate::map::SharedBytes;
         let mut w = Encoder::new();
         for v in [4.0f64, 5.0, 6.0] {
             w.put_f64(v);
         }
         let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::over_shared(&shared);
+        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
         let view = r
             .take_shared_f64s(3, "run")
             .unwrap()
@@ -841,13 +669,14 @@ mod tests {
     }
 
     #[test]
-    fn matrix_decode_is_zero_copy_over_shared_bytes() {
+    fn matrix_decode_is_zero_copy_from_shared_bytes() {
+        let _guard = mfod_faultline::serial_guard();
         use crate::map::SharedBytes;
         let m = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64 + 0.5);
         let mut w = Encoder::new();
         m.encode(&mut w);
         let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::over_shared(&shared);
+        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
         let back = Matrix::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert!(
@@ -862,7 +691,7 @@ mod tests {
         w.put_u8(0);
         m.encode(&mut w);
         let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::over_shared(&shared);
+        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
         let _ = r.take_u8().unwrap();
         let back = Matrix::decode(&mut r).unwrap();
         assert!(!back.is_borrowed());
@@ -871,6 +700,7 @@ mod tests {
 
     #[test]
     fn non_utf8_string_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_usize(2);
         w.put_bytes(&[0xFF, 0xFE]);

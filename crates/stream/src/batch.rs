@@ -494,6 +494,7 @@ mod tests {
 
     #[test]
     fn flushes_exactly_at_batch_size() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -525,6 +526,7 @@ mod tests {
 
     #[test]
     fn batched_scores_match_offline_scores() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let offline = fitted.score(&windows).unwrap();
         let stats = Arc::new(StreamStats::new());
@@ -550,6 +552,7 @@ mod tests {
 
     #[test]
     fn max_delay_forces_early_flush() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -571,6 +574,7 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_the_batch_and_seq_alignment() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, ts) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -611,6 +615,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, _, _) = tiny_pipeline();
         assert!(MicroBatcher::new(
             Arc::clone(&fitted),
@@ -740,6 +745,7 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_the_new_window() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -772,6 +778,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_policy_keeps_the_freshest_windows() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(

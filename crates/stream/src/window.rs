@@ -165,37 +165,6 @@ impl WindowBuffer {
         }
         Ok(None)
     }
-
-    /// Ingests a whole slice of observations (`chunk[i]` = observation
-    /// `i`), collecting every window completed along the way.
-    ///
-    /// The chunk is validated **atomically up front**: if any observation
-    /// is malformed, nothing is ingested and the buffer is unchanged — a
-    /// bad observation deep in the chunk cannot discard windows completed
-    /// by earlier ones.
-    pub fn push_chunk(&mut self, chunk: &[Vec<f64>]) -> Result<Vec<RawSample>> {
-        for (i, obs) in chunk.iter().enumerate() {
-            if obs.len() != self.config.channels {
-                return Err(StreamError::Ingest(format!(
-                    "observation {i} has {} channels, stream is configured for {}",
-                    obs.len(),
-                    self.config.channels
-                )));
-            }
-            if !obs.iter().all(|v| v.is_finite()) {
-                return Err(StreamError::Ingest(format!(
-                    "observation {i} has non-finite values"
-                )));
-            }
-        }
-        let mut out = Vec::new();
-        for obs in chunk {
-            if let Some(w) = self.push(obs)? {
-                out.push(w);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -216,6 +185,7 @@ mod tests {
 
     #[test]
     fn tumbling_reconstructs_stream() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
         let mut windows = Vec::new();
         for i in 0..12 {
@@ -239,6 +209,7 @@ mod tests {
 
     #[test]
     fn overlapping_windows_share_observations() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(5, 2, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..11 {
@@ -256,6 +227,7 @@ mod tests {
 
     #[test]
     fn gapped_stride_skips_observations() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(3, 5, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..14 {
@@ -268,47 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn push_chunk_equals_push_loop() {
-        let chunk: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let mut a = WindowBuffer::new(cfg(6, 3, 1)).unwrap();
-        let from_chunk = a.push_chunk(&chunk).unwrap();
-        let mut b = WindowBuffer::new(cfg(6, 3, 1)).unwrap();
-        let mut from_loop = Vec::new();
-        for obs in &chunk {
-            if let Some(w) = b.push(obs).unwrap() {
-                from_loop.push(w);
-            }
-        }
-        assert_eq!(from_chunk.len(), from_loop.len());
-        for (x, y) in from_chunk.iter().zip(&from_loop) {
-            assert_eq!(x.channels, y.channels);
-        }
-    }
-
-    #[test]
-    fn push_chunk_rejects_bad_chunks_atomically() {
-        let mut buf = WindowBuffer::new(cfg(4, 4, 1)).unwrap();
-        // 10 observations, windows complete at 4 and 8 — but observation 9
-        // is NaN, so nothing may be ingested at all.
-        let mut chunk: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        chunk[9][0] = f64::NAN;
-        assert!(buf.push_chunk(&chunk).is_err());
-        assert_eq!(buf.observations(), 0);
-        assert_eq!(buf.windows_emitted(), 0);
-        // wrong channel count mid-chunk: same atomicity
-        let bad_shape = vec![vec![1.0], vec![2.0, 3.0]];
-        assert!(buf.push_chunk(&bad_shape).is_err());
-        assert_eq!(buf.observations(), 0);
-        // a clean chunk afterwards behaves as if nothing happened
-        chunk[9][0] = 9.0;
-        let windows = buf.push_chunk(&chunk).unwrap();
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].channel(0).unwrap().1, &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(windows[1].channel(0).unwrap().1, &[4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
     fn windows_carry_the_configured_ts() {
+        let _guard = mfod_faultline::serial_guard();
         let ts: Vec<f64> = vec![0.0, 0.25, 0.5, 1.0];
         let mut buf = WindowBuffer::new(WindowConfig {
             window_len: 4,
@@ -326,6 +259,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs_and_inputs() {
+        let _guard = mfod_faultline::serial_guard();
         assert!(WindowBuffer::new(cfg(1, 1, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 0, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 4, 0)).is_err());
@@ -369,6 +303,7 @@ mod tests {
 
     #[test]
     fn tumbling_constructor() {
+        let _guard = mfod_faultline::serial_guard();
         let ts: Vec<f64> = (0..8).map(|j| j as f64).collect();
         let c = WindowConfig::tumbling(ts, 3);
         assert_eq!(c.window_len, 8);

@@ -32,6 +32,7 @@ proptest! {
         channels in 1usize..4,
         n_obs in 0usize..200,
     ) {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(window_cfg(window_len, stride, channels)).unwrap();
         let mut emitted = Vec::new();
         for i in 0..n_obs {
@@ -73,6 +74,7 @@ proptest! {
         n_windows in 0usize..30,
         flush_every in 1usize..15,
     ) {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows) = shared_fixture();
         let mut b = MicroBatcher::new(
             Arc::clone(fitted),
@@ -111,14 +113,14 @@ proptest! {
     }
 
     /// Recovery invariant: a stream peppered with rejected observations
-    /// (NaN pushes, wrong shapes, atomically-rejected chunks, injected
-    /// poison) emits exactly the windows of a clean stream that saw only
-    /// the valid observations — nothing dropped, duplicated or corrupted.
+    /// (NaN pushes, wrong shapes, injected poison) emits exactly the
+    /// windows of a clean stream that saw only the valid observations —
+    /// nothing dropped, duplicated or corrupted.
     #[test]
     fn window_buffer_survives_rejections_without_losing_windows(
         window_len in 2usize..10,
         stride in 1usize..12,
-        ops in prop::collection::vec(0u32..5, 0..60),
+        ops in prop::collection::vec(0u32..4, 0..60),
     ) {
         let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(window_cfg(window_len, stride, 1)).unwrap();
@@ -139,13 +141,6 @@ proptest! {
                 2 => prop_assert!(buf.push(&[f64::NAN]).is_err()),
                 // wrong channel count: rejected, buffer untouched
                 3 => prop_assert!(buf.push(&[1.0, 2.0]).is_err()),
-                // a chunk with a bad tail: rejected atomically — the
-                // valid prefix must not be ingested either
-                4 => {
-                    let bad: Vec<Vec<f64>> =
-                        vec![vec![i as f64], vec![(i + 1) as f64], vec![f64::NAN]];
-                    prop_assert!(buf.push_chunk(&bad).is_err());
-                }
                 _ => unreachable!(),
             }
             prop_assert_eq!(buf.observations(), clean.observations());

@@ -3,9 +3,8 @@
 //! matter how many pool threads fit or score them, and a panicking job
 //! must neither poison the global pool nor lose its payload.
 
-use mfod::depth::projection::{
-    projection_outlyingness_full, projection_outlyingness_on, ProjectionConfig,
-};
+use mfod::depth::projection::ProjectionConfig;
+use mfod::depth::GriddedDataSet;
 use mfod::detect::prelude::*;
 use mfod::linalg::par::{self, Pool};
 use mfod::linalg::Matrix;
@@ -113,20 +112,42 @@ fn iforest_fit_on_explicit_pools_matches_global_fit() {
 
 #[test]
 fn projection_fit_is_identical_across_pool_sizes() {
-    let x = Matrix::from_fn(64, 4, |i, j| {
-        ((i * 7 + j * 3) as f64 * 0.23).cos() * (j + 1) as f64
-    });
-    let cfg = ProjectionConfig {
-        n_directions: 64,
-        seed: 21,
+    // Four channels take the projection layer's two-selection path; the
+    // ECG test above reaches only the sorted planar one.
+    let curves = |n: usize, salt: usize| {
+        let grid: Vec<f64> = (0..12).map(|j| j as f64 / 11.0).collect();
+        let samples = (0..n)
+            .map(|i| {
+                Matrix::from_fn(12, 4, |j, k| {
+                    (((i + salt) * 7 + j * 3 + k) as f64 * 0.23).cos() * (k + 1) as f64
+                })
+            })
+            .collect();
+        GriddedDataSet::new(grid, samples).unwrap()
     };
-    let seq = projection_outlyingness_on(&Pool::with_threads(1), &x, &cfg).unwrap();
-    let wide = projection_outlyingness_on(&Pool::with_threads(8), &x, &cfg).unwrap();
-    let global = projection_outlyingness_full(&x, &cfg).unwrap();
-    assert_bits_eq(&seq.scores, &wide.scores, "projection 1 vs 8 threads");
-    assert_bits_eq(&seq.scores, &global.scores, "projection 1 vs global");
-    assert_eq!(seq.used_directions, wide.used_directions);
-    assert_eq!(seq.degenerate_directions, wide.degenerate_directions);
+    let (reference, queries) = (curves(64, 0), curves(9, 101));
+    let scorer = DirOut {
+        projection: ProjectionConfig {
+            n_directions: 64,
+            seed: 21,
+        },
+    };
+    let seq = scorer
+        .decompose_against_on(&Pool::with_threads(1), &reference, &queries)
+        .unwrap();
+    let wide = scorer
+        .decompose_against_on(&Pool::with_threads(8), &reference, &queries)
+        .unwrap();
+    let global = scorer.decompose_against(&reference, &queries).unwrap();
+    for other in [&wide, &global] {
+        assert_bits_eq(&seq.fo, &other.fo, "dirout FO across pools");
+        assert_bits_eq(&seq.vo, &other.vo, "dirout VO across pools");
+        for (a, b) in seq.mo.iter().zip(&other.mo) {
+            assert_bits_eq(a, b, "dirout MO across pools");
+        }
+        assert_eq!(seq.degenerate_directions, other.degenerate_directions);
+        assert_eq!(seq.attempted_directions, other.attempted_directions);
+    }
 }
 
 #[test]
