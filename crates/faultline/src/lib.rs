@@ -16,15 +16,18 @@
 //!   the fire/skip decision sequence at a point depends only on the seed
 //!   and how many times that point has been hit — never on thread
 //!   interleaving across points.
-//! - **Process-global.** Arming affects every hook in the process; tests
-//!   that arm plans must serialize through [`serial_guard`].
+//! - **Owned by the arming thread.** A plan is armed for the calling
+//!   thread's [`scope`] and fires only for work done on its behalf: its
+//!   own calls, the pool chunks it submits and the helper threads it
+//!   starts (a registry watcher, a deadline helper), each of which
+//!   [`enter`]s that scope. Concurrent plans never see each other's hits,
+//!   and a plan is disarmed when its thread exits.
 //!
 //! # Writing a plan
 //!
 //! ```
 //! use mfod_faultline::{points, FaultPlan, FaultRule};
 //!
-//! let _lock = mfod_faultline::serial_guard();
 //! mfod_faultline::install(
 //!     FaultPlan::new(42)
 //!         .rule(points::PERSIST_READ, FaultRule::with_probability(0.25))
@@ -39,9 +42,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -170,7 +175,7 @@ impl FaultRule {
 }
 
 /// A seeded schedule of fault rules, built once and then [`install`]ed
-/// process-wide.
+/// for the calling thread's [`scope`].
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
@@ -208,11 +213,6 @@ impl FaultPlan {
         self.rules.retain(|(p, _)| *p != point);
         self.rules.push((point, rule));
         self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -297,8 +297,9 @@ impl ArmedPlan {
 }
 
 /// Hit/fire counts per injection point, captured at [`disarm`] (or via
-/// [`report`] while armed). Serializable by hand; `to_json` emits a flat
-/// object for chaos-report artifacts.
+/// [`report`] while armed), of the hits made on behalf of the arming
+/// thread. Serializable by hand; `to_json` emits a flat object for
+/// chaos-report artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// Seed the plan was built from.
@@ -352,45 +353,94 @@ impl FaultReport {
     }
 }
 
-/// Fast gate: `true` only while a plan is armed. One relaxed load.
+/// Fast gate: `true` while some thread has a plan armed. One relaxed load.
 static GATE: AtomicBool = AtomicBool::new(false);
 
-fn plan_slot() -> &'static Mutex<Option<ArmedPlan>> {
-    static SLOT: OnceLock<Mutex<Option<ArmedPlan>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+/// Armed plans by scope. `GATE` is set under this lock: up while non-empty.
+static PLANS: Mutex<BTreeMap<u64, ArmedPlan>> = Mutex::new(BTreeMap::new());
+
+/// The next scope id; 0 means "none taken yet".
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The scope this thread acts for; 0 until [`scope`] takes one.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+    /// The scope this thread last armed; its plan dies with the thread.
+    static ARMED: Disarm = const { Disarm(Cell::new(0)) };
 }
 
-/// Is a fault plan currently armed? Hot-path gate: a single relaxed
-/// atomic load, no branches beyond the caller's.
-#[inline]
-pub fn armed() -> bool {
-    GATE.load(Ordering::Relaxed)
+struct Disarm(Cell<u64>);
+
+impl Drop for Disarm {
+    fn drop(&mut self) {
+        take_plan(self.0.get());
+    }
 }
 
-/// Arm `plan` process-wide, replacing any previously armed plan.
+/// Every update leaves the map valid, so a poisoned lock is still usable.
+fn plans() -> MutexGuard<'static, BTreeMap<u64, ArmedPlan>> {
+    PLANS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn take_plan(scope: u64) -> Option<ArmedPlan> {
+    let mut plans = plans();
+    let plan = plans.remove(&scope);
+    GATE.store(!plans.is_empty(), Ordering::Release);
+    plan
+}
+
+/// The fault-plan scope the calling thread acts for: the one it
+/// [`enter`]ed, else its own. Work handed to another thread `enter`s this
+/// id there, so its hooks consult the plan of the thread it is done for.
+pub fn scope() -> u64 {
+    SCOPE.with(|s| {
+        if s.get() == 0 {
+            s.set(NEXT_SCOPE.fetch_add(1, Ordering::Relaxed));
+        }
+        s.get()
+    })
+}
+
+/// Act for `scope` on this thread until the guard drops.
+pub fn enter(scope: u64) -> ScopeGuard {
+    ScopeGuard(SCOPE.with(|s| s.replace(scope)), PhantomData)
+}
+
+/// Restores the thread's previous scope on drop; it cannot leave the thread.
+#[must_use = "the scope is left when the guard drops"]
+pub struct ScopeGuard(u64, PhantomData<*const ()>);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
+}
+
+/// Arm `plan` for the calling thread's [`scope`], replacing the plan
+/// armed there before. It is disarmed when the thread exits.
 pub fn install(plan: FaultPlan) {
-    let mut slot = plan_slot().lock().expect("faultline plan lock poisoned");
-    *slot = Some(ArmedPlan::new(plan));
+    let scope = scope();
+    ARMED.with(|a| a.0.set(scope));
+    let mut plans = plans();
+    plans.insert(scope, ArmedPlan::new(plan));
     GATE.store(true, Ordering::Release);
 }
 
-/// Disarm and return the report for the plan that was armed, if any.
+/// Disarm the calling thread's plan and return its report, if it had one.
 pub fn disarm() -> Option<FaultReport> {
-    GATE.store(false, Ordering::Release);
-    let mut slot = plan_slot().lock().expect("faultline plan lock poisoned");
-    slot.take().map(|plan| FaultReport::from_plan(&plan))
+    take_plan(scope()).map(|plan| FaultReport::from_plan(&plan))
 }
 
-/// Snapshot the report for the currently armed plan without disarming.
+/// Snapshot the report of the calling thread's plan without disarming it.
 pub fn report() -> Option<FaultReport> {
-    let slot = plan_slot().lock().expect("faultline plan lock poisoned");
-    slot.as_ref().map(FaultReport::from_plan)
+    plans().get(&scope()).map(FaultReport::from_plan)
 }
 
 /// Should the named injection point fire on this hit?
 ///
 /// Disabled path: one relaxed load, returns `false`. Armed path: counts
-/// the hit and consults the point's seeded rule under the plan lock.
+/// the hit in the plan of the caller's [`scope`] and consults the point's
+/// seeded rule under the plan lock.
 #[inline]
 pub fn should_fire(point: &str) -> bool {
     if !GATE.load(Ordering::Relaxed) {
@@ -419,7 +469,7 @@ pub fn stall(point: &str) {
 /// supervising process can attribute the kill to the point that fired.
 pub const ENV_FAULT_REPORT: &str = "MFOD_FAULT_REPORT";
 
-/// Crash-harness freeze: if the armed plan was built with
+/// Crash-harness freeze: if the calling thread's armed plan was built with
 /// [`FaultPlan::park_on_fire`], dump the current [`FaultReport`] to the
 /// [`ENV_FAULT_REPORT`] path (when set), announce the parked point on
 /// stdout, and sleep forever awaiting an external SIGKILL. Under a
@@ -431,12 +481,10 @@ pub const ENV_FAULT_REPORT: &str = "MFOD_FAULT_REPORT";
 /// *before* calling this, so the frozen on-disk state is exactly the
 /// state a real crash at the point would leave behind.
 pub fn park_if_requested(point: &str) {
-    let parked = {
-        let slot = plan_slot().lock().expect("faultline plan lock poisoned");
-        slot.as_ref()
-            .filter(|plan| plan.park_on_fire)
-            .map(FaultReport::from_plan)
-    };
+    let parked = plans()
+        .get(&scope())
+        .filter(|plan| plan.park_on_fire)
+        .map(FaultReport::from_plan);
     let Some(report) = parked else {
         return;
     };
@@ -455,11 +503,8 @@ pub fn park_if_requested(point: &str) {
 
 #[cold]
 fn check_slow(point: &str) -> Option<FaultRule> {
-    let fired = {
-        let mut slot = plan_slot().lock().expect("faultline plan lock poisoned");
-        // The gate may have been disarmed between the load and the lock.
-        slot.as_mut().and_then(|plan| plan.check(point))
-    };
+    // The gate is up for any thread's plan; the caller may have none.
+    let fired = plans().get_mut(&scope()).and_then(|plan| plan.check(point));
     if fired.is_some() {
         // Timeline marker for the observability journal: one instant
         // event per actual firing, so a chaos-soak trace shows *when*
@@ -470,23 +515,14 @@ fn check_slow(point: &str) -> Option<FaultRule> {
     fired
 }
 
-/// Serialize tests that arm plans: faultline state is process-global, so
-/// concurrent arming tests would corrupt each other's schedules. Every
-/// test that calls [`install`] must hold this guard for its duration.
-pub fn serial_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disarmed_hooks_never_fire() {
-        let _lock = serial_guard();
         disarm();
-        assert!(!armed());
+        assert!(report().is_none());
         for _ in 0..100 {
             assert!(!should_fire(points::PERSIST_READ));
         }
@@ -495,7 +531,6 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let _lock = serial_guard();
         let run = |seed: u64| -> Vec<bool> {
             install(
                 FaultPlan::new(seed).rule(points::STREAM_FLUSH, FaultRule::with_probability(0.5)),
@@ -513,8 +548,61 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_plans_stay_apart() {
+        let plan = |seed| {
+            FaultPlan::new(seed).rule(points::STREAM_FLUSH, FaultRule::with_probability(0.5))
+        };
+        let hit = || -> Vec<bool> { (0..64).map(|_| should_fire(points::STREAM_FLUSH)).collect() };
+        let solo: Vec<Vec<bool>> = [7, 8]
+            .map(|seed| {
+                install(plan(seed));
+                let fired = hit();
+                disarm();
+                fired
+            })
+            .into();
+        let barrier = &std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let armed = [7, 8].map(|seed| {
+                s.spawn(move || {
+                    install(plan(seed));
+                    barrier.wait();
+                    (hit(), disarm().unwrap())
+                })
+            });
+            let bystander = s.spawn(|| {
+                barrier.wait();
+                (hit(), report())
+            });
+            for (handle, expected) in armed.into_iter().zip(&solo) {
+                let (fired, report) = handle.join().unwrap();
+                assert_eq!(&fired, expected, "a plan saw another thread's hits");
+                assert_eq!(report.hits(points::STREAM_FLUSH), 64);
+            }
+            let (fired, report) = bystander.join().unwrap();
+            assert!(fired.iter().all(|&f| !f), "an unarmed thread fired");
+            assert!(report.is_none());
+        });
+    }
+
+    #[test]
+    fn a_thread_that_dies_armed_leaves_nothing_armed() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let died = std::thread::spawn(move || {
+            install(FaultPlan::new(1).rule(points::PERSIST_READ, FaultRule::always()));
+            tx.send(scope()).unwrap();
+            panic!("dies armed");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(!should_fire(points::PERSIST_READ));
+        // The plan went with its thread, not just out of this one's reach.
+        let _dead = enter(rx.recv().unwrap());
+        assert!(report().is_none());
+    }
+
+    #[test]
     fn per_point_streams_are_independent_of_interleaving() {
-        let _lock = serial_guard();
         let plan = || {
             FaultPlan::new(11)
                 .rule(points::PERSIST_READ, FaultRule::with_probability(0.5))
@@ -542,7 +630,6 @@ mod tests {
 
     #[test]
     fn once_and_times_cap_fires() {
-        let _lock = serial_guard();
         install(FaultPlan::new(3).rule(points::POOL_PANIC, FaultRule::once()));
         let fires = (0..50).filter(|_| should_fire(points::POOL_PANIC)).count();
         let report = disarm().unwrap();
@@ -558,7 +645,6 @@ mod tests {
 
     #[test]
     fn skip_first_defers_eligibility() {
-        let _lock = serial_guard();
         install(FaultPlan::new(5).rule(points::STREAM_FLUSH, FaultRule::always().after(10)));
         let fired: Vec<bool> = (0..15).map(|_| should_fire(points::STREAM_FLUSH)).collect();
         disarm();
@@ -568,7 +654,6 @@ mod tests {
 
     #[test]
     fn unruled_points_count_hits_but_never_fire() {
-        let _lock = serial_guard();
         install(FaultPlan::new(1));
         for _ in 0..7 {
             assert!(!should_fire(points::PERSIST_CRC));
@@ -580,7 +665,6 @@ mod tests {
 
     #[test]
     fn stall_sleeps_only_when_fired() {
-        let _lock = serial_guard();
         install(FaultPlan::new(9).rule(
             points::POOL_STRAGGLE,
             FaultRule::once().delay(Duration::from_millis(25)),
@@ -601,7 +685,6 @@ mod tests {
 
     #[test]
     fn report_json_is_flat_and_sorted() {
-        let _lock = serial_guard();
         install(
             FaultPlan::new(2)
                 .rule(points::STREAM_FLUSH, FaultRule::always().times(1))
@@ -620,7 +703,6 @@ mod tests {
 
     #[test]
     fn park_is_a_noop_without_a_parking_plan() {
-        let _lock = serial_guard();
         // no plan armed: returns immediately
         disarm();
         park_if_requested(points::STORE_COMMIT);
@@ -645,7 +727,6 @@ mod tests {
 
     #[test]
     fn rule_replaces_earlier_rule_for_same_point() {
-        let _lock = serial_guard();
         let plan = FaultPlan::new(4)
             .rule(points::STREAM_FLUSH, FaultRule::always())
             .rule(points::STREAM_FLUSH, FaultRule::with_probability(0.0));

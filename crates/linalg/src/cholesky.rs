@@ -254,7 +254,6 @@ mod tests {
 
     #[test]
     fn factor_known_matrix() {
-        let _guard = mfod_faultline::serial_guard();
         // Classic example: L = [[2,0,0],[6,1,0],[-8,5,3]]
         let c = Cholesky::new(&spd3()).unwrap();
         let l = c.factor();
@@ -268,7 +267,6 @@ mod tests {
 
     #[test]
     fn from_factor_roundtrip_and_validation() {
-        let _guard = mfod_faultline::serial_guard();
         let c = Cholesky::new(&spd3()).unwrap();
         let rebuilt = Cholesky::from_factor(c.factor().clone()).unwrap();
         let b = [1.0, -2.0, 0.5];
@@ -298,7 +296,6 @@ mod tests {
 
     #[test]
     fn reconstruction() {
-        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let l = c.factor();
@@ -308,7 +305,6 @@ mod tests {
 
     #[test]
     fn solve_roundtrip() {
-        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let x_true = [1.0, -2.0, 0.5];
@@ -321,7 +317,6 @@ mod tests {
 
     #[test]
     fn solve_lower_matches_quadratic_form() {
-        let _guard = mfod_faultline::serial_guard();
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         // L y = b by construction: L yᵀy = ‖L⁻¹b‖² = bᵀ A⁻¹ b
@@ -338,7 +333,6 @@ mod tests {
 
     #[test]
     fn rejects_non_spd() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert!(matches!(
             Cholesky::new(&a),
@@ -348,7 +342,6 @@ mod tests {
 
     #[test]
     fn rejects_rectangular_and_nan() {
-        let _guard = mfod_faultline::serial_guard();
         assert!(matches!(
             Cholesky::new(&Matrix::zeros(2, 3)),
             Err(LinalgError::NotSquare { .. })
@@ -359,7 +352,6 @@ mod tests {
 
     #[test]
     fn jitter_rescues_semidefinite() {
-        let _guard = mfod_faultline::serial_guard();
         // rank-1 matrix, positive semi-definite but singular
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         assert!(Cholesky::new(&a).is_err());
@@ -369,7 +361,6 @@ mod tests {
 
     #[test]
     fn solve_lower_multi_is_bit_identical_to_columnwise() {
-        let _guard = mfod_faultline::serial_guard();
         let c = Cholesky::new(&spd3()).unwrap();
         // 5 columns exercise both the blocked width and odd shapes
         let b = Matrix::from_fn(3, 5, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());

@@ -71,7 +71,6 @@ mod tests {
 
     #[test]
     fn display_formats_are_informative() {
-        let _guard = mfod_faultline::serial_guard();
         let e = LinalgError::DimensionMismatch {
             op: "matmul",
             lhs: (2, 3),
@@ -93,7 +92,6 @@ mod tests {
 
     #[test]
     fn error_is_std_error() {
-        let _guard = mfod_faultline::serial_guard();
         fn assert_err<E: std::error::Error>(_: &E) {}
         assert_err(&LinalgError::Empty);
     }

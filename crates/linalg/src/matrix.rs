@@ -568,7 +568,6 @@ mod tests {
 
     #[test]
     fn zeros_and_identity() {
-        let _guard = mfod_faultline::serial_guard();
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.shape(), (2, 3));
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
@@ -580,7 +579,6 @@ mod tests {
 
     #[test]
     fn from_rows_and_indexing() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
@@ -591,7 +589,6 @@ mod tests {
 
     #[test]
     fn from_fn_matches_closure() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
         assert_eq!(m[(2, 1)], 21.0);
         assert_eq!(m[(0, 0)], 0.0);
@@ -599,7 +596,6 @@ mod tests {
 
     #[test]
     fn transpose_involution() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let t = m.transpose();
         assert_eq!(t.shape(), (3, 2));
@@ -609,7 +605,6 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
@@ -621,7 +616,6 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[3.5, 4.0, -1.0]]);
         let i = Matrix::identity(3);
         assert_eq!(a.matmul(&i), a);
@@ -629,7 +623,6 @@ mod tests {
 
     #[test]
     fn checked_matmul_rejects_bad_shapes() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(matches!(
@@ -640,7 +633,6 @@ mod tests {
 
     #[test]
     fn matvec_and_tr_matvec_agree_with_matmul() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let v = [1.0, 0.0, -1.0];
         assert_eq!(a.matvec(&v), vec![-2.0, -2.0]);
@@ -650,7 +642,6 @@ mod tests {
 
     #[test]
     fn gram_matches_explicit_product() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let g = a.gram();
         let explicit = a.transpose().matmul(&a);
@@ -660,7 +651,6 @@ mod tests {
 
     #[test]
     fn blocked_kernels_are_bit_identical_to_scalar_reference() {
-        let _guard = mfod_faultline::serial_guard();
         // The register-blocked matmul/matvec must execute the identical
         // floating-point operations as the unblocked i-k-j kernel with
         // per-row zero skips — including shapes that exercise the 4-row
@@ -717,7 +707,6 @@ mod tests {
 
     #[test]
     fn arithmetic_ops() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
         assert_eq!(a.add(&b).as_slice(), &[4.0, 7.0]);
@@ -730,7 +719,6 @@ mod tests {
 
     #[test]
     fn norms() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_rows(&[&[3.0, -4.0]]);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.is_finite());
@@ -740,7 +728,6 @@ mod tests {
 
     #[test]
     fn submatrix_extraction() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
         let s = m.submatrix(&[0, 2], &[1, 3]);
         assert_eq!(s.shape(), (2, 2));
@@ -750,7 +737,6 @@ mod tests {
 
     #[test]
     fn debug_output_is_truncated() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::zeros(10, 10);
         let s = format!("{m:?}");
         assert!(s.contains("Matrix 10x10"));
@@ -767,7 +753,6 @@ mod tests {
 
     #[test]
     fn shared_matrix_kernels_match_owned_bit_for_bit() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_fn(7, 5, |i, j| ((i * 31 + j * 17) as f64).sin());
         let b = Matrix::from_fn(5, 6, |i, j| ((i * 13 + j * 7) as f64).cos());
         let (sa, sb) = (shared_copy(&a), shared_copy(&b));
@@ -792,7 +777,6 @@ mod tests {
 
     #[test]
     fn shared_matrix_copies_on_first_write() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_fn(3, 3, |i, j| (i + j) as f64);
         let mut s = shared_copy(&m);
         assert!(s.is_borrowed());
@@ -809,7 +793,6 @@ mod tests {
 
     #[test]
     fn equality_spans_storage_tiers() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
         let s = shared_copy(&m);
         assert_eq!(m, s);

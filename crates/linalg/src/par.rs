@@ -381,6 +381,10 @@ impl Pool {
             // Only resolved when the recorder is on; the disabled path
             // never reads a clock.
             let queued_at = obs.map(|_| std::time::Instant::now());
+            // A chunk consults its submitter's fault plan, whichever thread
+            // runs it. Each task owns a copy of the id: a borrow would
+            // dangle once this block ends.
+            let scope = mfod_faultline::scope();
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (1..chunks)
                 .map(|c| {
                     let outcomes = &outcomes;
@@ -391,6 +395,7 @@ impl Pool {
                         // outcome were to unwind, so the waiter can never
                         // hang on a lost count.
                         let _guard = CountdownGuard(latch);
+                        let _scope = mfod_faultline::enter(scope);
                         if let (Some(m), Some(t)) = (obs, queued_at) {
                             m.pool_queue_wait.record_duration(t.elapsed());
                         }
@@ -609,7 +614,6 @@ mod tests {
 
     #[test]
     fn matches_sequential_map() {
-        let _guard = mfod_faultline::serial_guard();
         for n in [0usize, 1, 2, 7, 64, 1000] {
             let seq: Vec<u64> = (0..n)
                 .map(|i| (i as u64).wrapping_mul(0x9E37) >> 3)
@@ -621,7 +625,6 @@ mod tests {
 
     #[test]
     fn error_propagates() {
-        let _guard = mfod_faultline::serial_guard();
         let r: Result<Vec<usize>, String> = par_try_map(100, |i| {
             if i == 63 {
                 Err(format!("boom {i}"))
@@ -636,7 +639,6 @@ mod tests {
 
     #[test]
     fn first_error_in_index_order_wins() {
-        let _guard = mfod_faultline::serial_guard();
         // Errors at indices 10 and 90 land in different sub-chunks on any
         // thread count; the reassembly order guarantees index 10 reports.
         let pool = Pool::with_threads(4);
@@ -652,7 +654,6 @@ mod tests {
 
     #[test]
     fn reports_at_least_one_thread() {
-        let _guard = mfod_faultline::serial_guard();
         assert!(max_threads() >= 1);
         assert!(configured_threads() >= 1);
         assert!(global().threads() >= 1);
@@ -661,7 +662,6 @@ mod tests {
 
     #[test]
     fn env_values_parse_leniently() {
-        let _guard = mfod_faultline::serial_guard();
         assert_eq!(positive_from_env("4"), Some(4));
         assert_eq!(positive_from_env(" 16 "), Some(16));
         assert_eq!(positive_from_env("1"), Some(1));
@@ -675,7 +675,6 @@ mod tests {
 
     #[test]
     fn task_chunks_is_a_pure_function_of_shape() {
-        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_config(4, 8);
         assert_eq!(pool.split(), 8);
         // capped by the item count…
@@ -693,7 +692,6 @@ mod tests {
 
     #[test]
     fn explicit_pools_agree_with_each_other_and_sequential() {
-        let _guard = mfod_faultline::serial_guard();
         let work = |i: usize| ((i as f64) * 0.6180339887).sin().to_bits();
         let seq: Vec<u64> = (0..257).map(work).collect();
         for threads in [1usize, 2, 3, 8] {
@@ -707,7 +705,6 @@ mod tests {
 
     #[test]
     fn unbalanced_items_are_bit_identical_to_sequential() {
-        let _guard = mfod_faultline::serial_guard();
         // Exponential per-item cost: the last items dominate, exactly the
         // shape the stealing scheduler exists for. The *output* must not
         // care which thread stole what.
@@ -731,7 +728,6 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_many_calls() {
-        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         for round in 0..200usize {
             let out = pool.map(round % 37, |i| i * round);
@@ -741,7 +737,6 @@ mod tests {
 
     #[test]
     fn panic_payload_reaches_the_caller_and_pool_survives() {
-        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.map(64, |i| {
@@ -765,7 +760,6 @@ mod tests {
 
     #[test]
     fn injected_pool_faults_surface_like_real_ones() {
-        let _fault_lock = mfod_faultline::serial_guard();
         // An injected chunk panic rides the normal catch/rethrow path:
         // the caller sees the panic, the pool survives.
         mfod_faultline::install(mfod_faultline::FaultPlan::new(21).rule(
@@ -804,8 +798,36 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_reaches_only_the_chunks_its_thread_submits() {
+        let pool = Pool::with_threads(4);
+        let barrier = std::sync::Barrier::new(2);
+        let expected: Vec<usize> = (0..256).map(|i| i * 3).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                mfod_faultline::install(mfod_faultline::FaultPlan::new(23).rule(
+                    mfod_faultline::points::POOL_PANIC,
+                    mfod_faultline::FaultRule::always(),
+                ));
+                barrier.wait();
+                for _ in 0..50 {
+                    let caught = catch_unwind(AssertUnwindSafe(|| pool.map(256, |i| i * 3)));
+                    assert!(caught.is_err(), "the arming thread's map must panic");
+                }
+                mfod_faultline::disarm();
+            });
+            // Unarmed: its chunks may run on the arming thread while that
+            // one helps, and still never see its plan.
+            s.spawn(|| {
+                barrier.wait();
+                for _ in 0..50 {
+                    assert_eq!(pool.map(256, |i| i * 3), expected);
+                }
+            });
+        });
+    }
+
+    #[test]
     fn earliest_chunk_failure_wins_across_kinds() {
-        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         // Error in an early sub-chunk beats a panic in a late one (that
         // is what a sequential loop would have hit first).
@@ -838,7 +860,6 @@ mod tests {
 
     #[test]
     fn sequential_path_panics_transparently() {
-        let _guard = mfod_faultline::serial_guard();
         // n < 2 runs inline; the panic must still carry the payload.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map(1, |_| -> usize { std::panic::panic_any(7usize) })
@@ -849,7 +870,6 @@ mod tests {
 
     #[test]
     fn nested_maps_on_the_same_pool_do_not_deadlock() {
-        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(2);
         let out = pool.map(4, |i| pool.map(4, move |j| i * 10 + j));
         let expected: Vec<Vec<usize>> = (0..4)
@@ -860,7 +880,6 @@ mod tests {
 
     #[test]
     fn global_functions_use_one_shared_pool() {
-        let _guard = mfod_faultline::serial_guard();
         // Nested global calls exercise the steal-while-waiting path on
         // the machine's real pool.
         let out = par_try_map(8, |i| {

@@ -108,7 +108,6 @@ mod tests {
 
     #[test]
     fn weights_sum_to_interval_length() {
-        let _guard = mfod_faultline::serial_guard();
         for n in 1..=10 {
             let rule = gauss_legendre(n);
             let s: f64 = rule.weights.iter().sum();
@@ -121,7 +120,6 @@ mod tests {
 
     #[test]
     fn nodes_are_symmetric_and_inside() {
-        let _guard = mfod_faultline::serial_guard();
         let rule = gauss_legendre(7);
         for (&a, &b) in rule.nodes.iter().zip(rule.nodes.iter().rev()) {
             assert!((a + b).abs() < 1e-12);
@@ -135,7 +133,6 @@ mod tests {
 
     #[test]
     fn exact_for_polynomials_up_to_degree_2n_minus_1() {
-        let _guard = mfod_faultline::serial_guard();
         // ∫_{-1}^{1} x^d dx = 0 (odd) or 2/(d+1) (even)
         for n in 1..=8 {
             let rule = gauss_legendre(n);
@@ -156,7 +153,6 @@ mod tests {
 
     #[test]
     fn mapped_rule_integrates_cubic() {
-        let _guard = mfod_faultline::serial_guard();
         // ∫₁³ (x³ - 2x) dx = [x⁴/4 - x²]₁³ = (81/4 - 9) - (1/4 - 1) = 12
         let rule = gauss_legendre_on(2, 1.0, 3.0);
         let v = rule.integrate(|x| x * x * x - 2.0 * x);
@@ -165,7 +161,6 @@ mod tests {
 
     #[test]
     fn known_two_point_rule() {
-        let _guard = mfod_faultline::serial_guard();
         let rule = gauss_legendre(2);
         let expect = 1.0 / 3.0_f64.sqrt();
         assert!((rule.nodes[0] + expect).abs() < 1e-12);
@@ -175,7 +170,6 @@ mod tests {
 
     #[test]
     fn integrates_transcendental_accurately() {
-        let _guard = mfod_faultline::serial_guard();
         // ∫₀^π sin x dx = 2, a 10-point rule should nail it
         let rule = gauss_legendre_on(10, 0.0, std::f64::consts::PI);
         assert!((rule.integrate(f64::sin) - 2.0).abs() < 1e-10);

@@ -104,7 +104,6 @@ mod tests {
 
     #[test]
     fn view_reads_owner_data() {
-        let _guard = mfod_faultline::serial_guard();
         let v = shared(vec![1.0, -0.0, f64::NAN]);
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
@@ -116,7 +115,6 @@ mod tests {
 
     #[test]
     fn clones_share_without_copying() {
-        let _guard = mfod_faultline::serial_guard();
         let v = shared((0..512).map(|i| i as f64).collect());
         let w = v.clone();
         assert_eq!(v.as_slice().as_ptr(), w.as_slice().as_ptr());
@@ -126,7 +124,6 @@ mod tests {
 
     #[test]
     fn owner_outlives_all_views_across_threads() {
-        let _guard = mfod_faultline::serial_guard();
         let v = shared(vec![2.5; 1024]);
         let handles: Vec<_> = (0..4)
             .map(|_| {

@@ -269,7 +269,6 @@ mod tests {
 
     #[test]
     fn dot_and_norms() {
-        let _guard = mfod_faultline::serial_guard();
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
@@ -278,7 +277,6 @@ mod tests {
 
     #[test]
     fn axpy_scale_sub_add() {
-        let _guard = mfod_faultline::serial_guard();
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut y);
         assert_eq!(y, vec![3.0, 5.0]);
@@ -290,7 +288,6 @@ mod tests {
 
     #[test]
     fn mean_variance_std() {
-        let _guard = mfod_faultline::serial_guard();
         let a = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&a) - 5.0).abs() < 1e-12);
         assert!((variance_pop(&a) - 4.0).abs() < 1e-12);
@@ -302,7 +299,6 @@ mod tests {
 
     #[test]
     fn median_odd_even() {
-        let _guard = mfod_faultline::serial_guard();
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[5.0]), 5.0);
@@ -311,14 +307,12 @@ mod tests {
 
     #[test]
     fn median_with_ties() {
-        let _guard = mfod_faultline::serial_guard();
         assert_eq!(median(&[1.0, 1.0, 1.0, 9.0]), 1.0);
         assert_eq!(median(&[2.0, 2.0]), 2.0);
     }
 
     #[test]
     fn mad_of_symmetric_data() {
-        let _guard = mfod_faultline::serial_guard();
         let a = [1.0, 2.0, 3.0, 4.0, 5.0];
         // median = 3, abs devs = [2,1,0,1,2], median dev = 1
         assert!((mad_raw(&a) - 1.0).abs() < 1e-12);
@@ -327,7 +321,6 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate() {
-        let _guard = mfod_faultline::serial_guard();
         let a = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&a, 0.0), 1.0);
         assert_eq!(quantile(&a, 1.0), 4.0);
@@ -338,7 +331,6 @@ mod tests {
 
     #[test]
     fn min_max_ignore_nan() {
-        let _guard = mfod_faultline::serial_guard();
         assert_eq!(min(&[3.0, f64::NAN, 1.0]), 1.0);
         assert_eq!(max(&[3.0, f64::NAN, 1.0]), 3.0);
         assert!(min(&[]).is_nan());
@@ -346,7 +338,6 @@ mod tests {
 
     #[test]
     fn normalize_unit_vector() {
-        let _guard = mfod_faultline::serial_guard();
         let mut v = vec![3.0, 4.0];
         let n = normalize(&mut v, 1e-12);
         assert_eq!(n, 5.0);
@@ -359,7 +350,6 @@ mod tests {
 
     #[test]
     fn trapz_linear_function_exact() {
-        let _guard = mfod_faultline::serial_guard();
         // ∫₀¹ 2t dt = 1 exactly under the trapezoid rule.
         let t: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
         let y: Vec<f64> = t.iter().map(|x| 2.0 * x).collect();
@@ -373,7 +363,6 @@ mod tests {
 
     #[test]
     fn ranks_average_ties() {
-        let _guard = mfod_faultline::serial_guard();
         let r = average_ranks(&[10.0, 20.0, 20.0, 30.0]);
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
         let r = average_ranks(&[5.0, 5.0, 5.0]);
@@ -384,7 +373,6 @@ mod tests {
 
     #[test]
     fn all_finite_detects_nan_inf() {
-        let _guard = mfod_faultline::serial_guard();
         assert!(all_finite(&[1.0, 2.0]));
         assert!(!all_finite(&[1.0, f64::NAN]));
         assert!(!all_finite(&[f64::INFINITY]));

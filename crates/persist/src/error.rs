@@ -173,7 +173,6 @@ mod tests {
 
     #[test]
     fn display_covers_all_variants() {
-        let _guard = mfod_faultline::serial_guard();
         let cases: Vec<PersistError> = vec![
             PersistError::BadMagic { got: *b"NOPE" },
             PersistError::UnsupportedVersion {

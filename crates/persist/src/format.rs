@@ -651,7 +651,6 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        let _guard = mfod_faultline::serial_guard();
         // standard check value for "123456789"
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
@@ -663,7 +662,6 @@ mod tests {
     /// multiples of the 16-byte block or the three-way split.
     #[test]
     fn crc32_interleaved_matches_reference() {
-        let _guard = mfod_faultline::serial_guard();
         fn reference(bytes: &[u8]) -> u32 {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in bytes {
@@ -700,7 +698,6 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reencode_identical() {
-        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let back: Blob = from_bytes(&bytes).unwrap();
@@ -713,7 +710,6 @@ mod tests {
 
     #[test]
     fn wrong_magic_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         let mut bytes = to_bytes(&blob());
         bytes[0] = b'X';
         assert!(matches!(
@@ -724,7 +720,6 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         let mut bytes = to_bytes(&blob());
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         // fix the CRC so the version check (not the checksum) fires
@@ -739,7 +734,6 @@ mod tests {
 
     #[test]
     fn wrong_kind_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         #[derive(Debug)]
         struct Other;
         impl Encode for Other {
@@ -763,7 +757,6 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_caught() {
-        let _guard = mfod_faultline::serial_guard();
         let bytes = to_bytes(&blob());
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
@@ -777,7 +770,6 @@ mod tests {
 
     #[test]
     fn every_truncation_is_typed() {
-        let _guard = mfod_faultline::serial_guard();
         let bytes = to_bytes(&blob());
         for n in 0..bytes.len() {
             assert!(
@@ -789,7 +781,6 @@ mod tests {
 
     #[test]
     fn missing_section_is_typed() {
-        let _guard = mfod_faultline::serial_guard();
         let w = SnapshotWriter::new(Blob::KIND);
         let bytes = w.finish(); // zero sections
         let snap = LazySnapshot::open(&bytes).unwrap();
@@ -803,7 +794,6 @@ mod tests {
 
     #[test]
     fn unknown_extra_sections_are_ignored() {
-        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let mut w = SnapshotWriter::new(Blob::KIND);
         w.section(SECTION_BODY, |enc| b.encode(enc));
@@ -815,7 +805,6 @@ mod tests {
 
     #[test]
     fn crc32_matches_bitwise_reference() {
-        let _guard = mfod_faultline::serial_guard();
         fn reference(bytes: &[u8]) -> u32 {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in bytes {
@@ -841,7 +830,6 @@ mod tests {
 
     #[test]
     fn sections_start_at_8_aligned_file_offsets() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = SnapshotWriter::new(7);
         w.section(1, |enc| enc.put_u8(0xAA)); // odd length forces padding
         w.section(2, |enc| enc.put_u64(0xDEAD_BEEF));
@@ -864,7 +852,6 @@ mod tests {
 
     #[test]
     fn lazy_snapshot_decodes_on_touch_and_memoizes() {
-        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let snap = LazySnapshot::open(&bytes).unwrap();
@@ -892,7 +879,6 @@ mod tests {
 
     #[test]
     fn lazy_and_eager_paths_are_bit_identical() {
-        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let bytes = to_bytes(&b);
         let eager: Blob = from_bytes(&bytes).unwrap();
@@ -910,7 +896,6 @@ mod tests {
 
     #[test]
     fn mapped_decode_serves_matrices_zero_copy() {
-        let _guard = mfod_faultline::serial_guard();
         #[derive(Debug)]
         struct Weights {
             m: mfod_linalg::Matrix,
@@ -957,7 +942,6 @@ mod tests {
 
     #[test]
     fn tampering_is_caught_at_open_even_if_never_touched() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = SnapshotWriter::new(9);
         w.section(1, |enc| enc.put_u64(1));
         w.section(2, |enc| enc.put_u64(2));
@@ -974,7 +958,6 @@ mod tests {
 
     #[test]
     fn touched_corruption_fails_typed_like_the_eager_path() {
-        let _guard = mfod_faultline::serial_guard();
         let b = blob();
         let mut w = SnapshotWriter::new(Blob::KIND);
         // a body section that lies about its vec length
@@ -999,7 +982,6 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_typed_on_io_error() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blob.mfod");
@@ -1025,7 +1007,6 @@ mod tests {
 
     #[test]
     fn concurrent_savers_to_one_path_never_clobber_each_other() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("contended.mfod");

@@ -89,7 +89,6 @@ mod tests {
 
     #[test]
     fn known_fnv_vectors() {
-        let _guard = mfod_faultline::serial_guard();
         // canonical FNV-1a 64 test vectors
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
@@ -98,7 +97,6 @@ mod tests {
 
     #[test]
     fn f64_hashing_is_bitwise() {
-        let _guard = mfod_faultline::serial_guard();
         assert_ne!(hash_f64s(&[0.0]), hash_f64s(&[-0.0]));
         assert_eq!(hash_f64s(&[1.5, 2.5]), hash_f64s(&[1.5, 2.5]));
         assert_ne!(hash_f64s(&[1.5, 2.5]), hash_f64s(&[2.5, 1.5]));
@@ -109,7 +107,6 @@ mod tests {
 
     #[test]
     fn incremental_matches_oneshot() {
-        let _guard = mfod_faultline::serial_guard();
         let mut h = Fnv1a::new();
         h.update(b"foo").update(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));

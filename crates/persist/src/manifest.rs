@@ -164,7 +164,6 @@ mod tests {
 
     #[test]
     fn lineage_and_lookup() {
-        let _guard = mfod_faultline::serial_guard();
         let m = manifest();
         assert_eq!(m.active_entry().unwrap().generation, 3);
         assert_eq!(m.entry(2).unwrap().parent, Some(1));
@@ -175,7 +174,6 @@ mod tests {
 
     #[test]
     fn next_generation_outlives_dropped_entries() {
-        let _guard = mfod_faultline::serial_guard();
         let mut m = manifest();
         m.entries.retain(|e| e.generation != 3);
         assert_eq!(m.next_generation(), 4);
@@ -183,7 +181,6 @@ mod tests {
 
     #[test]
     fn upsert_replaces_in_place_and_keeps_order() {
-        let _guard = mfod_faultline::serial_guard();
         let mut m = manifest();
         let mut replacement = entry(2, Some(1));
         replacement.tag = "rewritten".into();

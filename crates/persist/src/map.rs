@@ -270,7 +270,6 @@ mod tests {
 
     #[test]
     fn from_vec_is_aligned_and_faithful() {
-        let _guard = mfod_faultline::serial_guard();
         for n in [0usize, 1, 7, 8, 9, 4096] {
             let data: Vec<u8> = (0..n).map(|i| (i * 37 % 251) as u8).collect();
             let shared = SharedBytes::from_vec(data.clone());
@@ -285,7 +284,6 @@ mod tests {
 
     #[test]
     fn map_reads_real_files_and_types_missing_ones() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-map-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("payload.bin");
@@ -308,7 +306,6 @@ mod tests {
 
     #[test]
     fn f64_views_require_alignment_and_bounds() {
-        let _guard = mfod_faultline::serial_guard();
         let mut bytes = Vec::new();
         for v in [1.5f64, -0.0, f64::NAN] {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());

@@ -404,9 +404,13 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
             let stop = Arc::clone(&stop);
             let polls = Arc::clone(&polls);
             let health = Arc::clone(&health);
+            // Polls consult the fault plan of the thread that started the
+            // watcher, even one it arms later.
+            let scope = mfod_faultline::scope();
             std::thread::Builder::new()
                 .name("mfod-registry-watch".into())
                 .spawn(move || {
+                    let _scope = mfod_faultline::enter(scope);
                     let (flag, signal) = &*stop;
                     let mut jitter = StdRng::seed_from_u64(config.jitter_seed);
                     let mut level: u32 = 0;
@@ -605,7 +609,6 @@ mod tests {
 
     #[test]
     fn empty_registry_has_no_active_model() {
-        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         assert!(reg.active().is_none());
         assert_eq!(reg.generation(), 0);
@@ -614,7 +617,6 @@ mod tests {
 
     #[test]
     fn install_swaps_and_bumps_generation() {
-        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         let g1 = reg.install(Arc::new(Weights { w: vec![1.0] }));
         assert_eq!(g1, 1);
@@ -628,7 +630,6 @@ mod tests {
 
     #[test]
     fn install_bytes_validates_and_restores() {
-        let _guard = mfod_faultline::serial_guard();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         let ok = to_bytes(&WeightsSnapshot { w: vec![3.0, 4.0] });
         reg.install_bytes(&ok).unwrap();
@@ -652,7 +653,6 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_exponential_capped_and_jittered() {
-        let _guard = mfod_faultline::serial_guard();
         let interval = Duration::from_millis(10);
         // healthy: exactly the interval, jitter ignored
         assert_eq!(backoff_interval(interval, 0, 0.9), interval);
@@ -679,7 +679,6 @@ mod tests {
 
     #[test]
     fn install_mapped_swaps_from_a_mapped_file() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("mapped");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![7.0, 8.0] }, &path).unwrap();
@@ -704,7 +703,6 @@ mod tests {
 
     #[test]
     fn watcher_follows_the_log_and_stops_cleanly() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("watch");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
         let handle = watch(&reg, &dir);
@@ -735,7 +733,6 @@ mod tests {
 
     #[test]
     fn watcher_backs_off_on_failures_and_heals_on_recovery() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("heal");
         let gone = dir.join("not-yet-there");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
@@ -780,7 +777,6 @@ mod tests {
     /// although its snapshot file is on disk.
     #[test]
     fn watcher_never_serves_a_promotion_that_failed_before_commit() {
-        let _g = mfod_faultline::serial_guard();
         let dir = tmpdir("uncommitted");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1.0), 0, "v1").unwrap();
@@ -802,12 +798,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A watcher acts for the thread that started it, even under a plan
+    /// that thread arms later; another thread's watcher never sees it.
+    #[test]
+    fn a_watcher_polls_under_the_plan_of_the_thread_that_started_it() {
+        let (dir, other) = (tmpdir("armed-watch"), tmpdir("bystander-watch"));
+        let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
+        let handle = watch(&reg, &dir);
+        mfod_faultline::install(
+            FaultPlan::new(5).rule(points::REGISTRY_SWEEP, FaultRule::always()),
+        );
+        wait_until("three failed polls", || {
+            handle.health().consecutive_failures >= 3
+        });
+        commit(&other, 1, 1.0);
+        std::thread::spawn(move || {
+            let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
+            let handle = watch(&reg, &other);
+            wait_until("generation 1 served", || served(&reg) == Some(vec![1.0]));
+            wait_one_full_poll(&handle);
+            let health = handle.health();
+            assert!(health.healthy && health.last_error.is_none(), "{health:?}");
+            handle.stop();
+            std::fs::remove_dir_all(&other).unwrap();
+        })
+        .join()
+        .unwrap();
+        let report = mfod_faultline::disarm().unwrap();
+        assert!(report.fires(points::REGISTRY_SWEEP) >= 3, "{report:?}");
+        handle.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A committed generation whose file holds other bytes than its
     /// catalog entry records fails to install: a typed error on the
     /// health surface, and the served model stays.
     #[test]
     fn watcher_refuses_a_committed_file_with_other_bytes() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("overwritten");
         commit(&dir, 1, 1.0);
         std::fs::write(dir.join(generation_file(1)), to_bytes(&weights(9.0))).unwrap();
@@ -831,7 +858,6 @@ mod tests {
 
     #[test]
     fn concurrent_readers_during_swaps_never_tear() {
-        let _guard = mfod_faultline::serial_guard();
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
         reg.install(Arc::new(Weights { w: vec![0.0; 4] }));
         std::thread::scope(|scope| {

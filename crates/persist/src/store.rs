@@ -811,7 +811,6 @@ mod tests {
 
     #[test]
     fn promoting_invalid_bytes_is_rejected_before_any_disk_mutation() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote-garbage");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         // not a container at all
@@ -837,7 +836,6 @@ mod tests {
 
     #[test]
     fn promote_open_promote_assigns_monotone_generations() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote");
         let (mut store, report) = ModelStore::open(&dir).unwrap();
         assert_eq!(report.active, None);
@@ -859,7 +857,6 @@ mod tests {
 
     #[test]
     fn a_torn_commit_append_is_cut_before_the_next_append_on_the_same_handle() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("torn-append");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "one").unwrap();
@@ -900,7 +897,6 @@ mod tests {
 
     #[test]
     fn crash_between_snapshot_and_commit_quarantines_the_snapshot() {
-        let _g = mfod_faultline::serial_guard();
         let dir = tmpdir("uncommitted");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "ok").unwrap();
@@ -924,7 +920,6 @@ mod tests {
 
     #[test]
     fn crash_before_rename_leaves_a_stray_temp_that_recovery_quarantines() {
-        let _g = mfod_faultline::serial_guard();
         let dir = tmpdir("stray");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "ok").unwrap();
@@ -944,7 +939,6 @@ mod tests {
 
     #[test]
     fn orphans_and_torn_log_tails_are_preserved_in_quarantine() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("orphan");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "ok").unwrap();
@@ -980,7 +974,6 @@ mod tests {
 
     #[test]
     fn damaged_active_generation_falls_back_to_previous_committed() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fallback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "good").unwrap();
@@ -1011,7 +1004,6 @@ mod tests {
 
     #[test]
     fn rollback_re_points_without_touching_snapshots_and_survives_reopen() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("rollback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "v1").unwrap();
@@ -1038,7 +1030,6 @@ mod tests {
 
     #[test]
     fn recovery_is_idempotent() {
-        let _g = mfod_faultline::serial_guard();
         let dir = tmpdir("idempotent");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "a").unwrap();
@@ -1070,7 +1061,6 @@ mod tests {
 
     #[test]
     fn fsck_reports_every_mismatch_with_typed_issues_and_never_panics() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fsck");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "a").unwrap();
@@ -1113,7 +1103,6 @@ mod tests {
 
     #[test]
     fn install_active_threads_the_store_into_the_registry() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("install");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         let registry = ModelRegistry::<Live>::new();
@@ -1145,7 +1134,6 @@ mod tests {
     /// and every file stays in place byte for byte.
     #[test]
     fn a_log_of_the_retired_format_is_refused_and_left_in_place() {
-        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("retired");
         let bytes = crate::format::to_bytes(&weights(1));
         std::fs::write(dir.join(generation_file(1)), &bytes).unwrap();

@@ -265,7 +265,6 @@ mod tests {
 
     #[test]
     fn append_then_replay_roundtrips_in_order() {
-        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("roundtrip");
         let records = vec![
             LogRecord::Commit(entry(1)),
@@ -284,7 +283,6 @@ mod tests {
 
     #[test]
     fn missing_log_is_empty_not_an_error() {
-        let _guard = mfod_faultline::serial_guard();
         let replay = replay(Path::new("/nonexistent/deploy.log")).unwrap();
         assert!(replay.records.is_empty());
         assert!(replay.torn.is_none());
@@ -292,7 +290,6 @@ mod tests {
 
     #[test]
     fn every_truncation_of_the_tail_frame_is_a_torn_tail() {
-        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("trunc");
         append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         append_record(&path, &LogRecord::Commit(entry(2))).unwrap();
@@ -313,7 +310,6 @@ mod tests {
 
     #[test]
     fn every_byte_flip_in_a_frame_is_caught() {
-        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("flip");
         for record in [
             LogRecord::Commit(entry(3)),
@@ -348,7 +344,6 @@ mod tests {
 
     #[test]
     fn retired_records_are_a_typed_error_not_a_torn_tail() {
-        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("retired");
         append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         let offset = std::fs::metadata(&path).unwrap().len();
@@ -376,7 +371,6 @@ mod tests {
 
     #[test]
     fn injected_torn_append_is_durable_and_detected() {
-        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("inject");
         let first = append_record(&path, &LogRecord::Commit(entry(1))).unwrap();
         mfod_faultline::install(mfod_faultline::FaultPlan::new(7).rule(

@@ -495,7 +495,6 @@ mod tests {
 
     #[test]
     fn primitive_roundtrips() {
-        let _guard = mfod_faultline::serial_guard();
         roundtrip(0u8);
         roundtrip(255u8);
         roundtrip(0xDEAD_BEEFu32);
@@ -512,7 +511,6 @@ mod tests {
 
     #[test]
     fn f64_bit_patterns_survive() {
-        let _guard = mfod_faultline::serial_guard();
         for bits in [
             0u64,
             0x8000_0000_0000_0000, // -0.0
@@ -531,7 +529,6 @@ mod tests {
 
     #[test]
     fn truncation_is_typed_not_panic() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u64(42);
         let bytes = w.into_bytes();
@@ -541,7 +538,6 @@ mod tests {
 
     #[test]
     fn corrupted_length_rejected_before_allocation() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u64(u64::MAX); // absurd vec length
         let bytes = w.into_bytes();
@@ -558,7 +554,6 @@ mod tests {
 
     #[test]
     fn bad_bool_and_option_bytes_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         let mut r = Decoder::new(&[7]);
         assert!(matches!(r.take_bool(), Err(PersistError::Malformed(_))));
         let mut r = Decoder::new(&[9]);
@@ -570,7 +565,6 @@ mod tests {
 
     #[test]
     fn trailing_bytes_detected() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_u8(1);
         w.put_u8(2);
@@ -582,7 +576,6 @@ mod tests {
 
     #[test]
     fn matrix_roundtrip_and_guards() {
-        let _guard = mfod_faultline::serial_guard();
         let m = Matrix::from_rows(&[&[1.5, -2.0], &[0.25, f64::MIN_POSITIVE]]);
         let mut w = Encoder::new();
         m.encode(&mut w);
@@ -604,7 +597,6 @@ mod tests {
 
     #[test]
     fn cholesky_roundtrip_solves_bit_identically() {
-        let _guard = mfod_faultline::serial_guard();
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let c = mfod_linalg::Cholesky::new(&a).unwrap();
         let mut w = Encoder::new();
@@ -631,7 +623,6 @@ mod tests {
 
     #[test]
     fn ownerless_decoders_never_yield_shared_views() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         for v in [1.0f64, 2.0, 3.0] {
             w.put_f64(v);
@@ -649,7 +640,6 @@ mod tests {
 
     #[test]
     fn owner_aware_decoder_yields_pinned_views() {
-        let _guard = mfod_faultline::serial_guard();
         use crate::map::SharedBytes;
         let mut w = Encoder::new();
         for v in [4.0f64, 5.0, 6.0] {
@@ -670,7 +660,6 @@ mod tests {
 
     #[test]
     fn matrix_decode_is_zero_copy_from_shared_bytes() {
-        let _guard = mfod_faultline::serial_guard();
         use crate::map::SharedBytes;
         let m = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64 + 0.5);
         let mut w = Encoder::new();
@@ -700,7 +689,6 @@ mod tests {
 
     #[test]
     fn non_utf8_string_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         let mut w = Encoder::new();
         w.put_usize(2);
         w.put_bytes(&[0xFF, 0xFE]);

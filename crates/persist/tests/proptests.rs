@@ -89,7 +89,6 @@ proptest! {
         cols in 1usize..8,
         flag in proptest::arbitrary::any::<bool>(),
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let original = mixed_from(bits, rows, cols, String::from("κ-payload"), flag);
         let bytes = to_bytes(&original);
         let decoded: Mixed = from_bytes(&bytes).unwrap();
@@ -115,7 +114,6 @@ proptest! {
         bits in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 1..16),
         cut_permille in 0usize..1000,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let original = mixed_from(bits, 2, 3, String::from("t"), true);
         let bytes = to_bytes(&original);
         let cut = cut_permille * bytes.len() / 1000;
@@ -129,7 +127,6 @@ proptest! {
         at_permille in 0usize..1000,
         flip in 1u32..256,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let flip = flip as u8;
         let original = mixed_from(bits, 3, 2, String::from("c"), false);
         let mut bytes = to_bytes(&original);
@@ -148,7 +145,6 @@ proptest! {
         cols in 1usize..8,
         flag in proptest::arbitrary::any::<bool>(),
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let original = mixed_from(bits, rows, cols, String::from("λ-payload"), flag);
         let bytes = to_bytes(&original);
         let eager: Mixed = from_bytes(&bytes).unwrap();
@@ -175,7 +171,6 @@ proptest! {
         at_permille in 0usize..1000,
         flip in 1u32..256,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let original = mixed_from(bits, 3, 2, String::from("e"), false);
         let mut bytes = to_bytes(&original);
         let at = at_permille * (bytes.len() - 1) / 1000;
@@ -195,7 +190,6 @@ proptest! {
     fn random_garbage_is_rejected_with_typed_errors(
         words in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..50),
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let garbage: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         match from_bytes::<Mixed>(&garbage) {
             Ok(_) => prop_assert!(false, "garbage decoded as a snapshot"),
@@ -233,7 +227,6 @@ fn multi_section_bytes() -> Vec<u8> {
 /// decode" guarantee: validation is CRC-whole-file, not per-touch.
 #[test]
 fn every_byte_flip_is_rejected_at_lazy_open() {
-    let _guard = mfod_faultline::serial_guard();
     let good = multi_section_bytes();
     for at in 0..good.len() {
         let mut bad = good.clone();
@@ -256,7 +249,6 @@ fn every_byte_flip_is_rejected_at_lazy_open() {
 /// owner-pinned open paths.
 #[test]
 fn every_truncation_is_rejected_at_lazy_open() {
-    let _guard = mfod_faultline::serial_guard();
     let good = multi_section_bytes();
     for n in 0..good.len() {
         assert!(
@@ -330,7 +322,6 @@ proptest! {
         promotions in 1usize..5,
         crash_point in 0usize..4,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!(
             "mfod-recovery-prop-{}-{seed}",
             std::process::id()

@@ -410,13 +410,16 @@ impl MicroBatcher {
         let outcome = match self.config.deadline {
             None => score_attempt(&self.pipeline, &batch),
             Some(deadline) => {
-                // Score on a helper thread and wait at most `budget`. A
-                // timed-out run keeps scoring in the background; its
-                // result is discarded when the channel sender drops.
+                // Score on a helper thread, under this thread's fault
+                // plan, and wait at most `budget`. A timed-out run keeps
+                // scoring in the background; its result is discarded
+                // when the channel sender drops.
                 let (tx, rx) = mpsc::channel();
                 let pipeline = Arc::clone(&self.pipeline);
                 let thread_batch = batch.clone();
+                let scope = mfod_faultline::scope();
                 std::thread::spawn(move || {
+                    let _scope = mfod_faultline::enter(scope);
                     let _ = tx.send(score_attempt(&pipeline, &thread_batch));
                 });
                 match rx.recv_timeout(deadline.budget) {
@@ -494,7 +497,6 @@ mod tests {
 
     #[test]
     fn flushes_exactly_at_batch_size() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -526,7 +528,6 @@ mod tests {
 
     #[test]
     fn batched_scores_match_offline_scores() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let offline = fitted.score(&windows).unwrap();
         let stats = Arc::new(StreamStats::new());
@@ -552,7 +553,6 @@ mod tests {
 
     #[test]
     fn max_delay_forces_early_flush() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -574,7 +574,6 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_the_batch_and_seq_alignment() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, ts) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -615,7 +614,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, _, _) = tiny_pipeline();
         assert!(MicroBatcher::new(
             Arc::clone(&fitted),
@@ -648,7 +646,6 @@ mod tests {
 
     #[test]
     fn deadline_miss_restores_pending_then_recovers() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -694,7 +691,6 @@ mod tests {
 
     #[test]
     fn injected_flush_faults_exhaust_into_typed_give_up() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -745,7 +741,6 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_the_new_window() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -778,7 +773,6 @@ mod tests {
 
     #[test]
     fn drop_oldest_policy_keeps_the_freshest_windows() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -805,7 +799,6 @@ mod tests {
 
     #[test]
     fn block_policy_flushes_inline_to_make_room() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(

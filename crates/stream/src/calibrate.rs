@@ -116,7 +116,6 @@ mod tests {
 
     #[test]
     fn quantile_threshold_flags_the_tail() {
-        let _guard = mfod_faultline::serial_guard();
         let scores: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let c = ThresholdCalibrator::from_scores(&scores, 0.10).unwrap();
         assert!((c.contamination() - 0.10).abs() < 1e-12);
@@ -134,7 +133,6 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_and_registry_hot_swap() {
-        let _guard = mfod_faultline::serial_guard();
         let scores: Vec<f64> = (0..50).map(|i| (i as f64 * 0.739).sin() * 3.0).collect();
         let cal = ThresholdCalibrator::from_scores(&scores, 0.08).unwrap();
         let bytes = mfod_persist::to_bytes(&cal);
@@ -173,7 +171,6 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_inputs() {
-        let _guard = mfod_faultline::serial_guard();
         assert!(ThresholdCalibrator::from_scores(&[], 0.1).is_err());
         assert!(ThresholdCalibrator::from_scores(&[1.0, f64::NAN], 0.1).is_err());
         assert!(ThresholdCalibrator::from_scores(&[1.0, 2.0], 0.0).is_err());

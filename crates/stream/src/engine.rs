@@ -296,7 +296,6 @@ mod tests {
 
     #[test]
     fn end_to_end_push_finish() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let train_scores = fitted.score(&train).unwrap();
         let config = StreamConfig {
@@ -340,7 +339,6 @@ mod tests {
 
     #[test]
     fn construction_rejects_mismatched_stream_geometry() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, _, ts) = setup();
         // window span differs from the training domain
         let stretched: Vec<f64> = ts.iter().map(|t| t * 2.0).collect();
@@ -367,7 +365,6 @@ mod tests {
 
     #[test]
     fn calibrate_from_samples_follows_the_serving_mode() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         // Matches an explicit calibration on the same pipeline.
         let mut exact = OnlineScorer::new(
@@ -388,7 +385,6 @@ mod tests {
 
     #[test]
     fn take_pending_drains_without_scoring() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let mut scorer = OnlineScorer::new(
             fitted,
@@ -415,7 +411,6 @@ mod tests {
 
     #[test]
     fn rejected_pushes_do_not_inflate_counters() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let mut scorer = OnlineScorer::new(
             fitted,
@@ -436,7 +431,6 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_and_the_scorer_stays_live() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let mut scorer = OnlineScorer::new(
             fitted,
@@ -506,7 +500,6 @@ mod tests {
 
     #[test]
     fn uncalibrated_never_alarms() {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let config = StreamConfig {
             window: WindowConfig::tumbling(ts, 2),

@@ -119,7 +119,6 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let _guard = mfod_faultline::serial_guard();
         let c = StreamError::Config("bad".into());
         assert!(c.to_string().contains("bad"));
         assert!(c.source().is_none());
@@ -130,7 +129,6 @@ mod tests {
 
     #[test]
     fn failure_variants_display_their_context() {
-        let _guard = mfod_faultline::serial_guard();
         let d = StreamError::DeadlineExceeded {
             budget: std::time::Duration::from_millis(5),
             pending: 3,

@@ -151,7 +151,6 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let _guard = mfod_faultline::serial_guard();
         let s = StreamStats::new();
         assert_eq!(s.snapshot().windows_per_sec(), None);
         assert_eq!(s.snapshot().mean_latency(), None);
@@ -181,7 +180,6 @@ mod tests {
 
     #[test]
     fn empty_stats_have_no_ratios_or_quantiles() {
-        let _guard = mfod_faultline::serial_guard();
         // The documented empty path: every derived accessor is `None`
         // (never a zero sentinel) before the first flushed batch, even
         // when observations have already been ingested.
@@ -201,7 +199,6 @@ mod tests {
 
     #[test]
     fn latency_histogram_tracks_batches() {
-        let _guard = mfod_faultline::serial_guard();
         let s = StreamStats::new();
         s.record_batch(4, Duration::from_micros(100));
         s.record_batch(4, Duration::from_micros(900));
@@ -216,7 +213,6 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_safe() {
-        let _guard = mfod_faultline::serial_guard();
         let s = StreamStats::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {

@@ -185,7 +185,6 @@ mod tests {
 
     #[test]
     fn tumbling_reconstructs_stream() {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
         let mut windows = Vec::new();
         for i in 0..12 {
@@ -209,7 +208,6 @@ mod tests {
 
     #[test]
     fn overlapping_windows_share_observations() {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(5, 2, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..11 {
@@ -227,7 +225,6 @@ mod tests {
 
     #[test]
     fn gapped_stride_skips_observations() {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(3, 5, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..14 {
@@ -241,7 +238,6 @@ mod tests {
 
     #[test]
     fn windows_carry_the_configured_ts() {
-        let _guard = mfod_faultline::serial_guard();
         let ts: Vec<f64> = vec![0.0, 0.25, 0.5, 1.0];
         let mut buf = WindowBuffer::new(WindowConfig {
             window_len: 4,
@@ -259,7 +255,6 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs_and_inputs() {
-        let _guard = mfod_faultline::serial_guard();
         assert!(WindowBuffer::new(cfg(1, 1, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 0, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 4, 0)).is_err());
@@ -282,7 +277,6 @@ mod tests {
 
     #[test]
     fn injected_poison_is_rejected_like_real_corruption() {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
         mfod_faultline::install(mfod_faultline::FaultPlan::new(51).rule(
             mfod_faultline::points::STREAM_POISON,
@@ -303,7 +297,6 @@ mod tests {
 
     #[test]
     fn tumbling_constructor() {
-        let _guard = mfod_faultline::serial_guard();
         let ts: Vec<f64> = (0..8).map(|j| j as f64).collect();
         let c = WindowConfig::tumbling(ts, 3);
         assert_eq!(c.window_len, 8);

@@ -32,7 +32,6 @@ proptest! {
         channels in 1usize..4,
         n_obs in 0usize..200,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(window_cfg(window_len, stride, channels)).unwrap();
         let mut emitted = Vec::new();
         for i in 0..n_obs {
@@ -74,7 +73,6 @@ proptest! {
         n_windows in 0usize..30,
         flush_every in 1usize..15,
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows) = shared_fixture();
         let mut b = MicroBatcher::new(
             Arc::clone(fitted),
@@ -122,7 +120,6 @@ proptest! {
         stride in 1usize..12,
         ops in prop::collection::vec(0u32..4, 0..60),
     ) {
-        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(window_cfg(window_len, stride, 1)).unwrap();
         let mut clean = WindowBuffer::new(window_cfg(window_len, stride, 1)).unwrap();
         let mut emitted = Vec::new();

@@ -344,7 +344,6 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
 
 #[test]
 fn chaos_soak_serving_runtime_survives_seeded_fault_schedules() {
-    let _guard = mfod_faultline::serial_guard();
     let full = std::env::var("MFOD_CHAOS_FULL").is_ok_and(|v| v == "1");
     let schedules: u64 = if full { 12 } else { 3 };
     let mut outcomes = Vec::new();
