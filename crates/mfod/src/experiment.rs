@@ -22,12 +22,13 @@ use crate::error::MfodError;
 use crate::pipeline::{GeomOutlierPipeline, PipelineConfig};
 use crate::tune::NuTuner;
 use crate::Result;
-use mfod_datasets::{EcgConfig, EcgSimulator, LabeledDataSet, SplitConfig};
+use mfod_datasets::{ucr, EcgConfig, EcgSimulator, LabeledDataSet, SplitConfig};
 use mfod_depth::{DirOut, FunctionalOutlierScorer, Funta};
 use mfod_detect::features::Standardizer;
 use mfod_detect::{Detector, IsolationForest, OcSvm};
 use mfod_eval::{run_repeated, RepeatedSummary};
 use mfod_geometry::Curvature;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Configuration of the Fig. 3 reproduction.
@@ -134,8 +135,23 @@ pub fn run_fig3(cfg: &Fig3Config) -> Result<Vec<Fig3Row>> {
     run_fig3_on(cfg, &data)
 }
 
+/// Pools a UCR-archive train/test pair — ECG200's `ECG200_TRAIN` and
+/// `ECG200_TEST`, say — into one data set for [`run_fig3_on`], which draws
+/// its own splits from the pool: label `-1` marks an outlier, and each
+/// curve is augmented with its squared series (Sec. 4.1), as [`run_fig3`]
+/// does for the simulated beats.
+pub fn load_ucr_pair(train: &Path, test: &Path) -> Result<LabeledDataSet> {
+    let (mut samples, mut labels) = (Vec::new(), Vec::new());
+    for path in [train, test] {
+        let part = ucr::load_ucr_file(path, "-1")?;
+        samples.extend_from_slice(part.samples());
+        labels.extend_from_slice(part.labels());
+    }
+    Ok(LabeledDataSet::new(samples, labels)?.augment_with(0, |y| y * y)?)
+}
+
 /// Runs the Fig. 3 protocol on externally supplied (already augmented)
-/// data — e.g. the real ECG200 loaded via `mfod_datasets::ucr`.
+/// data — e.g. the real ECG200 pooled by [`load_ucr_pair`].
 pub fn run_fig3_on(cfg: &Fig3Config, data: &LabeledDataSet) -> Result<Vec<Fig3Row>> {
     // 2. split-independent precomputation
     let curv_pipeline = GeomOutlierPipeline::new(

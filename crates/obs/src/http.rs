@@ -458,6 +458,12 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     let w = &s.window;
     gauge_f64(
         &mut o,
+        "mfod_window_covered_seconds",
+        "Seconds of wall clock the rolling-window rates cover (under 60 in the first minute, 0 while idle).",
+        w.covered_secs,
+    );
+    gauge_f64(
+        &mut o,
         "mfod_window_windows_per_sec",
         "Windows scored per second (rolling window).",
         w.windows_per_sec,

@@ -509,10 +509,16 @@ pub struct StoreSnapshot {
 
 /// Windowed-telemetry snapshot: rates and rolling distributions over
 /// the last [`window::WINDOW_SLOTS`]×[`window::WINDOW_SLOT_MILLIS`]
-/// (60×1s). Rates are 0.0 while nothing was recorded, so snapshots of
-/// idle windows stay deterministic.
+/// (60×1s), or over the [`WindowSnapshot::covered_secs`] that have
+/// passed since process start if fewer. Rates and the covered span are
+/// 0.0 while nothing was recorded, so snapshots of idle windows stay
+/// deterministic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WindowSnapshot {
+    /// Seconds of wall clock the rates below cover
+    /// ([`window::covered_secs`]): under 60 during the first minute after
+    /// process start, 0.0 while the window is idle.
+    pub covered_secs: f64,
     /// Windows scored per second over the live window.
     pub windows_per_sec: f64,
     /// Model swaps per minute over the live window.
@@ -611,7 +617,8 @@ impl MetricsSnapshot {
             },
             window: {
                 let now_id = window::now_slot_id();
-                WindowSnapshot {
+                let mut w = WindowSnapshot {
+                    covered_secs: window::covered_secs(now_id),
                     windows_per_sec: m.win_stream_windows.rate_per_sec(now_id),
                     swaps_per_min: m.win_registry_swaps.rate_per_sec(now_id) * 60.0,
                     rejected_per_min: m.win_registry_rejected.rate_per_sec(now_id) * 60.0,
@@ -619,7 +626,15 @@ impl MetricsSnapshot {
                     errors_per_sec: m.win_errors.rate_per_sec(now_id),
                     batch_score: m.win_batch_score.snapshot_live(now_id),
                     score_dist: m.win_score_dist.snapshot_live(now_id),
+                };
+                let idle = WindowSnapshot {
+                    covered_secs: w.covered_secs,
+                    ..WindowSnapshot::default()
+                };
+                if w == idle {
+                    w.covered_secs = 0.0;
                 }
+                w
             },
             phases: Phase::ALL
                 .iter()
@@ -836,7 +851,8 @@ impl MetricsSnapshot {
         push_u64(&mut out, "fsck_issues", self.store.fsck_issues, false);
         out.push_str("},\n  \"window\": {");
         let w = &self.window;
-        push_f64(&mut out, "windows_per_sec", w.windows_per_sec, true);
+        push_f64(&mut out, "covered_secs", w.covered_secs, true);
+        push_f64(&mut out, "windows_per_sec", w.windows_per_sec, false);
         push_f64(&mut out, "swaps_per_min", w.swaps_per_min, false);
         push_f64(&mut out, "rejected_per_min", w.rejected_per_min, false);
         push_f64(&mut out, "sheds_per_sec", w.sheds_per_sec, false);
@@ -933,9 +949,10 @@ impl MetricsSnapshot {
         let w = &self.window;
         let _ = writeln!(
             r,
-            "window({}x{}ms) {:.2} windows/s · {:.2} swaps/min · {:.2} rejected/min · {:.2} sheds/s · {:.2} errors/s",
+            "window({}x{}ms) covering {:.0}s: {:.2} windows/s · {:.2} swaps/min · {:.2} rejected/min · {:.2} sheds/s · {:.2} errors/s",
             window::WINDOW_SLOTS,
             window::WINDOW_SLOT_MILLIS,
+            w.covered_secs,
             w.windows_per_sec,
             w.swaps_per_min,
             w.rejected_per_min,
@@ -1189,6 +1206,7 @@ mod tests {
             "\"quarantined\": 3",
             "\"fsck_issues\": 4",
             "\"window\"",
+            "\"covered_secs\"",
             "\"windows_per_sec\"",
             "\"swaps_per_min\"",
             "\"rejected_per_min\"",
@@ -1252,6 +1270,50 @@ mod tests {
         assert!((0.5..=1.0).contains(&p50), "p50 {p50}");
         let report = snap.format_report();
         assert!(report.contains("score dist"), "{report}");
+        Recorder::reset();
+        Recorder::install(false);
+    }
+
+    /// One swap in the first slot after process start is 60 swaps/min
+    /// over a 1-s span, and every surface says the span.
+    #[test]
+    fn windowed_rates_say_the_span_they_cover() {
+        assert_eq!(crate::window::covered_secs(0), 1.0);
+        assert_eq!(crate::window::covered_secs(9), 10.0);
+        assert_eq!(crate::window::covered_secs(59), 60.0);
+        assert_eq!(crate::window::covered_secs(10_000), 60.0);
+        let first = WindowedCounter::new();
+        first.add_at(0, 1);
+        assert_eq!(first.rate_per_sec(0) * 60.0, 60.0);
+
+        let _g = locked();
+        Recorder::install(true);
+        Recorder::reset();
+        let idle = Recorder::snapshot();
+        assert_eq!(idle.window.covered_secs, 0.0);
+        let now_id = crate::window::now_slot_id();
+        Recorder::metrics().win_registry_swaps.add_at(now_id, 1);
+        let mut snap = Recorder::snapshot();
+        // the snapshot reads the clock again, maybe a slot later
+        let span = crate::window::covered_secs(now_id)
+            ..=crate::window::covered_secs(crate::window::now_slot_id());
+        assert!(
+            span.contains(&snap.window.covered_secs),
+            "{} not in {span:?}",
+            snap.window.covered_secs
+        );
+        snap.window.covered_secs = 1.0;
+        snap.window.swaps_per_min = first.rate_per_sec(0) * 60.0;
+        let report = snap.format_report();
+        assert!(
+            report.contains("window(60x1000ms) covering 1s: 0.00 windows/s · 60.00 swaps/min"),
+            "{report}"
+        );
+        assert!(
+            snap.to_json().contains("\"covered_secs\": 1"),
+            "{}",
+            snap.to_json()
+        );
         Recorder::reset();
         Recorder::install(false);
     }

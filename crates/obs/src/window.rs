@@ -32,10 +32,12 @@ pub fn now_slot_id() -> u64 {
     epoch_nanos() / (WINDOW_SLOT_MILLIS * 1_000_000)
 }
 
-/// Seconds of wall clock the live window covers at `now_id` (smaller
-/// than the full window right after process start, so early rates are
-/// not diluted by slots that never existed).
-fn covered_secs(now_id: u64) -> f64 {
+/// Seconds of wall clock the live window covers at `now_id`: every rate
+/// divides by it. It is smaller than the full window during the first
+/// [`WINDOW_SLOTS`] slots after process start, so early rates are not
+/// diluted by slots that never existed (and read high: one event in the
+/// first slot is 60 per minute).
+pub fn covered_secs(now_id: u64) -> f64 {
     let slots = (now_id + 1).min(WINDOW_SLOTS as u64);
     slots as f64 * (WINDOW_SLOT_MILLIS as f64 / 1_000.0)
 }

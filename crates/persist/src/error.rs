@@ -5,6 +5,7 @@
 //! here — decoding never panics and never allocates unbounded memory on
 //! attacker-controlled lengths.
 
+use crate::format::ContentId;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -67,8 +68,9 @@ pub enum PersistError {
     /// The decoded snapshot could not be turned back into a live model
     /// (e.g. an unknown mapping, or parameters failing re-validation).
     Restore(String),
-    /// A deployment log holds a record of the retired intent + commit
-    /// format (tags 1 and 2). Such a log is refused whole and left as it
+    /// A deployment log holds a record of a retired format: the intent +
+    /// commit protocol (tags 1 and 2) or a commit naming its snapshot by
+    /// an FNV-1a hash (tag 4). Such a log is refused whole and left as it
     /// is: nothing is truncated, moved or quarantined.
     RetiredLogRecord {
         /// The log file.
@@ -78,15 +80,16 @@ pub enum PersistError {
         /// The retired tag.
         tag: u8,
     },
-    /// A snapshot file's bytes differ from the catalog entry that names
-    /// it: the file is not the generation the store committed.
+    /// A snapshot file claims another identity than the catalog entry
+    /// that names it (length, kind or CRC-32 trailer differ): the file is
+    /// not the generation the store committed. Found before any decode.
     ContentMismatch {
         /// The snapshot file.
         path: PathBuf,
-        /// Length and FNV-1a content hash the catalog records.
-        expected: (u64, u64),
-        /// Length and content hash of the bytes on disk.
-        actual: (u64, u64),
+        /// Length, kind and CRC-32 the catalog records.
+        expected: ContentId,
+        /// Length, kind and CRC-32 trailer of the bytes on disk.
+        actual: ContentId,
     },
     /// Filesystem failure while reading or writing a snapshot.
     Io {
@@ -134,7 +137,7 @@ impl fmt::Display for PersistError {
             PersistError::RetiredLogRecord { path, offset, tag } => write!(
                 f,
                 "deploy log {} holds a retired record (tag {tag} at offset {offset}) \
-                 of the intent + commit format; refusing to replay it",
+                 of an earlier log format; refusing to replay it",
                 path.display()
             ),
             PersistError::ContentMismatch {
@@ -143,13 +146,8 @@ impl fmt::Display for PersistError {
                 actual,
             } => write!(
                 f,
-                "{} is not the committed snapshot: {} bytes hashing to {:#018X}, \
-                 catalog says {} bytes hashing to {:#018X}",
+                "{} is not the committed snapshot: it holds {actual}, catalog says {expected}",
                 path.display(),
-                actual.0,
-                actual.1,
-                expected.0,
-                expected.1
             ),
             PersistError::Io { path, source } => {
                 write!(f, "snapshot io on {}: {source}", path.display())
@@ -206,8 +204,16 @@ mod tests {
             },
             PersistError::ContentMismatch {
                 path: PathBuf::from("/tmp/gen-000001.mfod"),
-                expected: (10, 1),
-                actual: (10, 2),
+                expected: ContentId {
+                    len: 10,
+                    kind: 1,
+                    crc: 1,
+                },
+                actual: ContentId {
+                    len: 10,
+                    kind: 1,
+                    crc: 2,
+                },
             },
             PersistError::Io {
                 path: PathBuf::from("/tmp/x"),

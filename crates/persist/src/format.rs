@@ -132,93 +132,112 @@ fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
-/// Multiply the GF(2) operator matrix `mat` by the bit-vector `vec`.
-fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-/// `square = mat²` in GF(2): each column is the matrix applied to itself.
-fn gf2_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for n in 0..32 {
-        square[n] = gf2_times(mat, mat[n]);
-    }
-}
-
-/// CRC of the concatenation `A ‖ B` given the finalized CRCs of `A` and
-/// `B` and the byte length of `B` — the classic zero-operator trick:
-/// appending `len2` zero bytes to `A` is a linear operator over GF(2),
-/// built by squaring the one-zero-bit matrix `log₂(len2)` times.
-fn crc32_combine(mut crc1: u32, crc2: u32, mut len2: u64) -> u32 {
-    if len2 == 0 {
-        return crc1;
-    }
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320; // operator for one zero bit
-    for (n, slot) in odd.iter_mut().enumerate().skip(1) {
-        *slot = 1 << (n - 1);
-    }
-    let mut even = [0u32; 32];
-    gf2_square(&mut even, &odd); // two bits
-    gf2_square(&mut odd, &even); // four bits
-    loop {
-        gf2_square(&mut even, &odd); // first pass: one zero byte
-        if len2 & 1 != 0 {
-            crc1 = gf2_times(&even, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        gf2_square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = gf2_times(&odd, crc1);
-        }
-        len2 >>= 1;
-    }
-    crc1 ^ crc2
-}
-
-/// Below this length the three-stream split is not worth the two
-/// zero-operator combines (~tens of µs of GF(2) matrix work).
-const CRC_INTERLEAVE_MIN: usize = 1 << 18;
-
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
 ///
-/// The checksum is the dominant cost of opening a mapped snapshot
-/// (everything else is header + section-table validation, O(sections)
-/// not O(bytes)), so the hot loop is a slice-by-16 table walk, and large
-/// inputs are split into three interleaved streams whose serial
-/// dependency chains overlap in the pipeline, merged with the GF(2)
-/// zero-operator combine.
+/// The checksum is the one pass over a snapshot's bytes that every open
+/// makes (everything else is header + section-table validation,
+/// O(sections) not O(bytes)), and a deployment makes three: to seal the
+/// encoded snapshot, to validate it at promotion and at install. On
+/// x86-64 with carry-less multiply (`pclmulqdq`) it folds 16 bytes per
+/// instruction pair, about ten times the throughput of the portable
+/// slice-by-16 table walk, which covers other targets, short inputs and
+/// the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    if bytes.len() >= CRC_INTERLEAVE_MIN {
-        let part = (bytes.len() / 3) & !15;
-        let (a, rest) = bytes.split_at(part);
-        let (b, rest) = rest.split_at(part);
-        let (c, tail) = rest.split_at(part);
-        let (mut ca, mut cb, mut cc) = (0xFFFF_FFFFu32, 0xFFFF_FFFFu32, 0xFFFF_FFFFu32);
-        for ((x, y), z) in a
-            .chunks_exact(16)
-            .zip(b.chunks_exact(16))
-            .zip(c.chunks_exact(16))
-        {
-            ca = crc32_step16(ca, x);
-            cb = crc32_step16(cb, y);
-            cc = crc32_step16(cc, z);
-        }
-        let merged = crc32_combine(crc32_combine(!ca, !cb, part as u64), !cc, part as u64);
-        return !crc32_update(!merged, tail);
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available` checked that the CPU has the instructions
+        // `fold` is compiled for, and `bytes` holds at least `MIN_LEN`.
+        let (crc, tail) = unsafe { clmul::fold(!0, bytes) };
+        return !crc32_update(crc, tail);
     }
     !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// CRC-32 by carry-less multiplication (Intel, "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", 2009): four 128-bit
+/// lanes fold the input 64 bytes at a time, fold into one lane, and a
+/// Barrett reduction takes the remainder to 32 bits. The constants are
+/// the paper's for the bit-reflected polynomial `0xEDB88320`, the same
+/// Linux's `crc32-pclmul` uses.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Folding constants for a 512-bit stride (four lanes apart).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Folding constants for a 128-bit stride (the next lane).
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// Folds the last 64 bits down to 32 plus the reduction's input.
+    const K5: i64 = 0x1_63CD_6124;
+    /// The polynomial with its x³² term and Barrett's μ = ⌊x⁶⁴ / P⌋, both
+    /// bit-reflected like the constants above.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// The four lanes need one 64-byte block to start from.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// Whether this CPU has the instructions [`fold`] uses (the answer is
+    /// detected once and cached by the standard library).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Takes the raw CRC state `crc` over every whole 16-byte block of
+    /// `bytes` and returns the new raw state with the bytes left over.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse4.1` ([`available`]), and
+    /// `bytes` must hold at least [`MIN_LEN`] bytes.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn fold(crc: u32, mut bytes: &[u8]) -> (u32, &[u8]) {
+        debug_assert!(bytes.len() >= MIN_LEN);
+        let b = &mut bytes;
+        let mut x3 = _mm_xor_si128(next(b), _mm_cvtsi32_si128(crc as i32));
+        let (mut x2, mut x1, mut x0) = (next(b), next(b), next(b));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while b.len() >= 64 {
+            x3 = fold_into(x3, next(b), k1k2);
+            x2 = fold_into(x2, next(b), k1k2);
+            x1 = fold_into(x1, next(b), k1k2);
+            x0 = fold_into(x0, next(b), k1k2);
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(fold_into(fold_into(x3, x2, k3k4), x1, k3k4), x0, k3k4);
+        while b.len() >= 16 {
+            x = fold_into(x, next(b), k3k4);
+        }
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        (crc, bytes)
+    }
+
+    /// Loads the next 16 bytes and steps past them.
+    #[inline(always)]
+    fn next(bytes: &mut &[u8]) -> __m128i {
+        let (block, rest) = bytes.split_at(16);
+        *bytes = rest;
+        // SAFETY: `block` holds 16 bytes, and the load is unaligned.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Folds lane `a` forward by the stride `k` encodes and adds `b`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
 }
 
 /// A typed artifact with a stable on-disk identity.
@@ -232,6 +251,53 @@ pub trait Snapshot: Encode + Decode {
     const KIND: u32;
     /// Human-readable artifact name for error messages.
     const NAME: &'static str;
+}
+
+/// What names a container's bytes: their length, the artifact kind in
+/// the header and the CRC-32 trailer.
+///
+/// Reading it is O(1) and proves nothing by itself; the CRC pass every
+/// open makes ([`LazySnapshot::open`]) is what ties the trailer to the
+/// bytes. So a store compares a file's claimed identity with its catalog
+/// entry first, and then opens it. The CRC is 32 bits and not
+/// cryptographic: it tells a wrong or damaged file from the committed
+/// one, not a forgery, and length and kind must match as well.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContentId {
+    /// Byte length of the container.
+    pub len: u64,
+    /// Artifact kind in the header.
+    pub kind: u32,
+    /// CRC-32 trailer: the container's checksum over every byte before it.
+    pub crc: u32,
+}
+
+impl ContentId {
+    /// The identity `bytes` claim, read without validating them. Bytes
+    /// too short for a header claim kind 0, and too short for a trailer
+    /// CRC 0; their length alone already tells them from any container.
+    pub fn claimed(bytes: &[u8]) -> ContentId {
+        let word = |at: usize| {
+            bytes
+                .get(at..at + 4)
+                .map_or(0, |w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+        };
+        ContentId {
+            len: bytes.len() as u64,
+            kind: word(8),
+            crc: bytes.len().checked_sub(4).map_or(0, word),
+        }
+    }
+}
+
+impl std::fmt::Display for ContentId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} bytes of kind {} with CRC-32 {:#010X}",
+            self.len, self.kind, self.crc
+        )
+    }
 }
 
 /// Builds a multi-section snapshot.
@@ -267,29 +333,32 @@ impl SnapshotWriter {
     /// (table offsets are authoritative), the CRC covers it, and files
     /// remain readable by any [`FORMAT_VERSION`] 1 reader, so this is
     /// additive, not a version bump.
+    ///
+    /// The container is sized first and written into one allocation:
+    /// each section body is copied once, straight to its place.
     pub fn finish(self) -> Vec<u8> {
         // header (16 bytes) + table (20 bytes per section) precede the payload
         let payload_base = 16 + 20 * self.sections.len();
-        let mut payload: Vec<u8> = Vec::new();
-        let mut entries = Vec::with_capacity(self.sections.len());
-        for (id, body) in &self.sections {
-            let file_offset = payload_base + payload.len();
-            let pad = (8 - file_offset % 8) % 8;
-            payload.resize(payload.len() + pad, 0);
-            entries.push((*id, payload.len() as u64, body.len() as u64));
-            payload.extend_from_slice(body);
-        }
-        let mut out = Encoder::new();
+        let end = self.sections.iter().fold(payload_base, |end, (_, body)| {
+            end.next_multiple_of(8) + body.len()
+        });
+        let mut out = Encoder::with_capacity(end + 4);
         out.put_bytes(&MAGIC);
         out.put_u32(FORMAT_VERSION);
         out.put_u32(self.kind);
         out.put_u32(self.sections.len() as u32);
-        for (id, offset, len) in entries {
-            out.put_u32(id);
-            out.put_u64(offset);
-            out.put_u64(len);
+        let mut at = payload_base;
+        for (id, body) in &self.sections {
+            at = at.next_multiple_of(8);
+            out.put_u32(*id);
+            out.put_usize(at - payload_base);
+            out.put_usize(body.len());
+            at += body.len();
         }
-        out.put_bytes(&payload);
+        for (_, body) in &self.sections {
+            out.put_zeros(out.len().next_multiple_of(8) - out.len());
+            out.put_bytes(body);
+        }
         let mut bytes = out.into_bytes();
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
@@ -656,12 +725,13 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The interleaved three-stream path and the serial path must agree
-    /// with a byte-at-a-time reference at every structural edge: below /
-    /// at / above the interleave threshold, and with tails that are not
-    /// multiples of the 16-byte block or the three-way split.
+    /// The carry-less-multiply path and the portable table walk must agree
+    /// with a byte-at-a-time reference at every structural edge: below,
+    /// at and above the 64-byte minimum, every tail length past whole
+    /// 16- and 64-byte blocks, unaligned starts, and a snapshot-sized and
+    /// a multi-megabyte input.
     #[test]
-    fn crc32_interleaved_matches_reference() {
+    fn crc32_paths_match_the_reference() {
         fn reference(bytes: &[u8]) -> u32 {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in bytes {
@@ -671,7 +741,7 @@ mod tests {
         }
         // deterministic pseudo-random fill, no RNG dependency
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..CRC_INTERLEAVE_MIN + 211)
+        let data: Vec<u8> = (0..(3 << 20) + 64)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
@@ -679,20 +749,14 @@ mod tests {
                 (state >> 56) as u8
             })
             .collect();
-        for len in [
-            0,
-            1,
-            15,
-            16,
-            17,
-            4096,
-            CRC_INTERLEAVE_MIN - 1,
-            CRC_INTERLEAVE_MIN,
-            CRC_INTERLEAVE_MIN + 1,
-            CRC_INTERLEAVE_MIN + 48,
-            CRC_INTERLEAVE_MIN + 211,
-        ] {
-            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        let lens = (0..=300).chain([1023, 1024, 1025, 85_697, 3 << 20]);
+        for len in lens {
+            for offset in [0, 1, 7, 13] {
+                let bytes = &data[offset..offset + len];
+                let want = reference(bytes);
+                assert_eq!(crc32(bytes), want, "len {len} offset {offset}");
+                assert_eq!(!crc32_update(!0, bytes), want, "len {len} offset {offset}");
+            }
         }
     }
 

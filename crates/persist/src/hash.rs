@@ -1,11 +1,12 @@
-//! Stable 64-bit content hashing (FNV-1a) for snapshot indexing and
-//! grid-identity keys.
+//! Stable 64-bit content hashing (FNV-1a) for grid-identity keys.
 //!
-//! The hash is **not** cryptographic — it keys caches and names
-//! generations, with full equality checks guarding against collisions
-//! (e.g. `SelectionPlan::covers` in `mfod-fda`'s plan cache). It is
+//! The hash is **not** cryptographic — it keys caches, with full
+//! equality checks guarding against collisions (e.g.
+//! `SelectionPlan::covers` in `mfod-fda`'s plan cache). It is
 //! deterministic across platforms: all inputs are reduced to
-//! little-endian bytes first.
+//! little-endian bytes first. Store generations are named by their
+//! container's CRC-32 instead ([`crate::format::ContentId`]), which every
+//! open already computes.
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -69,13 +70,6 @@ impl Fnv1a {
     }
 }
 
-/// One-shot FNV-1a of raw bytes.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// One-shot hash of an `f64` slice by bit pattern (length-prefixed).
 pub fn hash_f64s(vs: &[f64]) -> u64 {
     let mut h = Fnv1a::new();
@@ -86,6 +80,10 @@ pub fn hash_f64s(vs: &[f64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        Fnv1a::new().update(bytes).finish()
+    }
 
     #[test]
     fn known_fnv_vectors() {

@@ -23,9 +23,11 @@
 //! * [`store`] — [`ModelStore`]: crash-consistent promotion, recovery,
 //!   rollback and `fsck` over one directory. Its append-only deployment
 //!   log ([`wal`]) is the only deployment state on disk; the catalog
-//!   ([`Manifest`]) is what a replay of it yields.
-//! * [`hash`] — stable FNV-1a hashing of byte and `f64`-bit content,
-//!   shared with `mfod-fda`'s grid-keyed selection-plan cache.
+//!   ([`Manifest`]) is what a replay of it yields, and it names each
+//!   generation by its container's length, kind and CRC-32 trailer
+//!   ([`ContentId`]).
+//! * [`hash`] — stable FNV-1a hashing of byte and `f64`-bit content for
+//!   `mfod-fda`'s grid-keyed selection-plan cache.
 //!
 //! Downstream crates implement [`Encode`]/[`Decode`] for their own types
 //! (`Matrix` is covered here since `mfod-linalg` sits below this crate)
@@ -69,10 +71,10 @@ pub mod wire;
 
 pub use error::PersistError;
 pub use format::{
-    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, LazySnapshot, Snapshot,
-    SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
+    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, ContentId, LazySnapshot,
+    Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
-pub use hash::{fnv1a64, hash_f64s, Fnv1a};
+pub use hash::{hash_f64s, Fnv1a};
 pub use manifest::{Manifest, ManifestEntry};
 pub use map::SharedBytes;
 pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
@@ -92,7 +94,7 @@ pub mod prelude {
     pub use crate::format::{
         from_bytes, from_shared, load, save, to_bytes, LazySnapshot, Snapshot,
     };
-    pub use crate::hash::{fnv1a64, hash_f64s, Fnv1a};
+    pub use crate::hash::{hash_f64s, Fnv1a};
     pub use crate::manifest::{Manifest, ManifestEntry};
     pub use crate::map::SharedBytes;
     pub use crate::registry::{

@@ -2,9 +2,10 @@
 //! committed generation it can serve, and the active one.
 //!
 //! Each [`ManifestEntry`] records the artifact's identity — file name,
-//! artifact kind, FNV-1a content hash and byte length — plus its
-//! provenance: the fit-config fingerprint, the parent generation it was
-//! refit from (model lineage), and a free-form tag. The manifest itself
+//! byte length, artifact kind and the container's CRC-32 trailer (its
+//! [`ContentId`]) — plus its provenance: the fit-config fingerprint, the
+//! parent generation it was refit from (model lineage), and a free-form
+//! tag. The manifest itself
 //! names the **active** generation, so promotion and rollback are both
 //! "re-point the manifest", and an auditor can answer *which model
 //! scored this batch* from the registry generation alone.
@@ -14,8 +15,11 @@
 //! [`ManifestEntry`]'s wire form; see the module docs of [`crate::store`]
 //! for the durability contract.
 
+use crate::error::PersistError;
+use crate::format::ContentId;
 use crate::wire::{Decode, Decoder, Encode, Encoder};
 use crate::Result;
+use std::path::Path;
 
 /// One promoted generation: identity + provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,8 +31,9 @@ pub struct ManifestEntry {
     pub file: String,
     /// Artifact KIND of the snapshot the entry points at.
     pub kind: u32,
-    /// FNV-1a 64-bit hash of the complete snapshot file bytes.
-    pub content_hash: u64,
+    /// CRC-32 trailer of the snapshot file: the container's checksum over
+    /// every byte before it, verified when the generation was promoted.
+    pub content_hash: u32,
     /// Byte length of the snapshot file.
     pub len: u64,
     /// Fingerprint of the fit configuration that produced the model
@@ -45,7 +50,7 @@ impl Encode for ManifestEntry {
         w.put_u64(self.generation);
         w.put_str(&self.file);
         w.put_u32(self.kind);
-        w.put_u64(self.content_hash);
+        w.put_u32(self.content_hash);
         w.put_u64(self.len);
         w.put_u64(self.config_fingerprint);
         match self.parent {
@@ -59,12 +64,39 @@ impl Encode for ManifestEntry {
     }
 }
 
+impl ManifestEntry {
+    /// The identity the generation's file must still claim: the
+    /// cataloged length, kind and CRC-32 trailer.
+    pub fn content_id(&self) -> ContentId {
+        ContentId {
+            len: self.len,
+            kind: self.kind,
+            crc: self.content_hash,
+        }
+    }
+
+    /// Checks in O(1) that `bytes`, read from `path`, claim this entry's
+    /// identity, else [`PersistError::ContentMismatch`]. Only the CRC
+    /// pass of an open proves the claim; this check runs first.
+    pub(crate) fn check_claimed(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+        let (expected, actual) = (self.content_id(), ContentId::claimed(bytes));
+        if actual != expected {
+            return Err(PersistError::ContentMismatch {
+                path: path.to_path_buf(),
+                expected,
+                actual,
+            });
+        }
+        Ok(())
+    }
+}
+
 impl Decode for ManifestEntry {
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         let generation = r.take_u64()?;
         let file = r.take_str()?;
         let kind = r.take_u32()?;
-        let content_hash = r.take_u64()?;
+        let content_hash = r.take_u32()?;
         let len = r.take_u64()?;
         let config_fingerprint = r.take_u64()?;
         let parent = if r.take_bool()? {
@@ -145,7 +177,7 @@ mod tests {
             generation,
             file: format!("gen-{generation:06}.mfod"),
             kind: 1,
-            content_hash: 0xDEAD_BEEF ^ generation,
+            content_hash: 0xDEAD_BEEF ^ generation as u32,
             len: 1024 + generation,
             config_fingerprint: 42,
             parent,

@@ -15,7 +15,9 @@
 //! truncation, checksum mismatch, wrong artifact kind, failed restore
 //! validation) is rejected with a typed [`PersistError`] and the active
 //! model is left untouched. A store generation installs only while its
-//! file still has the length and content hash its catalog entry records.
+//! file still claims the length, kind and CRC-32 trailer its catalog
+//! entry records (an O(1) compare before any decode), and the open's one
+//! CRC pass then proves the trailer.
 //!
 //! [`install_mapped`]: ModelRegistry::install_mapped
 //! [`watch_store`]: ModelRegistry::watch_store
@@ -131,21 +133,14 @@ impl<T: Restorable> ModelRegistry<T> {
     }
 
     /// [`ModelRegistry::install_mapped`] for a store generation: the
-    /// mapped bytes must have the length and FNV-1a content hash its
+    /// mapped bytes must claim the length, kind and CRC-32 trailer its
     /// catalog entry records, or the install fails with
-    /// [`PersistError::ContentMismatch`] and the active model stays.
+    /// [`PersistError::ContentMismatch`] before any decode and the active
+    /// model stays. The open's CRC pass then proves the trailer.
     pub(crate) fn install_committed(&self, dir: &Path, entry: &ManifestEntry) -> Result<u64> {
         let path = dir.join(&entry.file);
         let shared = SharedBytes::map(&path)?;
-        let actual = (shared.len() as u64, crate::hash::fnv1a64(shared.as_slice()));
-        let expected = (entry.len, entry.content_hash);
-        if actual != expected {
-            return Err(PersistError::ContentMismatch {
-                path,
-                expected,
-                actual,
-            });
-        }
+        entry.check_claimed(&path, shared.as_slice())?;
         self.install_decoded(|| from_shared::<T::Snapshot>(&shared))
     }
 
@@ -300,8 +295,8 @@ struct LogTail {
     seen: Option<(u64, Option<SystemTime>)>,
     /// The committed active entry that replay found.
     active: Option<ManifestEntry>,
-    /// Generation and content hash of the entry this watcher installed.
-    served: Option<(u64, u64)>,
+    /// Generation and CRC-32 of the entry this watcher installed.
+    served: Option<(u64, u32)>,
 }
 
 impl LogTail {
@@ -360,7 +355,7 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
     /// Starts a background thread that serves whatever the model store
     /// at `dir` has committed: every `interval` it stats `deploy.log`,
     /// replays it when it changed, and installs the committed active
-    /// generation whenever that differs (by generation and content hash)
+    /// generation whenever that differs (by generation and CRC-32)
     /// from the one it installed last. A promotion or rollback through
     /// [`crate::store::ModelStore`] is served within one poll, with no
     /// registry call from the serving path; a snapshot the log does not
@@ -369,7 +364,7 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
     ///
     /// The watcher only reads: it never writes, truncates or quarantines
     /// anything in `dir`. Poll errors (the directory missing, a log in
-    /// the retired format, a committed file whose bytes no longer match
+    /// a retired format, a committed file whose bytes no longer match
     /// its catalog entry) are non-fatal and leave the active model in
     /// place — the watcher self-heals: consecutive failures back the
     /// poll interval off exponentially with deterministic jitter (see
@@ -597,7 +592,7 @@ mod tests {
             generation,
             file: generation_file(generation),
             kind: WeightsSnapshot::KIND,
-            content_hash: crate::hash::fnv1a64(&bytes),
+            content_hash: crate::format::ContentId::claimed(&bytes).crc,
             len: bytes.len() as u64,
             config_fingerprint: 0,
             parent: None,

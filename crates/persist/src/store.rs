@@ -47,7 +47,9 @@
 //! [`ModelStore::open`] replays the log, quarantines every torn log
 //! tail, stray temp and snapshot the catalog does not name (moved into
 //! `quarantine/`, never deleted), and validates every cataloged
-//! generation's bytes hash-first. A damaged generation's snapshot is
+//! generation's bytes identity-first: the length and CRC-32 trailer its
+//! catalog entry records (an O(1) compare), then one open, whose CRC
+//! pass proves the trailer. A damaged generation's snapshot is
 //! quarantined and a [`LogRecord::Quarantine`] record drops it from the
 //! catalog; if it was active, the newest remaining generation takes
 //! over. Recovery is idempotent: a second open finds nothing to move and
@@ -56,8 +58,7 @@
 //! [`ModelRegistry::watch_store`]: crate::registry::ModelRegistry::watch_store
 
 use crate::error::PersistError;
-use crate::format::{to_bytes, LazySnapshot, Snapshot, SNAPSHOT_EXT, TMP_INFIX};
-use crate::hash::fnv1a64;
+use crate::format::{crc32, to_bytes, ContentId, LazySnapshot, Snapshot, SNAPSHOT_EXT, TMP_INFIX};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::registry::{ModelRegistry, Restorable};
 use crate::wal::{append_record, replay, LogRecord, TornTail};
@@ -84,7 +85,7 @@ pub enum QuarantineReason {
     /// A crashed writer's temp file.
     StrayTemp,
     /// Committed snapshot whose bytes no longer match its catalog entry
-    /// (hash/length mismatch or unreadable container).
+    /// (length/CRC-32 mismatch or unreadable container).
     Damaged(String),
     /// Bytes past the last valid deployment-log record.
     TornLogTail(String),
@@ -129,16 +130,17 @@ pub enum FsckIssue {
         /// The file the catalog expected.
         file: String,
     },
-    /// A file's bytes hash to something other than the catalog says.
+    /// A file's bytes carry another CRC-32 than the catalog records.
     HashMismatch {
         /// The generation affected.
         generation: u64,
         /// The file checked.
         file: String,
-        /// Hash recorded at promotion.
-        expected: u64,
-        /// Hash of the bytes on disk now.
-        actual: u64,
+        /// CRC-32 recorded at promotion.
+        expected: u32,
+        /// The CRC-32 trailer of the file on disk or, where the trailer
+        /// matches, the CRC-32 computed over the bytes before it.
+        actual: u32,
     },
     /// A file's length differs from the catalog record.
     LengthMismatch {
@@ -196,7 +198,7 @@ impl std::fmt::Display for FsckIssue {
                 actual,
             } => write!(
                 f,
-                "generation {generation}: {file} hash {actual:#018X}, catalog says {expected:#018X}"
+                "generation {generation}: {file} CRC-32 {actual:#010X}, catalog says {expected:#010X}"
             ),
             FsckIssue::LengthMismatch {
                 generation,
@@ -225,7 +227,7 @@ impl std::fmt::Display for FsckIssue {
 /// Outcome of an [`ModelStore::fsck`] walk.
 #[derive(Debug, Default)]
 pub struct FsckReport {
-    /// Generations whose file, length, hash and container all check out.
+    /// Generations whose file, length, CRC-32 and container all check out.
     pub clean: Vec<u64>,
     /// Every problem found, in walk order.
     pub issues: Vec<FsckIssue>,
@@ -252,7 +254,7 @@ pub(crate) struct LogState {
 }
 
 /// Derives the committed state of the store at `dir` from a replay of
-/// its log. Read-only; a log of the retired format is a typed error.
+/// its log. Read-only; a log of a retired format is a typed error.
 pub(crate) fn read_log(dir: &Path) -> Result<LogState> {
     let replay = replay(&dir.join(DEPLOY_LOG_FILE))?;
     let mut manifest = Manifest::new();
@@ -380,7 +382,7 @@ impl ModelStore {
     /// Opens (and if necessary recovers) the store at `dir`, creating
     /// the directory if missing. Never deletes data: suspect artifacts
     /// move to `quarantine/`, torn log tails are copied there before
-    /// the log is truncated. A log of the retired format fails with
+    /// the log is truncated. A log of a retired format fails with
     /// [`PersistError::RetiredLogRecord`] before anything is touched.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(ModelStore, RecoveryReport)> {
         let dir = dir.into();
@@ -425,7 +427,7 @@ impl ModelStore {
             }
         }
 
-        // 3. Validate cataloged snapshots hash-first. A damaged one is
+        // 3. Validate cataloged snapshots identity-first. A damaged one is
         //    quarantined and logged out of the catalog, which walks the
         //    active generation back to the newest remaining one.
         let before = manifest.active;
@@ -500,7 +502,9 @@ impl ModelStore {
     ///
     /// The bytes are validated *before* anything touches disk: committed
     /// means servable, so a non-MFOD blob or a container of the wrong
-    /// kind is rejected with a typed error and zero side effects.
+    /// kind is rejected with a typed error and zero side effects. The
+    /// catalog names the generation by the identity that validation just
+    /// proved: length, kind and CRC-32 trailer.
     pub fn promote_bytes(
         &mut self,
         bytes: &[u8],
@@ -515,13 +519,14 @@ impl ModelStore {
                 expected: kind,
             });
         }
+        let id = ContentId::claimed(bytes);
         let generation = self.manifest.next_generation();
         let entry = ManifestEntry {
             generation,
             file: generation_file(generation),
             kind,
-            content_hash: fnv1a64(bytes),
-            len: bytes.len() as u64,
+            content_hash: id.crc,
+            len: id.len,
             config_fingerprint,
             parent: self.manifest.active,
             tag: tag.to_string(),
@@ -565,16 +570,19 @@ impl ModelStore {
 
     /// Re-points the active generation at a prior committed one: one
     /// log append, no snapshot bytes touched. The target must be
-    /// cataloged and its bytes must still validate.
+    /// cataloged, and its file must still claim the identity its catalog
+    /// entry records (else [`PersistError::ContentMismatch`]) and pass
+    /// the open's CRC pass (else its typed container error).
     pub fn rollback(&mut self, generation: u64) -> Result<ManifestEntry> {
         let entry = self.manifest.entry(generation).cloned().ok_or_else(|| {
             PersistError::Malformed(format!(
                 "rollback target generation {generation} is not in the catalog"
             ))
         })?;
-        if let Some(issue) = check_entry(&self.dir, &entry).first() {
-            return Err(PersistError::Malformed(issue.to_string()));
-        }
+        let path = self.dir.join(&entry.file);
+        let bytes = std::fs::read(&path).map_err(io(&path))?;
+        entry.check_claimed(&path, &bytes)?;
+        LazySnapshot::open(&bytes)?;
         self.append(LogRecord::Rollback {
             from: self.manifest.active.unwrap_or(0),
             to: generation,
@@ -609,11 +617,12 @@ impl ModelStore {
     }
 
     /// Installs the generation the log commits as active into `registry`
-    /// via the mapped zero-copy path, provided its file still has the
-    /// length and content hash of its catalog entry (else
-    /// [`PersistError::ContentMismatch`], and the registry keeps what it
-    /// serves). Returns the installed **store** generation, or `None`
-    /// when the store has nothing committed.
+    /// via the mapped zero-copy path, provided its file still claims the
+    /// length, kind and CRC-32 trailer of its catalog entry (else
+    /// [`PersistError::ContentMismatch`] before any decode, and the
+    /// registry keeps what it serves) and the open's CRC pass agrees.
+    /// Returns the installed **store** generation, or `None` when the
+    /// store has nothing committed.
     pub fn install_active<T: Restorable>(
         &self,
         registry: &ModelRegistry<T>,
@@ -627,32 +636,44 @@ impl ModelStore {
     }
 
     /// Verifies the whole directory against the log-derived catalog
-    /// without mutating anything: re-hashes every cataloged artifact,
-    /// re-parses containers, and reports orphans, stray temps and torn
-    /// log tails — every problem typed, never a panic.
+    /// without mutating anything: checks every cataloged artifact's
+    /// length and CRC-32, re-parses containers, and reports orphans,
+    /// stray temps and torn log tails — every problem typed, never a
+    /// panic.
     pub fn fsck(&self) -> Result<FsckReport> {
         fsck_dir(&self.dir)
     }
 }
 
-/// Checks one cataloged snapshot hash-first: present, the cataloged
-/// length and content hash, a valid container of the cataloged kind.
-/// Returns every problem found; empty means clean.
+/// Checks one cataloged snapshot identity-first: present, the cataloged
+/// length and CRC-32 trailer, then one open — the CRC pass that proves
+/// the trailer — of a valid container of the cataloged kind. Returns
+/// every problem found; empty means clean.
 fn check_entry(dir: &Path, entry: &ManifestEntry) -> Vec<FsckIssue> {
     let (generation, file) = (entry.generation, entry.file.clone());
     let Ok(bytes) = std::fs::read(dir.join(&entry.file)) else {
         return vec![FsckIssue::MissingFile { generation, file }];
     };
     let mut issues = Vec::new();
-    if bytes.len() as u64 != entry.len {
+    let claimed = ContentId::claimed(&bytes);
+    if claimed.len != entry.len {
         issues.push(FsckIssue::LengthMismatch {
             generation,
             file: file.clone(),
             expected: entry.len,
-            actual: bytes.len() as u64,
+            actual: claimed.len,
         });
     }
-    let actual = fnv1a64(&bytes);
+    let opened = LazySnapshot::open(&bytes);
+    // The bytes are the committed ones only if they claim the cataloged
+    // CRC-32 and the CRC pass over them agrees.
+    let actual = match &opened {
+        _ if claimed.crc != entry.content_hash => claimed.crc,
+        Err(PersistError::ChecksumMismatch { computed, .. }) => *computed,
+        // refused before its CRC pass (a damaged magic): make that pass here
+        Err(_) => crc32(&bytes[..bytes.len().saturating_sub(4)]),
+        Ok(_) => entry.content_hash,
+    };
     if actual != entry.content_hash {
         issues.push(FsckIssue::HashMismatch {
             generation,
@@ -661,7 +682,7 @@ fn check_entry(dir: &Path, entry: &ManifestEntry) -> Vec<FsckIssue> {
             actual,
         });
     }
-    let error = match LazySnapshot::open(&bytes) {
+    let error = match opened {
         Err(e) => Some(e.to_string()),
         Ok(snap) if snap.kind() != entry.kind => Some(format!(
             "artifact kind {} != catalog kind {}",
@@ -710,7 +731,7 @@ pub fn fsck_dir(dir: &Path) -> Result<FsckReport> {
         .issues
         .extend(orphans.into_iter().map(|file| FsckIssue::Orphan { file }));
 
-    // re-hash every cataloged artifact
+    // check every cataloged artifact
     for entry in &catalog.entries {
         let issues = check_entry(dir, entry);
         if issues.is_empty() {
@@ -1114,6 +1135,123 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Another container of the same length and kind written over a
+    /// generation's file claims another CRC-32: `install_active` and
+    /// `rollback` refuse it with `ContentMismatch` before any open (an
+    /// armed CRC fault never fires), and fsck names both CRCs.
+    #[test]
+    fn another_crc_of_the_same_length_and_kind_is_refused_before_any_open() {
+        let dir = tmpdir("other-crc");
+        let (mut store, _) = ModelStore::open(&dir).unwrap();
+        let e1 = store.promote(&weights(1), 1, "v1").unwrap();
+        store.promote(&weights(2), 1, "v2").unwrap();
+        let registry = ModelRegistry::<Live>::new();
+        assert_eq!(store.install_active(&registry).unwrap(), Some(2));
+        let other = crate::format::to_bytes(&weights(3));
+        let claimed = ContentId::claimed(&other);
+        assert_eq!((claimed.len, claimed.kind), (e1.len, e1.kind));
+        assert_ne!(claimed.crc, e1.content_hash);
+        for g in [1, 2] {
+            std::fs::write(dir.join(generation_file(g)), &other).unwrap();
+        }
+
+        mfod_faultline::install(FaultPlan::new(1).rule(points::PERSIST_CRC, FaultRule::always()));
+        let install = store.install_active(&registry).unwrap_err();
+        let rollback = store.rollback(1).unwrap_err();
+        let report = mfod_faultline::disarm().unwrap();
+        assert_eq!(report.fires(points::PERSIST_CRC), 0, "{report:?}");
+        for err in [install, rollback] {
+            match err {
+                PersistError::ContentMismatch {
+                    expected, actual, ..
+                } => {
+                    assert_eq!(actual, claimed);
+                    assert_eq!((expected.len, expected.kind), (claimed.len, claimed.kind));
+                }
+                other => panic!("expected ContentMismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(registry.active().unwrap().0, weights(2));
+        assert_eq!(registry.generation(), 1);
+        assert_eq!(store.active_generation(), Some(2));
+
+        let fsck = store.fsck().unwrap();
+        assert!(fsck.clean.is_empty());
+        assert!(fsck.issues.iter().any(|i| matches!(
+            i,
+            FsckIssue::HashMismatch { generation: 1, expected, actual, .. }
+                if *expected == e1.content_hash && *actual == claimed.crc
+        )));
+        assert!(fsck
+            .issues
+            .iter()
+            .any(|i| matches!(i, FsckIssue::ActiveMissing { generation: 2 })));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A body bit-flip leaves the trailer, length and kind the catalog
+    /// records: the O(1) compare passes and the open's CRC pass refuses
+    /// the bytes, for `install_active` and `rollback` alike, and fsck
+    /// reports the CRC computed over the damaged bytes.
+    #[test]
+    fn a_body_flip_under_a_matching_trailer_is_refused_by_the_crc_pass() {
+        let dir = tmpdir("body-flip");
+        let (mut store, _) = ModelStore::open(&dir).unwrap();
+        let e1 = store.promote(&weights(1), 1, "v1").unwrap();
+        let registry = ModelRegistry::<Live>::new();
+        assert_eq!(store.install_active(&registry).unwrap(), Some(1));
+        store.promote(&weights(2), 1, "v2").unwrap();
+        let path = dir.join(generation_file(1));
+        let committed = std::fs::read(&path).unwrap();
+        // a flip in the body, and one in the magic, which `open` refuses
+        // before its CRC pass
+        for at in [committed.len() - 12, 0] {
+            let mut bytes = committed.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(ContentId::claimed(&bytes), e1.content_id());
+
+            let err = store.rollback(1).unwrap_err();
+            match (at, &err) {
+                (0, PersistError::BadMagic { .. }) => {}
+                (1.., PersistError::ChecksumMismatch { stored, .. })
+                    if *stored == e1.content_hash => {}
+                _ => panic!("flip at {at}: {err}"),
+            }
+            assert_eq!(store.active_generation(), Some(2));
+            let fsck = store.fsck().unwrap();
+            assert_eq!(fsck.clean, vec![2]);
+            let computed = crc32(&bytes[..bytes.len() - 4]);
+            assert!(
+                fsck.issues.iter().any(|i| matches!(
+                    i,
+                    FsckIssue::HashMismatch { generation: 1, expected, actual, .. }
+                        if *expected == e1.content_hash && *actual == computed
+                )),
+                "flip at {at}: {:?}",
+                fsck.issues
+            );
+            assert!(fsck
+                .issues
+                .iter()
+                .any(|i| matches!(i, FsckIssue::BadContainer { .. })));
+        }
+
+        // the active generation damaged the same way is not installed
+        let path = dir.join(generation_file(2));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.install_active(&registry).unwrap_err();
+        assert!(
+            matches!(err, PersistError::ChecksumMismatch { .. }),
+            "{err}"
+        );
+        assert_eq!(registry.active().unwrap().0, weights(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Every file name under `dir` (recursively) with its bytes.
     fn footprint(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
         let mut out = Vec::new();
@@ -1129,19 +1267,18 @@ mod tests {
         out
     }
 
-    /// A log in the intent + commit framing of the earlier protocol is
-    /// refused with a typed error by `open`, `fsck_dir` and the watcher,
-    /// and every file stays in place byte for byte.
+    /// A log of a retired format — the intent + commit framing of the
+    /// earlier protocol, or a commit naming its snapshot by an FNV-1a
+    /// hash — is refused with a typed error by `open`, `fsck_dir` and the
+    /// watcher, and every file stays in place byte for byte.
     #[test]
-    fn a_log_of_the_retired_format_is_refused_and_left_in_place() {
-        let dir = tmpdir("retired");
+    fn a_log_of_a_retired_format_is_refused_and_left_in_place() {
         let bytes = crate::format::to_bytes(&weights(1));
-        std::fs::write(dir.join(generation_file(1)), &bytes).unwrap();
         let entry = ManifestEntry {
             generation: 1,
             file: generation_file(1),
             kind: Weights::KIND,
-            content_hash: fnv1a64(&bytes),
+            content_hash: ContentId::claimed(&bytes).crc,
             len: bytes.len() as u64,
             config_fingerprint: 0,
             parent: None,
@@ -1153,32 +1290,37 @@ mod tests {
         let mut commit = Encoder::new();
         commit.put_u8(2);
         commit.put_u64(1);
-        let mut log = crate::wal::frame(&intent.into_bytes());
-        log.extend(crate::wal::frame(&commit.into_bytes()));
-        std::fs::write(dir.join(DEPLOY_LOG_FILE), &log).unwrap();
-        let before = footprint(&dir);
+        let mut intent_log = crate::wal::frame(&intent.into_bytes());
+        intent_log.extend(crate::wal::frame(&commit.into_bytes()));
+        let fnv_log = crate::wal::frame(&crate::wal::retired_fnv_commit(&entry, 0x1234));
+        for (name, log, tag) in [("intent", intent_log, 1), ("fnv", fnv_log, 4)] {
+            let dir = tmpdir(&format!("retired-{name}"));
+            std::fs::write(dir.join(generation_file(1)), &bytes).unwrap();
+            std::fs::write(dir.join(DEPLOY_LOG_FILE), &log).unwrap();
+            let before = footprint(&dir);
 
-        let retired = |r: Result<()>| match r {
-            Err(PersistError::RetiredLogRecord {
-                offset: 0, tag: 1, ..
-            }) => {}
-            other => panic!("expected RetiredLogRecord, got {other:?}"),
-        };
-        retired(ModelStore::open(&dir).map(|_| ()));
-        retired(fsck_dir(&dir).map(|_| ()));
-        let registry = Arc::new(ModelRegistry::<Live>::new());
-        let handle: WatchHandle =
-            registry.watch_store(&dir, WatchConfig::new(Duration::from_millis(2)));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while handle.health().consecutive_failures < 2 {
-            assert!(std::time::Instant::now() < deadline, "watcher never failed");
-            std::thread::sleep(Duration::from_millis(1));
+            let retired = |r: Result<()>| match r {
+                Err(PersistError::RetiredLogRecord {
+                    offset: 0, tag: t, ..
+                }) if t == tag => {}
+                other => panic!("{name}: expected RetiredLogRecord, got {other:?}"),
+            };
+            retired(ModelStore::open(&dir).map(|_| ()));
+            retired(fsck_dir(&dir).map(|_| ()));
+            let registry = Arc::new(ModelRegistry::<Live>::new());
+            let handle: WatchHandle =
+                registry.watch_store(&dir, WatchConfig::new(Duration::from_millis(2)));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while handle.health().consecutive_failures < 2 {
+                assert!(std::time::Instant::now() < deadline, "watcher never failed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let error = handle.health().last_error.unwrap();
+            assert!(error.contains("retired record"), "{error}");
+            assert!(registry.active().is_none());
+            handle.stop();
+            assert_eq!(footprint(&dir), before, "{name}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let error = handle.health().last_error.unwrap();
-        assert!(error.contains("retired record"), "{error}");
-        assert!(registry.active().is_none());
-        handle.stop();
-        assert_eq!(footprint(&dir), before);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

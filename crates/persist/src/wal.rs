@@ -17,8 +17,11 @@
 //! recovery moved a damaged committed snapshot aside, which drops it
 //! from the catalog.
 //!
-//! Tags 1 and 2 belonged to an earlier two-record protocol (an intent,
-//! then a bare commit marker). A CRC-valid frame with either tag makes
+//! Retired tags are refused, never reused. Tags 1 and 2 belonged to an
+//! earlier two-record protocol (an intent, then a bare commit marker);
+//! tag 4 was a commit whose entry named the snapshot by a 64-bit FNV-1a
+//! hash of its bytes, where a commit (tag 6) now names it by the
+//! container's CRC-32 trailer. A CRC-valid frame with a retired tag makes
 //! [`replay`] fail with [`PersistError::RetiredLogRecord`] instead of
 //! reading it as a torn tail, so recovery never quarantines such a log
 //! together with the snapshots it names.
@@ -37,10 +40,12 @@ const TAG_RETIRED_INTENT: u8 = 1;
 const TAG_RETIRED_COMMIT: u8 = 2;
 /// Record tag for [`LogRecord::Rollback`].
 const TAG_ROLLBACK: u8 = 3;
-/// Record tag for [`LogRecord::Commit`].
-const TAG_COMMIT: u8 = 4;
+/// Retired tag of the commit whose entry carried an FNV-1a content hash.
+const TAG_RETIRED_FNV_COMMIT: u8 = 4;
 /// Record tag for [`LogRecord::Quarantine`].
 const TAG_QUARANTINE: u8 = 5;
+/// Record tag for [`LogRecord::Commit`].
+const TAG_COMMIT: u8 = 6;
 
 /// One deployment-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,7 +223,9 @@ pub fn replay(path: &Path) -> Result<Replay> {
             )));
             break;
         }
-        if let Some(&tag @ (TAG_RETIRED_INTENT | TAG_RETIRED_COMMIT)) = payload.first() {
+        if let Some(&tag @ (TAG_RETIRED_INTENT | TAG_RETIRED_COMMIT | TAG_RETIRED_FNV_COMMIT)) =
+            payload.first()
+        {
             return Err(PersistError::RetiredLogRecord {
                 path: path.to_path_buf(),
                 offset: offset as u64,
@@ -240,6 +247,23 @@ pub fn replay(path: &Path) -> Result<Replay> {
     Ok(replay)
 }
 
+/// A commit frame payload of the retired FNV-1a format: tag 4, then the
+/// entry with a 64-bit content hash where the CRC-32 now sits.
+#[cfg(test)]
+pub(crate) fn retired_fnv_commit(entry: &ManifestEntry, fnv: u64) -> Vec<u8> {
+    let mut w = Encoder::new();
+    w.put_u8(TAG_RETIRED_FNV_COMMIT);
+    w.put_u64(entry.generation);
+    w.put_str(&entry.file);
+    w.put_u32(entry.kind);
+    w.put_u64(fnv);
+    w.put_u64(entry.len);
+    w.put_u64(entry.config_fingerprint);
+    entry.parent.encode(&mut w);
+    w.put_str(&entry.tag);
+    w.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +273,7 @@ mod tests {
             generation,
             file: format!("gen-{generation:06}.mfod"),
             kind: 1,
-            content_hash: generation * 7,
+            content_hash: generation as u32 * 7,
             len: 100,
             config_fingerprint: 5,
             parent: generation.checked_sub(1).filter(|&p| p > 0),
@@ -353,7 +377,11 @@ mod tests {
         intent.extend(enc.into_bytes());
         let mut marker = vec![TAG_RETIRED_COMMIT];
         marker.extend(2u64.to_le_bytes());
-        for (payload, tag) in [(intent, TAG_RETIRED_INTENT), (marker, TAG_RETIRED_COMMIT)] {
+        for (payload, tag) in [
+            (intent, TAG_RETIRED_INTENT),
+            (marker, TAG_RETIRED_COMMIT),
+            (retired_fnv_commit(&entry(2), 14), TAG_RETIRED_FNV_COMMIT),
+        ] {
             let mut log = std::fs::read(&path).unwrap()[..offset as usize].to_vec();
             log.extend(frame(&payload));
             std::fs::write(&path, &log).unwrap();

@@ -22,61 +22,85 @@ pub struct Encoder {
 
 impl Encoder {
     /// A fresh, empty encoder.
+    #[inline]
     pub fn new() -> Self {
         Encoder::default()
     }
 
+    /// An empty encoder with room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written yet.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64` (sizes are machine-independent on disk).
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Writes an `f64` as its raw bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Writes a bool as one byte (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Writes raw bytes with no length prefix.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
+    /// Writes `n` zero bytes (container padding).
+    pub(crate) fn put_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, v: &str) {
         self.put_usize(v.len());
         self.put_bytes(v.as_bytes());
@@ -99,6 +123,7 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Reads from the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Decoder {
             buf,
@@ -127,11 +152,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Takes `n` raw bytes.
+    #[inline]
     pub fn take_bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(PersistError::Truncated {
@@ -146,17 +173,20 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.take_bytes(1, "u8")?[0])
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32> {
         let b = self.take_bytes(4, "u32")?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn take_u64(&mut self) -> Result<u64> {
         let b = self.take_bytes(8, "u64")?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -164,6 +194,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a `u64` and narrows it to `usize`, rejecting values that do
     /// not fit the host.
+    #[inline]
     pub fn take_usize(&mut self) -> Result<usize> {
         let v = self.take_u64()?;
         usize::try_from(v)
@@ -171,11 +202,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads an `f64` from its raw bit pattern.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a bool, rejecting anything but 0 or 1.
+    #[inline]
     pub fn take_bool(&mut self) -> Result<bool> {
         match self.take_u8()? {
             0 => Ok(false),
@@ -187,6 +220,7 @@ impl<'a> Decoder<'a> {
     /// Reads a collection length and verifies `len * elem_size` fits in
     /// the remaining bytes — the guard that keeps corrupted lengths from
     /// turning into multi-gigabyte allocations.
+    #[inline]
     pub fn take_len(&mut self, elem_size: usize, context: &'static str) -> Result<usize> {
         let len = self.take_usize()?;
         let needed = len
@@ -247,6 +281,7 @@ impl<'a> Decoder<'a> {
 
     /// Asserts the decoder consumed the whole buffer (trailing garbage is
     /// corruption, not padding).
+    #[inline]
     pub fn finish(&self) -> Result<()> {
         if self.remaining() != 0 {
             return Err(PersistError::Malformed(format!(
@@ -277,84 +312,98 @@ pub trait Decode: Sized {
 }
 
 impl Encode for u8 {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_u8(*self);
     }
 }
 
 impl Decode for u8 {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_u8()
     }
 }
 
 impl Encode for u32 {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_u32(*self);
     }
 }
 
 impl Decode for u32 {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_u32()
     }
 }
 
 impl Encode for u64 {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_u64(*self);
     }
 }
 
 impl Decode for u64 {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_u64()
     }
 }
 
 impl Encode for usize {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_usize(*self);
     }
 }
 
 impl Decode for usize {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_usize()
     }
 }
 
 impl Encode for f64 {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_f64(*self);
     }
 }
 
 impl Decode for f64 {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_f64()
     }
 }
 
 impl Encode for bool {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_bool(*self);
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_bool()
     }
 }
 
 impl Encode for String {
+    #[inline]
     fn encode(&self, w: &mut Encoder) {
         w.put_str(self);
     }
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(r: &mut Decoder<'_>) -> Result<Self> {
         r.take_str()
     }
@@ -457,10 +506,11 @@ impl Decode for Matrix {
                 return Ok(Matrix::from_shared(rows, cols, view));
             }
         }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.take_f64()?);
-        }
+        let data = r
+            .take_bytes(n * 8, "matrix data")?
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+            .collect();
         Ok(Matrix::from_vec(rows, cols, data))
     }
 }

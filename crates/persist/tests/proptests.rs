@@ -12,8 +12,8 @@
 
 use mfod_linalg::Matrix;
 use mfod_persist::{
-    from_bytes, from_shared, to_bytes, Decode, Decoder, Encode, Encoder, LazySnapshot,
-    PersistError, SharedBytes, Snapshot, SnapshotWriter,
+    crc32, from_bytes, from_shared, to_bytes, Decode, Decoder, Encode, Encoder, LazySnapshot,
+    PersistError, SharedBytes, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC,
 };
 use proptest::prelude::*;
 
@@ -205,6 +205,70 @@ proptest! {
             ) => {}
             Err(e) => prop_assert!(false, "unexpected error family: {e}"),
         }
+    }
+}
+
+/// The container writer as it stood before `SnapshotWriter::finish`
+/// wrote into one allocation: the payload gathered in its own buffer,
+/// then header, table and payload copied into a second. Kept here to pin
+/// the bytes the one-allocation writer must reproduce.
+fn two_copy_container(kind: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let payload_base = 16 + 20 * sections.len();
+    let mut payload: Vec<u8> = Vec::new();
+    let mut entries = Vec::with_capacity(sections.len());
+    for (id, body) in sections {
+        let file_offset = payload_base + payload.len();
+        let pad = (8 - file_offset % 8) % 8;
+        payload.resize(payload.len() + pad, 0);
+        entries.push((*id, payload.len() as u64, body.len() as u64));
+        payload.extend_from_slice(body);
+    }
+    let mut out = Encoder::new();
+    out.put_bytes(&MAGIC);
+    out.put_u32(FORMAT_VERSION);
+    out.put_u32(kind);
+    out.put_u32(sections.len() as u32);
+    for (id, offset, len) in entries {
+        out.put_u32(id);
+        out.put_u64(offset);
+        out.put_u64(len);
+    }
+    out.put_bytes(&payload);
+    let mut bytes = out.into_bytes();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-allocation writer produces the two-copy writer's bytes for
+    /// any set of sections: ids, body lengths (hence every padding) and
+    /// contents drawn at random, empty bodies and zero sections included.
+    #[test]
+    fn one_allocation_finish_writes_the_two_copy_bytes(
+        kind in proptest::arbitrary::any::<u32>(),
+        ids in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..7),
+        lens in proptest::collection::vec(0usize..70, 7),
+        fill in proptest::arbitrary::any::<u64>(),
+    ) {
+        let sections: Vec<(u32, Vec<u8>)> = ids
+            .iter()
+            .zip(&lens)
+            .enumerate()
+            .map(|(i, (&id, &len))| {
+                let body = (0..len)
+                    .map(|j| (fill.rotate_left((i * 7 + j) as u32 % 64) >> 3) as u8 ^ j as u8)
+                    .collect();
+                (id, body)
+            })
+            .collect();
+        let mut w = SnapshotWriter::new(kind);
+        for (id, body) in &sections {
+            w.section(*id, |enc| enc.put_bytes(body));
+        }
+        prop_assert_eq!(w.finish(), two_copy_container(kind, &sections));
     }
 }
 

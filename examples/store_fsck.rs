@@ -51,7 +51,7 @@ fn main() {
         .unwrap();
     for e in [&e1, &e2] {
         println!(
-            "  gen {} [{}] {} — {} bytes, hash {:016x}, parent {:?}",
+            "  gen {} [{}] {} — {} bytes, CRC-32 {:08x}, parent {:?}",
             e.generation, e.tag, e.file, e.len, e.content_hash, e.parent
         );
     }

@@ -1,7 +1,7 @@
 //! Integration tests of the Fig. 3 experiment harness (smoke-scale) and of
 //! the qualitative claims the figure supports.
 
-use mfod::experiment::{format_fig3, run_fig3, run_fig3_on, Fig3Config};
+use mfod::experiment::{format_fig3, load_ucr_pair, run_fig3, run_fig3_on, Fig3Config};
 use mfod::prelude::*;
 
 #[test]
@@ -36,19 +36,9 @@ fn experiment_is_reproducible() {
     }
 }
 
-#[test]
-fn external_data_entrypoint() {
-    // run_fig3_on accepts pre-built (e.g. real ECG200) data.
-    let data = EcgSimulator::new(EcgConfig {
-        m: 30,
-        ..Default::default()
-    })
-    .unwrap()
-    .generate(40, 20, 5)
-    .unwrap()
-    .augment_with(0, |y| y * y)
-    .unwrap();
-    let cfg = Fig3Config {
+/// A two-repetition, one-level Fig. 3 for 60 short beats.
+fn small_external_cfg() -> Fig3Config {
+    Fig3Config {
         contamination_levels: vec![0.10],
         repetitions: 2,
         train_size: 30,
@@ -66,9 +56,81 @@ fn external_data_entrypoint() {
             ..Default::default()
         },
         ..Default::default()
-    };
-    let rows = run_fig3_on(&cfg, &data).unwrap();
+    }
+}
+
+/// 40 normal + 20 abnormal simulated beats of length 30, one channel.
+fn short_beats() -> LabeledDataSet {
+    EcgSimulator::new(EcgConfig {
+        m: 30,
+        ..Default::default()
+    })
+    .unwrap()
+    .generate(40, 20, 5)
+    .unwrap()
+}
+
+#[test]
+fn external_data_entrypoint() {
+    // run_fig3_on accepts pre-built (e.g. real ECG200) data.
+    let data = short_beats().augment_with(0, |y| y * y).unwrap();
+    let rows = run_fig3_on(&small_external_cfg(), &data).unwrap();
     assert_eq!(rows.len(), 1);
+}
+
+/// A UCR-format train/test pair written from the simulator pools back to
+/// the augmented beats bit for bit, so Fig. 3 on the pair is Fig. 3 on
+/// the beats.
+#[test]
+fn ucr_pair_reruns_fig3_on_the_pooled_files() {
+    let beats = short_beats();
+    let dir = std::env::temp_dir().join(format!("mfod-it-ucr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, range: std::ops::Range<usize>| {
+        let lines: Vec<String> = range
+            .map(|i| {
+                let (sample, outlier) = beats.get(i).unwrap();
+                let mut line = String::from(if outlier { "-1" } else { "1" });
+                for v in &sample.channels[0] {
+                    line.push_str(&format!("\t{v}"));
+                }
+                line
+            })
+            .collect();
+        let path = dir.join(name);
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        path
+    };
+    let train = write("BEATS_TRAIN.tsv", 0..25);
+    let test = write("BEATS_TEST.tsv", 25..beats.len());
+    let pooled = load_ucr_pair(&train, &test).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let data = beats.augment_with(0, |y| y * y).unwrap();
+    assert_eq!(pooled.labels(), data.labels());
+    let bits = |d: &LabeledDataSet| -> Vec<u64> {
+        d.samples()
+            .iter()
+            .flat_map(|s| s.t.iter().chain(s.channels.iter().flatten()))
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(&pooled), bits(&data));
+
+    let cfg = small_external_cfg();
+    let (from_files, from_beats) = (
+        run_fig3_on(&cfg, &pooled).unwrap(),
+        run_fig3_on(&cfg, &data).unwrap(),
+    );
+    assert_eq!(format_fig3(&from_files), format_fig3(&from_beats));
+    for (a, b) in from_files.iter().zip(&from_beats) {
+        for (x, y) in a.summary.methods.iter().zip(&b.summary.methods) {
+            assert_eq!(
+                (x.mean.to_bits(), x.std.to_bits()),
+                (y.mean.to_bits(), y.std.to_bits())
+            );
+        }
+    }
 }
 
 #[test]

@@ -57,6 +57,22 @@ fn saved_and_reloaded_pipeline_scores_ecg_bit_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The container bytes of the ECG acceptance pipeline, pinned by their
+/// length, kind and CRC-32 trailer: a change to the container writer or
+/// to any codec that moves one byte fails here. Regenerate the pin only
+/// for a change meant to move the format.
+#[test]
+fn ecg_pipeline_snapshot_bytes_are_pinned() {
+    let (train, _) = ecg_split();
+    let bytes = mfod::persist::to_bytes(&ecg_fitted(&train).snapshot().unwrap());
+    let id = mfod::persist::ContentId::claimed(&bytes);
+    assert_eq!(
+        (id.len, id.kind, id.crc),
+        (21_585, mfod::snapshot::KIND_FITTED_PIPELINE, 0x824D_17A7),
+        "{id}"
+    );
+}
+
 #[test]
 fn registry_hot_swaps_pipelines_under_scoring_traffic() {
     use mfod::persist::ModelStore;
