@@ -18,10 +18,9 @@
 //!   interleaving across points.
 //! - **Owned by the arming thread.** A plan is armed for the calling
 //!   thread's [`scope`] and fires only for work done on its behalf: its
-//!   own calls, the pool chunks it submits and the helper threads it
-//!   starts (a registry watcher, a deadline helper), each of which
-//!   [`enter`]s that scope. Concurrent plans never see each other's hits,
-//!   and a plan is disarmed when its thread exits.
+//!   own calls, the pool chunks it submits and the registry watcher it
+//!   starts, each of which [`enter`]s that scope. Concurrent plans never
+//!   see each other's hits, and a plan is disarmed when its thread exits.
 //!
 //! # Writing a plan
 //!
@@ -75,8 +74,8 @@ pub mod points {
     /// Micro-batch flush fails with a typed pipeline error before
     /// scoring runs; the batch stays pending.
     pub const STREAM_FLUSH: &str = "stream.flush";
-    /// Delay injected at the start of a micro-batch flush (drives
-    /// deadline misses); pair with a [`FaultRule::delay`](crate::FaultRule::delay).
+    /// Delay injected at the start of a micro-batch flush, stalling the
+    /// caller that flushes; pair with a [`FaultRule::delay`](crate::FaultRule::delay).
     pub const STREAM_DELAY: &str = "stream.delay";
     /// Poison sample: an observation pushed into a `WindowBuffer` has a
     /// channel value replaced with NaN before validation.

@@ -276,12 +276,6 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     );
     counter(
         &mut o,
-        "mfod_stream_flush_expired_total",
-        "Micro-batches flushed because max_delay expired.",
-        s.stream.flush_expired,
-    );
-    counter(
-        &mut o,
         "mfod_stream_flush_manual_total",
         "Micro-batches flushed by an explicit finish.",
         s.stream.flush_manual,
@@ -386,18 +380,6 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     );
     counter(
         &mut o,
-        "mfod_sheds_total",
-        "Windows shed by the overload policy.",
-        s.failures.sheds,
-    );
-    counter(
-        &mut o,
-        "mfod_deadline_misses_total",
-        "Micro-batch flushes that exceeded their deadline.",
-        s.failures.deadline_misses,
-    );
-    counter(
-        &mut o,
         "mfod_quarantined_sessions_total",
         "Sessions quarantined after repeated flush failures.",
         s.failures.quarantined_sessions,
@@ -479,12 +461,6 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
         "mfod_window_rejected_per_min",
         "Committed generations that failed to install per minute (rolling window).",
         w.rejected_per_min,
-    );
-    gauge_f64(
-        &mut o,
-        "mfod_window_sheds_per_sec",
-        "Windows shed per second (rolling window).",
-        w.sheds_per_sec,
     );
     gauge_f64(
         &mut o,

@@ -58,8 +58,6 @@ pub struct Metrics {
     // -- MicroBatcher / OnlineScorer (mfod_stream) --------------------
     /// Micro-batches flushed because the batch filled up.
     pub stream_flush_full: Counter,
-    /// Micro-batches flushed because `max_delay` expired.
-    pub stream_flush_expired: Counter,
     /// Micro-batches flushed by an explicit `finish`.
     pub stream_flush_manual: Counter,
     /// Pending windows dropped (drained unscored) via `take_pending`.
@@ -103,12 +101,9 @@ pub struct Metrics {
 
     // -- Failure semantics (mfod-stream / mfod-persist) ---------------
     /// Typed errors surfaced by the serving path: failed or injected
-    /// flushes, deadline misses, overload rejections, quarantines.
+    /// flushes, and flushes refused after the retries ran out (each of
+    /// which the `OnlineScorer` surfaces as one quarantine).
     pub errors_total: Counter,
-    /// Windows shed by the overload policy (rejected or dropped-oldest).
-    pub sheds_total: Counter,
-    /// Micro-batch flushes that exceeded their scoring deadline.
-    pub deadline_misses: Counter,
     /// Sessions whose pending windows were quarantined after repeated
     /// flush failures.
     pub quarantined_sessions: Counter,
@@ -136,8 +131,6 @@ pub struct Metrics {
     /// Committed generations that failed to install per rolling window
     /// (→ rejections/min).
     pub win_registry_rejected: WindowedCounter,
-    /// Windows shed per rolling window (→ sheds/sec).
-    pub win_sheds: WindowedCounter,
     /// Serving errors per rolling window (→ errors/sec).
     pub win_errors: WindowedCounter,
     /// Rolling micro-batch scoring latency (ns; rolling p50/p95/p99).
@@ -167,7 +160,6 @@ impl Metrics {
             plan_cache_evictions: Counter::new(),
             plan_build: Histogram::new(),
             stream_flush_full: Counter::new(),
-            stream_flush_expired: Counter::new(),
             stream_flush_manual: Counter::new(),
             stream_window_drops: Counter::new(),
             stream_batch_assembly: Histogram::new(),
@@ -184,8 +176,6 @@ impl Metrics {
             persist_first_touch: Histogram::new(),
             persist_mapped_bytes: Gauge::new(),
             errors_total: Counter::new(),
-            sheds_total: Counter::new(),
-            deadline_misses: Counter::new(),
             quarantined_sessions: Counter::new(),
             registry_backoff: Gauge::new(),
             store_promotions: Counter::new(),
@@ -196,7 +186,6 @@ impl Metrics {
             win_stream_windows: WindowedCounter::new(),
             win_registry_swaps: WindowedCounter::new(),
             win_registry_rejected: WindowedCounter::new(),
-            win_sheds: WindowedCounter::new(),
             win_errors: WindowedCounter::new(),
             win_batch_score: WindowedHistogram::new(),
             win_score_dist: WindowedHistogram::new(),
@@ -216,7 +205,6 @@ impl Metrics {
         self.plan_cache_evictions.reset();
         self.plan_build.reset();
         self.stream_flush_full.reset();
-        self.stream_flush_expired.reset();
         self.stream_flush_manual.reset();
         self.stream_window_drops.reset();
         self.stream_batch_assembly.reset();
@@ -233,8 +221,6 @@ impl Metrics {
         self.persist_first_touch.reset();
         self.persist_mapped_bytes.reset();
         self.errors_total.reset();
-        self.sheds_total.reset();
-        self.deadline_misses.reset();
         self.quarantined_sessions.reset();
         self.registry_backoff.reset();
         self.store_promotions.reset();
@@ -245,7 +231,6 @@ impl Metrics {
         self.win_stream_windows.reset();
         self.win_registry_swaps.reset();
         self.win_registry_rejected.reset();
-        self.win_sheds.reset();
         self.win_errors.reset();
         self.win_batch_score.reset();
         self.win_score_dist.reset();
@@ -448,7 +433,6 @@ impl PlanCacheSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StreamObsSnapshot {
     pub flush_full: u64,
-    pub flush_expired: u64,
     pub flush_manual: u64,
     pub window_drops: u64,
     pub batch_assembly: HistogramSnapshot,
@@ -490,8 +474,6 @@ impl PersistSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FailureSnapshot {
     pub errors: u64,
-    pub sheds: u64,
-    pub deadline_misses: u64,
     pub quarantined_sessions: u64,
     pub registry_backoff: u64,
 }
@@ -526,8 +508,6 @@ pub struct WindowSnapshot {
     /// Committed generations that failed to install, per minute over the
     /// live window.
     pub rejected_per_min: f64,
-    /// Windows shed per second over the live window.
-    pub sheds_per_sec: f64,
     /// Serving errors per second over the live window.
     pub errors_per_sec: f64,
     /// Rolling micro-batch scoring latency (ns).
@@ -580,7 +560,6 @@ impl MetricsSnapshot {
             },
             stream: StreamObsSnapshot {
                 flush_full: m.stream_flush_full.get(),
-                flush_expired: m.stream_flush_expired.get(),
                 flush_manual: m.stream_flush_manual.get(),
                 window_drops: m.stream_window_drops.get(),
                 batch_assembly: m.stream_batch_assembly.snapshot(),
@@ -603,8 +582,6 @@ impl MetricsSnapshot {
             },
             failures: FailureSnapshot {
                 errors: m.errors_total.get(),
-                sheds: m.sheds_total.get(),
-                deadline_misses: m.deadline_misses.get(),
                 quarantined_sessions: m.quarantined_sessions.get(),
                 registry_backoff: m.registry_backoff.get(),
             },
@@ -622,7 +599,6 @@ impl MetricsSnapshot {
                     windows_per_sec: m.win_stream_windows.rate_per_sec(now_id),
                     swaps_per_min: m.win_registry_swaps.rate_per_sec(now_id) * 60.0,
                     rejected_per_min: m.win_registry_rejected.rate_per_sec(now_id) * 60.0,
-                    sheds_per_sec: m.win_sheds.rate_per_sec(now_id),
                     errors_per_sec: m.win_errors.rate_per_sec(now_id),
                     batch_score: m.win_batch_score.snapshot_live(now_id),
                     score_dist: m.win_score_dist.snapshot_live(now_id),
@@ -685,10 +661,6 @@ impl MetricsSnapshot {
                     .stream
                     .flush_full
                     .saturating_sub(earlier.stream.flush_full),
-                flush_expired: self
-                    .stream
-                    .flush_expired
-                    .saturating_sub(earlier.stream.flush_expired),
                 flush_manual: self
                     .stream
                     .flush_manual
@@ -736,11 +708,6 @@ impl MetricsSnapshot {
             },
             failures: FailureSnapshot {
                 errors: self.failures.errors.saturating_sub(earlier.failures.errors),
-                sheds: self.failures.sheds.saturating_sub(earlier.failures.sheds),
-                deadline_misses: self
-                    .failures
-                    .deadline_misses
-                    .saturating_sub(earlier.failures.deadline_misses),
                 quarantined_sessions: self
                     .failures
                     .quarantined_sessions
@@ -799,7 +766,6 @@ impl MetricsSnapshot {
         push_hist(&mut out, "build_ns", &self.plan_cache.build);
         out.push_str("},\n  \"stream\": {");
         push_u64(&mut out, "flush_full", self.stream.flush_full, true);
-        push_u64(&mut out, "flush_expired", self.stream.flush_expired, false);
         push_u64(&mut out, "flush_manual", self.stream.flush_manual, false);
         push_u64(&mut out, "window_drops", self.stream.window_drops, false);
         push_hist(&mut out, "batch_assembly_ns", &self.stream.batch_assembly);
@@ -824,13 +790,6 @@ impl MetricsSnapshot {
         push_hist(&mut out, "first_touch_ns", &self.persist.first_touch);
         out.push_str("},\n  \"failures\": {");
         push_u64(&mut out, "errors_total", self.failures.errors, true);
-        push_u64(&mut out, "sheds_total", self.failures.sheds, false);
-        push_u64(
-            &mut out,
-            "deadline_misses",
-            self.failures.deadline_misses,
-            false,
-        );
         push_u64(
             &mut out,
             "quarantined_sessions",
@@ -855,7 +814,6 @@ impl MetricsSnapshot {
         push_f64(&mut out, "windows_per_sec", w.windows_per_sec, false);
         push_f64(&mut out, "swaps_per_min", w.swaps_per_min, false);
         push_f64(&mut out, "rejected_per_min", w.rejected_per_min, false);
-        push_f64(&mut out, "sheds_per_sec", w.sheds_per_sec, false);
         push_f64(&mut out, "errors_per_sec", w.errors_per_sec, false);
         push_hist(&mut out, "batch_score_ns", &w.batch_score);
         push_hist(&mut out, "score_dist_nanoscore", &w.score_dist);
@@ -905,8 +863,8 @@ impl MetricsSnapshot {
         let s = &self.stream;
         let _ = writeln!(
             r,
-            "stream     flushes: {} full / {} expired / {} manual · {} window drops",
-            s.flush_full, s.flush_expired, s.flush_manual, s.window_drops
+            "stream     flushes: {} full / {} manual · {} window drops",
+            s.flush_full, s.flush_manual, s.window_drops
         );
         hist_line(&mut r, "  assembly  ", &s.batch_assembly);
         hist_line(&mut r, "  batch lat ", &s.batch_score);
@@ -935,8 +893,8 @@ impl MetricsSnapshot {
         let f = &self.failures;
         let _ = writeln!(
             r,
-            "failures   {} errors · {} sheds · {} deadline misses · {} quarantined · backoff level {}",
-            f.errors, f.sheds, f.deadline_misses, f.quarantined_sessions, f.registry_backoff
+            "failures   {} errors · {} quarantined · backoff level {}",
+            f.errors, f.quarantined_sessions, f.registry_backoff
         );
 
         let st = &self.store;
@@ -949,14 +907,13 @@ impl MetricsSnapshot {
         let w = &self.window;
         let _ = writeln!(
             r,
-            "window({}x{}ms) covering {:.0}s: {:.2} windows/s · {:.2} swaps/min · {:.2} rejected/min · {:.2} sheds/s · {:.2} errors/s",
+            "window({}x{}ms) covering {:.0}s: {:.2} windows/s · {:.2} swaps/min · {:.2} rejected/min · {:.2} errors/s",
             window::WINDOW_SLOTS,
             window::WINDOW_SLOT_MILLIS,
             w.covered_secs,
             w.windows_per_sec,
             w.swaps_per_min,
             w.rejected_per_min,
-            w.sheds_per_sec,
             w.errors_per_sec
         );
         hist_line(&mut r, "  score lat ", &w.batch_score);
@@ -1169,8 +1126,6 @@ mod tests {
         m.persist_first_touch.record(10_000);
         m.registry_install_time.record(5_000_000);
         m.errors_total.add(5);
-        m.sheds_total.add(2);
-        m.deadline_misses.add(1);
         m.quarantined_sessions.add(1);
         m.registry_backoff.set(3);
         m.store_promotions.add(7);
@@ -1195,8 +1150,6 @@ mod tests {
             "\"first_touch_ns\"",
             "\"failures\"",
             "\"errors_total\": 5",
-            "\"sheds_total\": 2",
-            "\"deadline_misses\": 1",
             "\"quarantined_sessions\": 1",
             "\"registry_backoff\": 3",
             "\"store\"",
@@ -1228,7 +1181,7 @@ mod tests {
             "batch lat",
             "registry   generation 3",
             "persist    sections: 6 eager / 2 lazy (25.0% lazy) · 4096 bytes mapped",
-            "failures   5 errors · 2 sheds · 1 deadline misses · 1 quarantined · backoff level 3",
+            "failures   5 errors · 1 quarantined · backoff level 3",
             "store      7 promotions · 2 recoveries · 1 rollbacks · 3 quarantined · 4 fsck issues",
             "rejected/min",
             "window(60x1000ms)",

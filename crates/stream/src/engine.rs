@@ -7,8 +7,8 @@
 //! quantiles via [`OnlineScorer::latency_snapshot`]). Additionally, with
 //! the environment variable `MFOD_OBS=1` the streaming layer reports to
 //! the process-wide `mfod-obs` recorder: flush reasons (batch-full /
-//! max-delay-expired / manual), window-drop counts from `take_pending`,
-//! batch assembly latency and per-batch scoring latency. Set
+//! manual), window-drop counts from `take_pending`, batch assembly
+//! latency and per-batch scoring latency. Set
 //! `MFOD_OBS_JSON=<path>` to dump the recorder's full
 //! `MetricsSnapshot` as JSON (see `examples/observability.rs`).
 //! Instrumentation never changes scores — only what gets counted.
@@ -74,8 +74,7 @@ pub struct OnlineScorer {
 impl std::fmt::Debug for OnlineScorer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineScorer")
-            .field("window_len", &self.buffer.config().window_len)
-            .field("stride", &self.buffer.config().stride)
+            .field("window_len", &self.buffer.config().ts.len())
             .field("batcher", &self.batcher)
             .field("calibrated", &self.calibrator.is_some())
             .finish()
@@ -207,9 +206,10 @@ impl OnlineScorer {
         let windows: Vec<mfod_fda::RawSample> = tagged.into_iter().map(|(_, w)| w).collect();
         let count = windows.len();
         self.stats.record_quarantine();
+        // The give-up is one surfaced error, already counted by the
+        // batcher's `errors_total`/`win_errors`; a quarantine adds none.
         if let Some(m) = mfod_obs::active() {
             m.quarantined_sessions.add(1);
-            m.win_errors.add(1);
             mfod_obs::journal::instant("stream.quarantine");
         }
         self.quarantine.push(QuarantineReport {
@@ -439,7 +439,6 @@ mod tests {
                 batch: BatchConfig {
                     batch_size: 1,
                     max_flush_retries: 0,
-                    ..Default::default()
                 },
             },
         )

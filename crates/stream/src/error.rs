@@ -11,27 +11,8 @@ pub enum StreamError {
     Ingest(String),
     /// The underlying pipeline rejected or failed on a window.
     Pipeline(mfod::MfodError),
-    /// A deadline-bounded flush did not finish within its budget. The
-    /// batch is back in the pending queue, untouched — retry, raise the
-    /// budget, or drain via `take_pending`.
-    DeadlineExceeded {
-        /// The configured scoring budget.
-        budget: std::time::Duration,
-        /// Windows restored to the pending queue.
-        pending: usize,
-    },
-    /// The pending queue hit `max_pending` under
-    /// [`OverloadPolicy::Reject`](crate::OverloadPolicy::Reject); the
-    /// submitted window was shed (never enqueued, no sequence number
-    /// consumed).
-    Overloaded {
-        /// Windows pending when the submission was rejected.
-        pending: usize,
-        /// The configured `max_pending` cap.
-        cap: usize,
-    },
-    /// Scoring panicked. The batch is back in the pending queue; the
-    /// scorer itself stays usable.
+    /// Scoring panicked. The batch stays in the pending queue; the scorer
+    /// itself stays usable.
     ScorePanicked(String),
     /// `max_flush_retries` consecutive flushes failed on this batch; the
     /// batcher refuses further attempts until the pending windows are
@@ -62,15 +43,6 @@ impl fmt::Display for StreamError {
             // No prefix: the MfodError Display already names its stage
             // ("pipeline: …"), and doubling it reads badly.
             StreamError::Pipeline(e) => write!(f, "{e}"),
-            StreamError::DeadlineExceeded { budget, pending } => write!(
-                f,
-                "stream deadline: scoring exceeded the {budget:?} budget \
-                 ({pending} windows back in the pending queue)"
-            ),
-            StreamError::Overloaded { pending, cap } => write!(
-                f,
-                "stream overload: {pending} windows pending at cap {cap}, submission shed"
-            ),
             StreamError::ScorePanicked(msg) => {
                 write!(f, "stream scoring panicked: {msg}")
             }
@@ -129,17 +101,9 @@ mod tests {
 
     #[test]
     fn failure_variants_display_their_context() {
-        let d = StreamError::DeadlineExceeded {
-            budget: std::time::Duration::from_millis(5),
-            pending: 3,
-        };
-        assert!(d.to_string().contains("5ms"), "{d}");
-        assert!(d.to_string().contains("3 windows"), "{d}");
-        assert!(d.source().is_none());
-        let o = StreamError::Overloaded { pending: 9, cap: 8 };
-        assert!(o.to_string().contains("cap 8"), "{o}");
         let s = StreamError::ScorePanicked("kaboom".into());
         assert!(s.to_string().contains("kaboom"), "{s}");
+        assert!(s.source().is_none());
         let r = StreamError::FlushRetriesExhausted {
             attempts: 4,
             last_error: "io".into(),

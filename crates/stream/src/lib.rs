@@ -9,9 +9,9 @@
 //! observations and must keep scoring without refitting. This crate
 //! provides that layer:
 //!
-//! * [`WindowBuffer`] — per-channel ring buffers turning the observation
-//!   stream into fixed-length [`mfod_fda::RawSample`] windows (tumbling,
-//!   overlapping or gapped, via `stride`);
+//! * [`WindowBuffer`] — per-channel buffers cutting the observation
+//!   stream into consecutive [`mfod_fda::RawSample`] windows, one per
+//!   `ts.len()` observations (tumbling windows on the training grid);
 //! * [`MicroBatcher`] — accumulates windows and scores each micro-batch in
 //!   parallel through a shared `Arc<FittedPipeline>`, bit for bit equal
 //!   to offline `FittedPipeline::score` on the same windows (every window
@@ -22,14 +22,12 @@
 //! * [`OnlineScorer`] — the push-based facade composing all three, with
 //!   running throughput/latency counters ([`StreamStats`]).
 //!
-//! The serving path is supervised: flushes can be deadline-bounded
-//! ([`ScoringDeadline`] — a slow batch returns
-//! [`StreamError::DeadlineExceeded`], never a hang), backpressure is
-//! explicit ([`OverloadPolicy`] + shed counters), scoring panics are
-//! contained, and a batch that keeps failing is quarantined
-//! ([`QuarantineReport`]) so the stream stays live. Fault hooks from
-//! `mfod-faultline` let tests drive all of these paths deterministically;
-//! disarmed they cost one relaxed atomic load.
+//! The serving path has one failure policy: a flush scores inline on the
+//! caller's thread, a failed or panicking flush keeps its batch pending
+//! for a retry, and after `max_flush_retries` failed retries the batch is
+//! quarantined ([`QuarantineReport`]) so the stream stays live. Fault
+//! hooks from `mfod-faultline` let tests drive all of these paths
+//! deterministically; disarmed they cost one relaxed atomic load.
 //!
 //! ## Quickstart
 //!
@@ -85,7 +83,7 @@ pub mod error;
 pub mod stats;
 pub mod window;
 
-pub use batch::{BatchConfig, MicroBatcher, OverloadPolicy, ScoredWindow, ScoringDeadline};
+pub use batch::{BatchConfig, MicroBatcher, ScoredWindow};
 pub use calibrate::ThresholdCalibrator;
 pub use engine::{OnlineScorer, QuarantineReport, StreamConfig, Verdict};
 pub use error::StreamError;

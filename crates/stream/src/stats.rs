@@ -1,11 +1,11 @@
 //! Running throughput / latency counters for the scoring engine.
 //!
-//! Since the observability layer landed, [`StreamStats`] is a thin view
-//! over `mfod-obs` primitives: the counters are [`mfod_obs::Counter`]s
-//! and per-batch scoring latency additionally feeds a per-instance
-//! [`mfod_obs::Histogram`], so p50/p95/p99 latency is available from
-//! [`StreamStats::latency_snapshot`] without enabling the global
-//! recorder. The public [`StatsSnapshot`] shape is unchanged.
+//! [`StreamStats`] is a thin view over `mfod-obs` primitives: the
+//! counters (observations, windows, batches, alarms, quarantines and
+//! scoring time) are [`mfod_obs::Counter`]s, and per-batch scoring
+//! latency additionally feeds a per-instance [`mfod_obs::Histogram`], so
+//! p50/p95/p99 latency is available from [`StreamStats::latency_snapshot`]
+//! without enabling the global recorder.
 
 use mfod_obs::{Counter, Histogram, HistogramSnapshot};
 use std::time::Duration;
@@ -19,8 +19,6 @@ pub struct StreamStats {
     windows: Counter,
     batches: Counter,
     alarms: Counter,
-    sheds: Counter,
-    deadline_misses: Counter,
     quarantined: Counter,
     scoring_nanos: Counter,
     /// Per-batch end-to-end scoring latency in nanoseconds (one sample
@@ -44,12 +42,6 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Windows whose score crossed the calibrated threshold.
     pub alarms: u64,
-    /// Windows shed by the overload policy (rejected or dropped-oldest;
-    /// see [`crate::OverloadPolicy`]).
-    pub sheds: u64,
-    /// Flushes abandoned because scoring overran its
-    /// [`crate::ScoringDeadline`] budget.
-    pub deadline_misses: u64,
     /// Quarantine events: batches moved aside after exhausting flush
     /// retries (one per quarantined batch, not per window).
     pub quarantined: u64,
@@ -108,14 +100,6 @@ impl StreamStats {
         self.alarms.add(alarms);
     }
 
-    pub(crate) fn record_sheds(&self, sheds: u64) {
-        self.sheds.add(sheds);
-    }
-
-    pub(crate) fn record_deadline_miss(&self) {
-        self.deadline_misses.add(1);
-    }
-
     pub(crate) fn record_quarantine(&self) {
         self.quarantined.add(1);
     }
@@ -127,8 +111,6 @@ impl StreamStats {
             windows: self.windows.get(),
             batches: self.batches.get(),
             alarms: self.alarms.get(),
-            sheds: self.sheds.get(),
-            deadline_misses: self.deadline_misses.get(),
             quarantined: self.quarantined.get(),
             scoring_time: Duration::from_nanos(self.scoring_nanos.get()),
         }
@@ -159,16 +141,12 @@ mod tests {
         s.record_batch(8, Duration::from_millis(4));
         s.record_alarms(2);
         s.record_batch(8, Duration::from_millis(4));
-        s.record_sheds(3);
-        s.record_deadline_miss();
         s.record_quarantine();
         let snap = s.snapshot();
         assert_eq!(snap.observations, 2);
         assert_eq!(snap.windows, 16);
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.alarms, 2);
-        assert_eq!(snap.sheds, 3);
-        assert_eq!(snap.deadline_misses, 1);
         assert_eq!(snap.quarantined, 1);
         assert_eq!(snap.scoring_time, Duration::from_millis(8));
         let wps = snap.windows_per_sec().unwrap();

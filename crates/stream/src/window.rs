@@ -1,59 +1,37 @@
-//! Sliding-window ingestion: turning an unbounded multichannel sample
-//! stream into fixed-length [`RawSample`] windows.
+//! Window ingestion: turning an unbounded multichannel sample stream into
+//! consecutive fixed-length [`RawSample`] windows.
 
 use crate::error::StreamError;
 use crate::Result;
 use mfod_fda::RawSample;
-use std::collections::VecDeque;
 
-/// Geometry of the sliding window.
+/// Geometry of the window: every `ts.len()` observations form one window.
 #[derive(Debug, Clone)]
 pub struct WindowConfig {
-    /// Observations per emitted window; must equal the number of
-    /// observation times the downstream pipeline was trained on.
-    pub window_len: usize,
-    /// Hop between consecutive window starts: `stride == window_len`
-    /// tumbles (every observation in exactly one window), `stride <
-    /// window_len` overlaps, `stride > window_len` samples with gaps.
-    pub stride: usize,
+    /// Observation times assigned to every emitted window (strictly
+    /// increasing, at least 2) — normally the training grid of the fitted
+    /// pipeline. Its length is the window length.
+    pub ts: Vec<f64>,
     /// Channels per observation.
     pub channels: usize,
-    /// Observation times assigned to every emitted window (length
-    /// `window_len`, strictly increasing) — normally the training grid of
-    /// the fitted pipeline.
-    pub ts: Vec<f64>,
 }
 
 impl WindowConfig {
-    /// Tumbling windows (`stride = window_len`) over `ts`.
+    /// Tumbling windows over `ts`: each observation lands in exactly one
+    /// window.
     pub fn tumbling(ts: Vec<f64>, channels: usize) -> Self {
-        WindowConfig {
-            window_len: ts.len(),
-            stride: ts.len(),
-            channels,
-            ts,
-        }
+        WindowConfig { ts, channels }
     }
 
     fn validate(&self) -> Result<()> {
-        if self.window_len < 2 {
+        if self.ts.len() < 2 {
             return Err(StreamError::Config(format!(
-                "window_len must be >= 2, got {}",
-                self.window_len
+                "window ts must have >= 2 entries, got {}",
+                self.ts.len()
             )));
-        }
-        if self.stride == 0 {
-            return Err(StreamError::Config("stride must be >= 1".into()));
         }
         if self.channels == 0 {
             return Err(StreamError::Config("need at least one channel".into()));
-        }
-        if self.ts.len() != self.window_len {
-            return Err(StreamError::Config(format!(
-                "ts has {} entries, window_len is {}",
-                self.ts.len(),
-                self.window_len
-            )));
         }
         if !self.ts.iter().all(|t| t.is_finite()) {
             return Err(StreamError::Config("window ts must be finite".into()));
@@ -67,19 +45,20 @@ impl WindowConfig {
     }
 }
 
-/// Per-channel ring buffers that assemble the observation stream into
-/// overlapping (or gapped) fixed-length windows.
+/// Per-channel buffers that assemble the observation stream into
+/// consecutive fixed-length windows.
 ///
 /// Invariants, property-tested in `tests/proptests.rs`:
-/// * window `w` contains exactly the observations
-///   `[w·stride, w·stride + window_len)` of the stream, per channel;
+/// * window `w` contains exactly the observations `[w·len, (w+1)·len)`
+///   of the stream, per channel, where `len = ts.len()`;
 /// * every window is emitted exactly once, in stream order;
-/// * memory is `O(channels × window_len)` regardless of stream length.
+/// * memory is `O(channels × len)` regardless of stream length.
 #[derive(Debug, Clone)]
 pub struct WindowBuffer {
     config: WindowConfig,
-    /// Last `window_len` observations per channel.
-    rings: Vec<VecDeque<f64>>,
+    /// The window being filled, one `Vec` per channel; moved into the
+    /// emitted [`RawSample`] once it holds `ts.len()` observations.
+    filling: Vec<Vec<f64>>,
     /// Observations ingested so far.
     pushed: u64,
     /// Windows emitted so far.
@@ -90,10 +69,10 @@ impl WindowBuffer {
     /// Creates an empty buffer for the given geometry.
     pub fn new(config: WindowConfig) -> Result<Self> {
         config.validate()?;
-        let rings = vec![VecDeque::with_capacity(config.window_len + 1); config.channels];
+        let filling = vec![Vec::with_capacity(config.ts.len()); config.channels];
         Ok(WindowBuffer {
             config,
-            rings,
+            filling,
             pushed: 0,
             emitted: 0,
         })
@@ -116,9 +95,8 @@ impl WindowBuffer {
 
     /// Ingests one multichannel observation (`obs[k]` = channel `k`).
     ///
-    /// Returns the completed window, if this observation completed one: at
-    /// most one window can complete per observation, since windows are
-    /// `window_len` long and start every `stride` observations.
+    /// Returns the completed window, if this observation completed one:
+    /// every `ts.len()`-th accepted observation does.
     pub fn push(&mut self, obs: &[f64]) -> Result<Option<RawSample>> {
         if obs.len() != self.config.channels {
             return Err(StreamError::Ingest(format!(
@@ -142,28 +120,24 @@ impl WindowBuffer {
                 "observation values must be finite".into(),
             ));
         }
-        for (ring, &v) in self.rings.iter_mut().zip(obs) {
-            if ring.len() == self.config.window_len {
-                ring.pop_front();
-            }
-            ring.push_back(v);
+        for (channel, &v) in self.filling.iter_mut().zip(obs) {
+            channel.push(v);
         }
         self.pushed += 1;
 
-        let len = self.config.window_len as u64;
-        let stride = self.config.stride as u64;
-        if self.pushed >= len && (self.pushed - len).is_multiple_of(stride) {
-            let channels: Vec<Vec<f64>> = self
-                .rings
-                .iter()
-                .map(|r| r.iter().copied().collect())
-                .collect();
-            let sample =
-                RawSample::new(self.config.ts.clone(), channels).map_err(mfod::MfodError::from)?;
-            self.emitted += 1;
-            return Ok(Some(sample));
+        let len = self.config.ts.len();
+        if self.filling[0].len() < len {
+            return Ok(None);
         }
-        Ok(None)
+        let channels = self
+            .filling
+            .iter_mut()
+            .map(|channel| std::mem::replace(channel, Vec::with_capacity(len)))
+            .collect();
+        let sample =
+            RawSample::new(self.config.ts.clone(), channels).map_err(mfod::MfodError::from)?;
+        self.emitted += 1;
+        Ok(Some(sample))
     }
 }
 
@@ -171,21 +145,16 @@ impl WindowBuffer {
 mod tests {
     use super::*;
 
-    fn cfg(window_len: usize, stride: usize, channels: usize) -> WindowConfig {
+    fn cfg(window_len: usize, channels: usize) -> WindowConfig {
         let ts = (0..window_len)
             .map(|j| j as f64 / (window_len - 1) as f64)
             .collect();
-        WindowConfig {
-            window_len,
-            stride,
-            channels,
-            ts,
-        }
+        WindowConfig::tumbling(ts, channels)
     }
 
     #[test]
     fn tumbling_reconstructs_stream() {
-        let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
+        let mut buf = WindowBuffer::new(cfg(4, 2)).unwrap();
         let mut windows = Vec::new();
         for i in 0..12 {
             let obs = [i as f64, 100.0 + i as f64];
@@ -207,45 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_windows_share_observations() {
-        let mut buf = WindowBuffer::new(cfg(5, 2, 1)).unwrap();
-        let mut starts = Vec::new();
-        for i in 0..11 {
-            if let Some(w) = buf.push(&[i as f64]).unwrap() {
-                let (_, ys) = w.channel(0).unwrap();
-                starts.push(ys[0] as usize);
-                assert_eq!(ys.len(), 5);
-                for (j, &y) in ys.iter().enumerate() {
-                    assert_eq!(y as usize, ys[0] as usize + j);
-                }
-            }
-        }
-        assert_eq!(starts, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn gapped_stride_skips_observations() {
-        let mut buf = WindowBuffer::new(cfg(3, 5, 1)).unwrap();
-        let mut starts = Vec::new();
-        for i in 0..14 {
-            if let Some(w) = buf.push(&[i as f64]).unwrap() {
-                starts.push(w.channel(0).unwrap().1[0] as usize);
-            }
-        }
-        // windows start at 0, 5, 10 and need 3 observations each
-        assert_eq!(starts, vec![0, 5, 10]);
-    }
-
-    #[test]
     fn windows_carry_the_configured_ts() {
         let ts: Vec<f64> = vec![0.0, 0.25, 0.5, 1.0];
-        let mut buf = WindowBuffer::new(WindowConfig {
-            window_len: 4,
-            stride: 4,
-            channels: 1,
-            ts: ts.clone(),
-        })
-        .unwrap();
+        let mut buf = WindowBuffer::new(WindowConfig::tumbling(ts.clone(), 1)).unwrap();
         let mut got = None;
         for i in 0..4 {
             got = buf.push(&[i as f64]).unwrap();
@@ -255,20 +188,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs_and_inputs() {
-        assert!(WindowBuffer::new(cfg(1, 1, 1)).is_err());
-        assert!(WindowBuffer::new(cfg(4, 0, 1)).is_err());
-        assert!(WindowBuffer::new(cfg(4, 4, 0)).is_err());
-        let mut bad_ts = cfg(4, 4, 1);
+        assert!(WindowBuffer::new(WindowConfig::tumbling(vec![0.0], 1)).is_err());
+        assert!(WindowBuffer::new(cfg(4, 0)).is_err());
+        let mut bad_ts = cfg(4, 1);
         bad_ts.ts[2] = bad_ts.ts[1]; // not strictly increasing
         assert!(WindowBuffer::new(bad_ts).is_err());
-        let mut nan_ts = cfg(4, 4, 1);
+        let mut nan_ts = cfg(4, 1);
         nan_ts.ts[0] = f64::NAN;
         assert!(WindowBuffer::new(nan_ts).is_err());
-        let mut short = cfg(4, 4, 1);
-        short.ts.pop();
-        assert!(WindowBuffer::new(short).is_err());
 
-        let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
+        let mut buf = WindowBuffer::new(cfg(4, 2)).unwrap();
         assert!(buf.push(&[1.0]).is_err());
         assert!(buf.push(&[1.0, f64::INFINITY]).is_err());
         // errors must not corrupt the count
@@ -277,7 +206,7 @@ mod tests {
 
     #[test]
     fn injected_poison_is_rejected_like_real_corruption() {
-        let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
+        let mut buf = WindowBuffer::new(cfg(4, 2)).unwrap();
         mfod_faultline::install(mfod_faultline::FaultPlan::new(51).rule(
             mfod_faultline::points::STREAM_POISON,
             mfod_faultline::FaultRule::always().times(1),
@@ -299,8 +228,7 @@ mod tests {
     fn tumbling_constructor() {
         let ts: Vec<f64> = (0..8).map(|j| j as f64).collect();
         let c = WindowConfig::tumbling(ts, 3);
-        assert_eq!(c.window_len, 8);
-        assert_eq!(c.stride, 8);
+        assert_eq!(c.ts.len(), 8);
         assert_eq!(c.channels, 3);
         assert!(WindowBuffer::new(c).is_ok());
     }

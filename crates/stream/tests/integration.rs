@@ -110,67 +110,3 @@ fn calibrated_alarms_recover_labeled_outliers() {
     );
     assert_eq!(scorer.stats().alarms, alarms.len() as u64);
 }
-
-#[test]
-fn overlapping_windows_stream_consistently() {
-    // Overlapping windows (stride < window_len) over one long concatenated
-    // signal: every window's score must equal the offline score of the
-    // same extracted window.
-    let (train, test) = ecg_split();
-    let fitted = fit(&train);
-    let m = test.samples()[0].t.len();
-    let ts = test.samples()[0].t.clone();
-    let stride = m / 2;
-
-    // Concatenate the first 6 test samples into one long 2-channel signal.
-    let long: Vec<Vec<f64>> = (0..2)
-        .map(|k| {
-            test.samples()[..6]
-                .iter()
-                .flat_map(|s| s.channels[k].iter().copied())
-                .collect()
-        })
-        .collect();
-    let n_obs = long[0].len();
-
-    let mut scorer = OnlineScorer::new(
-        Arc::clone(&fitted),
-        StreamConfig {
-            window: WindowConfig {
-                window_len: m,
-                stride,
-                channels: 2,
-                ts: ts.clone(),
-            },
-            batch: BatchConfig {
-                batch_size: 4,
-                ..Default::default()
-            },
-        },
-    )
-    .unwrap();
-    let mut verdicts = Vec::new();
-    for (&a, &b) in long[0].iter().zip(&long[1]) {
-        verdicts.extend(scorer.push(&[a, b]).unwrap());
-    }
-    verdicts.extend(scorer.finish().unwrap());
-
-    let expected_windows = (n_obs - m) / stride + 1;
-    assert_eq!(verdicts.len(), expected_windows);
-
-    // Rebuild each window offline and compare scores bit for bit.
-    let offline_windows: Vec<mfod_fda::RawSample> = (0..expected_windows)
-        .map(|w| {
-            let start = w * stride;
-            mfod_fda::RawSample::new(
-                ts.clone(),
-                long.iter().map(|c| c[start..start + m].to_vec()).collect(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let offline = fitted.score(&offline_windows).unwrap();
-    for (v, o) in verdicts.iter().zip(&offline) {
-        assert_eq!(v.score.to_bits(), o.to_bits(), "window {}", v.seq);
-    }
-}

@@ -1,7 +1,7 @@
 //! Property-based tests of the streaming invariants: window geometry,
-//! stride accounting, no window dropped or duplicated across micro-batch
-//! flushes, and ingestion recovery — rejected pushes, rejected chunks and
-//! injected poison never drop, duplicate, or corrupt a window.
+//! no window dropped or duplicated across micro-batch flushes, and
+//! ingestion recovery — rejected pushes and injected poison never drop,
+//! duplicate, or corrupt a window.
 
 use mfod::prelude::*;
 use mfod_fda::RawSample;
@@ -10,16 +10,11 @@ use mfod_stream::{BatchConfig, MicroBatcher, StreamStats, WindowBuffer, WindowCo
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-fn window_cfg(window_len: usize, stride: usize, channels: usize) -> WindowConfig {
+fn window_cfg(window_len: usize, channels: usize) -> WindowConfig {
     let ts = (0..window_len)
         .map(|j| j as f64 / (window_len - 1) as f64)
         .collect();
-    WindowConfig {
-        window_len,
-        stride,
-        channels,
-        ts,
-    }
+    WindowConfig::tumbling(ts, channels)
 }
 
 proptest! {
@@ -28,11 +23,10 @@ proptest! {
     #[test]
     fn window_buffer_emits_exact_slices(
         window_len in 2usize..16,
-        stride in 1usize..20,
         channels in 1usize..4,
         n_obs in 0usize..200,
     ) {
-        let mut buf = WindowBuffer::new(window_cfg(window_len, stride, channels)).unwrap();
+        let mut buf = WindowBuffer::new(window_cfg(window_len, channels)).unwrap();
         let mut emitted = Vec::new();
         for i in 0..n_obs {
             // channel k at time i carries the value 1000·k + i, making
@@ -43,18 +37,14 @@ proptest! {
             }
         }
         // expected number of complete windows
-        let expected = if n_obs >= window_len {
-            (n_obs - window_len) / stride + 1
-        } else {
-            0
-        };
+        let expected = n_obs / window_len;
         prop_assert_eq!(emitted.len(), expected);
         prop_assert_eq!(buf.windows_emitted(), expected as u64);
         prop_assert_eq!(buf.observations(), n_obs as u64);
-        // window w covers observations [w·stride, w·stride + window_len)
+        // window w covers observations [w·window_len, (w+1)·window_len)
         for (w_idx, w) in emitted.iter().enumerate() {
             prop_assert_eq!(w.dim(), channels);
-            let start = w_idx * stride;
+            let start = w_idx * window_len;
             for k in 0..channels {
                 let (ts, ys) = w.channel(k).unwrap();
                 prop_assert_eq!(ys.len(), window_len);
@@ -117,11 +107,10 @@ proptest! {
     #[test]
     fn window_buffer_survives_rejections_without_losing_windows(
         window_len in 2usize..10,
-        stride in 1usize..12,
         ops in prop::collection::vec(0u32..4, 0..60),
     ) {
-        let mut buf = WindowBuffer::new(window_cfg(window_len, stride, 1)).unwrap();
-        let mut clean = WindowBuffer::new(window_cfg(window_len, stride, 1)).unwrap();
+        let mut buf = WindowBuffer::new(window_cfg(window_len, 1)).unwrap();
+        let mut clean = WindowBuffer::new(window_cfg(window_len, 1)).unwrap();
         let mut emitted = Vec::new();
         let mut clean_emitted = Vec::new();
         let mut i = 0usize; // valid observations ingested so far

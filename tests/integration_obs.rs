@@ -8,7 +8,7 @@ use mfod::persist::ModelRegistry;
 use mfod::prelude::*;
 use mfod_fixtures::{ecg_fitted, ecg_split, sine_pipeline, FixtureConfig};
 use mfod_obs::{journal, Phase, Recorder};
-use mfod_stream::{BatchConfig, OnlineScorer, StreamConfig, WindowConfig};
+use mfod_stream::{BatchConfig, OnlineScorer, StreamConfig, StreamError, WindowConfig};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -203,7 +203,7 @@ fn live_run_populates_every_report_section() {
     // the plan cache saw the scoring lookups
     assert!(snap.plan_cache.hits + snap.plan_cache.misses > 0);
     // the stream flushed micro-batches and measured their latency
-    let flushes = snap.stream.flush_full + snap.stream.flush_expired + snap.stream.flush_manual;
+    let flushes = snap.stream.flush_full + snap.stream.flush_manual;
     assert!(flushes > 0, "no micro-batch flushes recorded");
     assert_eq!(snap.stream.batch_score.count, flushes);
     assert!(snap.stream.batch_score.quantile(0.99).is_some());
@@ -244,6 +244,60 @@ fn live_run_populates_every_report_section() {
     assert!(json.contains("\"mapped_bytes\""));
     assert!(json.contains("\"install_ns\""));
     assert!(json.contains("\"p99\""));
+}
+
+/// A quarantine is one surfaced error, and the lifetime counter, the
+/// windowed error rate and the caller all count it once: one injected
+/// flush failure with no retries surfaces that failure, then the
+/// quarantine of the batch it left behind.
+#[test]
+fn a_quarantine_counts_once_in_every_error_tally() {
+    let _g = locked();
+    Recorder::install(true);
+    Recorder::reset();
+    let (fitted, train, ts) = sine_pipeline(&FixtureConfig::default());
+    let mut scorer = OnlineScorer::new(
+        fitted,
+        StreamConfig {
+            window: WindowConfig::tumbling(ts.clone(), 2),
+            batch: BatchConfig {
+                batch_size: 1,
+                max_flush_retries: 0,
+            },
+        },
+    )
+    .unwrap();
+    mfod_faultline::install(mfod_faultline::FaultPlan::new(71).rule(
+        mfod_faultline::points::STREAM_FLUSH,
+        mfod_faultline::FaultRule::always().times(1),
+    ));
+    let mut surfaced = Vec::new();
+    for s in &train[..3] {
+        for j in 0..ts.len() {
+            if let Err(e) = scorer.push(&[s.channels[0][j], s.channels[1][j]]) {
+                surfaced.push(e);
+            }
+        }
+    }
+    mfod_faultline::disarm();
+    let now = mfod_obs::window::now_slot_id();
+    let errors = Recorder::snapshot().failures.errors;
+    let windowed = Recorder::metrics().win_errors.sum_live(now);
+    Recorder::reset();
+    Recorder::install(false);
+
+    assert_eq!(surfaced.len(), 2, "{surfaced:?}");
+    assert!(
+        surfaced[0].to_string().contains("injected fault"),
+        "{surfaced:?}"
+    );
+    assert!(
+        matches!(surfaced[1], StreamError::Quarantined { windows: 2, .. }),
+        "{surfaced:?}"
+    );
+    assert_eq!(scorer.quarantined(), 1);
+    assert_eq!(errors, surfaced.len() as u64, "errors_total");
+    assert_eq!(windowed, surfaced.len() as u64, "win_errors");
 }
 
 /// The full telemetry stack — event journal, rotating windows and the
