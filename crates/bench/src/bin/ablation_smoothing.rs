@@ -1,7 +1,9 @@
 //! Ablation **A2** — smoothing sensitivity: AUC of `iFor(Curvmap)` as a
 //! function of the B-spline basis size and the roughness-penalty weight λ.
-//! Demonstrates the derivative-oversmoothing trade-off that DESIGN.md
+//! Demonstrates the derivative-oversmoothing trade-off that the comment on
+//! `PipelineConfig::default` (`crates/mfod/src/pipeline.rs:82–88`)
 //! documents: prediction-optimal smoothing under-smooths derivatives.
+//! Item 6 of `ROADMAP.md` takes up how that default should be chosen.
 //!
 //! ```sh
 //! cargo run --release -p mfod-bench --bin ablation_smoothing [reps]

@@ -36,16 +36,6 @@
 //!   absolute — a disarmed injection point costs the same relaxed load
 //!   on every machine.
 //!
-//! * **`persist_load`** (`BENCH_persist.json`) — the two-tier snapshot
-//!   decode. Gates: the bit-parity field always; the zero-copy gate
-//!   always (the lazy tier must serve aligned sections as borrowed
-//!   views, copying zero payload bytes — deterministic, so smoke mode
-//!   enforces it too); in full mode, lazy install must beat eager ≥5×
-//!   at the largest scale (hardware-normalized: both tiers run on the
-//!   same machine in the same process) and stay within tolerance of the
-//!   baseline's speedup, and lazy install time must grow sublinearly in
-//!   file size (growth ratio ≤ 0.75 of the size ratio).
-//!
 //! Usage: `bench_ratchet <baseline.json> <current.json>`
 //!
 //! Environment:
@@ -345,97 +335,6 @@ fn ratchet_faultline(
     Ok(())
 }
 
-// ---- persist_load ------------------------------------------------------
-
-/// The absolute lazy-vs-eager install contract at the largest scale
-/// (must match `benches/persist_load.rs`).
-const PERSIST_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Lazy install time may grow at most this fraction of the file-size
-/// growth across the scale sweep — the "~independent of model size"
-/// contract, stated as a sublinearity bound.
-const PERSIST_SUBLINEAR_FRACTION: f64 = 0.75;
-
-/// Extractor for a flat JSON array of numbers: `"key": [v, v, v]`.
-fn numbers(json: &str, key: &str, path: &str) -> Result<Vec<f64>, String> {
-    let needle = format!("\"{key}\":");
-    let err = || format!("{path}: missing or malformed array field \"{key}\"");
-    let start = json.find(&needle).ok_or_else(err)? + needle.len();
-    let rest = json[start..].trim_start();
-    let inner = rest
-        .strip_prefix('[')
-        .and_then(|r| r.split(']').next())
-        .ok_or_else(err)?;
-    inner
-        .split(',')
-        .map(|v| v.trim().parse::<f64>().map_err(|_| err()))
-        .collect()
-}
-
-fn ratchet_persist(
-    baseline_json: &str,
-    baseline_path: &str,
-    current_json: &str,
-    current_path: &str,
-) -> Result<(), String> {
-    let tolerance = tolerance();
-    check_parity(current_json, current_path)?;
-
-    // Zero-copy gate: deterministic (alignment, not wall clock), so it
-    // holds in smoke mode too. Any copied payload byte means the lazy
-    // tier fell back to owned decode somewhere.
-    let copied = numbers(current_json, "lazy_copied_bytes", current_path)?;
-    if let Some(bad) = copied.iter().find(|&&b| b != 0.0) {
-        return Err(format!(
-            "zero-copy regression: lazy tier copied {bad} payload bytes \
-             (expected borrowed views at every scale; per-scale: {copied:?})"
-        ));
-    }
-
-    let current_speedup = number(current_json, "speedup_top", current_path)?;
-    let lazy_growth = number(current_json, "lazy_growth", current_path)?;
-    let size_growth = number(current_json, "size_growth", current_path)?;
-    let current_smoke = text(current_json, "smoke", current_path)?;
-    let base_speedup = number(baseline_json, "speedup_top", baseline_path)?;
-    let base_smoke = text(baseline_json, "smoke", baseline_path)?;
-
-    // A smoke-mode baseline's single-rep ratios are noise; only a
-    // full-mode baseline contributes a relative floor.
-    let relative_floor = if base_smoke != "true" {
-        base_speedup * (1.0 - tolerance)
-    } else {
-        0.0
-    };
-    let floor = relative_floor.max(PERSIST_SPEEDUP_FLOOR);
-    println!(
-        "ratchet[persist]: lazy install {current_speedup:.1}x faster than eager at top \
-         scale vs baseline {base_speedup:.1}x (enforced floor {floor:.1}x); lazy growth \
-         {lazy_growth:.1}x over a {size_growth:.0}x size range; zero-copy gate passed \
-         (current smoke={current_smoke})",
-    );
-    if current_smoke == "true" {
-        println!("ratchet[persist]: smoke-mode report — wall-clock gates skipped");
-        return Ok(());
-    }
-    if current_speedup < floor {
-        return Err(format!(
-            "persist-install regression: lazy speedup {current_speedup:.2}x is below the \
-             enforced floor {floor:.2}x (absolute contract {PERSIST_SPEEDUP_FLOOR}x, \
-             baseline {base_speedup:.2}x at {:.0}% tolerance)",
-            tolerance * 100.0
-        ));
-    }
-    let growth_ceiling = size_growth * PERSIST_SUBLINEAR_FRACTION;
-    if lazy_growth > growth_ceiling {
-        return Err(format!(
-            "persist-install regression: lazy install time grew {lazy_growth:.1}x over a \
-             {size_growth:.0}x size range (sublinearity ceiling {growth_ceiling:.1}x — \
-             install cost must stay ~independent of model size)"
-        ));
-    }
-    Ok(())
-}
-
 // ---- driver ------------------------------------------------------------
 
 fn run() -> Result<(), String> {
@@ -463,9 +362,6 @@ fn run() -> Result<(), String> {
         "obs_overhead" => ratchet_obs(&baseline_json, baseline_path, &current_json, current_path)?,
         "faultline_overhead" => {
             ratchet_faultline(&baseline_json, baseline_path, &current_json, current_path)?
-        }
-        "persist_load" => {
-            ratchet_persist(&baseline_json, baseline_path, &current_json, current_path)?
         }
         other => return Err(format!("{current_path}: unknown bench kind '{other}'")),
     }

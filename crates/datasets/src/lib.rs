@@ -6,8 +6,8 @@
 //! * [`ecg`] — a parametric ECG-beat simulator standing in for the
 //!   PhysioNet/UCR **ECG200** dataset (m = 85 samples per beat, a normal
 //!   class and an abnormal class mixing persistent-shape, isolated and
-//!   mixed-type outliers). See DESIGN.md for the substitution rationale;
-//!   [`ucr`] can load the real file if present.
+//!   mixed-type outliers). The [`ecg`] module docs give the substitution
+//!   rationale; [`ucr`] loads the real UCR files when they are present.
 //! * [`taxonomy`] — synthetic generators for each class of the Hubert et
 //!   al. outlier taxonomy the paper builds on (Sec. 1.1): isolated
 //!   magnitude/shift, persistent shape/amplitude, and the mixed-type

@@ -56,15 +56,13 @@ use rand::{RngExt, SeedableRng};
 /// Hooks pass these constants; plans reference them when building rules.
 /// The naming scheme is `<crate-area>.<event>`.
 pub mod points {
-    /// Snapshot read/open failure in `mfod-persist` (mapping or reading
-    /// a snapshot file errors out with an injected `io::Error`).
+    /// Snapshot read failure in `mfod-persist` (reading a snapshot file
+    /// errors out with an injected `io::Error`).
     pub const PERSIST_READ: &str = "persist.read";
     /// Torn write: `save_bytes` leaves a truncated file at the *final*
     /// path (simulating a crashed writer that bypassed the atomic
     /// rename) and reports an I/O error.
     pub const PERSIST_TORN_WRITE: &str = "persist.torn_write";
-    /// mmap open failure, forcing the owned-read fallback path.
-    pub const PERSIST_MMAP: &str = "persist.mmap";
     /// CRC corruption: the computed checksum is inverted during parse,
     /// so an otherwise valid snapshot reports `ChecksumMismatch`.
     pub const PERSIST_CRC: &str = "persist.crc";

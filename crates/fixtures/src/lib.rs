@@ -11,9 +11,8 @@
 //!   simulated-ECG acceptance split ([`ecg_split`]/[`ecg_fitted`]).
 //!   These moved here from `mfod-stream`'s former `fixtures` cargo
 //!   feature, which this crate replaces.
-//! * [`persist`] — synthetic persist-layer fixtures: large multi-section
-//!   "tenant fleet" snapshots for exercising eager vs lazy decodes at
-//!   controllable scale.
+//! * [`persist`] — synthetic persist-layer fixtures: multi-section
+//!   "tenant fleet" snapshots for exercising lazy section decode.
 
 pub mod persist;
 mod pipeline;

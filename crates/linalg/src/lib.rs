@@ -38,13 +38,11 @@ pub mod error;
 pub mod matrix;
 pub mod par;
 pub mod quadrature;
-pub mod shared;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use shared::{SharedF64s, SharedOwner};
 
 /// Workspace-wide `Result` alias for linear algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -1,55 +1,20 @@
 //! Row-major dense `f64` matrix.
 
 use crate::error::LinalgError;
-use crate::shared::SharedF64s;
 use crate::Result;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-
-/// Backing storage of a [`Matrix`]: either the usual owned vector or a
-/// read-only shared view kept alive by an external owner (a mapped model
-/// snapshot). All read paths treat both identically; any mutating entry
-/// point first converts a shared payload into an owned copy
-/// (copy-on-write), so shared storage is never written through.
-#[derive(Clone, Debug)]
-enum Storage {
-    Owned(Vec<f64>),
-    Shared(SharedF64s),
-}
-
-impl Storage {
-    #[inline]
-    fn as_slice(&self) -> &[f64] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared(s) => s.as_slice(),
-        }
-    }
-}
 
 /// A dense, row-major matrix of `f64` values.
 ///
 /// Sized for the moderate problems in this workspace (smoothing systems,
 /// kernel matrices); all operations are straightforward O(n³)-style loops
 /// arranged for cache-friendly row-major traversal.
-///
-/// The payload is usually an owned `Vec<f64>`, but a matrix can also
-/// borrow read-only storage from a reference-counted owner
-/// ([`Matrix::from_shared`]) — the zero-copy path used when model
-/// snapshots are decoded straight out of a memory-mapped file. Shared
-/// matrices behave identically on every read path and transparently
-/// copy-on-write on the first mutation.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Storage,
-}
-
-impl PartialEq for Matrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.as_slice() == other.as_slice()
-    }
+    data: Vec<f64>,
 }
 
 impl Matrix {
@@ -58,7 +23,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: Storage::Owned(vec![0.0; rows * cols]),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -67,7 +32,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: Storage::Owned(vec![value; rows * cols]),
+            data: vec![value; rows * cols],
         }
     }
 
@@ -86,47 +51,7 @@ impl Matrix {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        Matrix {
-            rows,
-            cols,
-            data: Storage::Owned(data),
-        }
-    }
-
-    /// Builds a matrix over shared read-only storage — the zero-copy
-    /// constructor for payloads served directly out of a mapped snapshot.
-    /// Reads go straight to the shared memory; the first mutation copies
-    /// the payload into owned storage.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_shared(rows: usize, cols: usize, data: SharedF64s) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        Matrix {
-            rows,
-            cols,
-            data: Storage::Shared(data),
-        }
-    }
-
-    /// Whether the payload currently borrows shared storage (true until
-    /// the first mutation of a [`Matrix::from_shared`] matrix).
-    #[inline]
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self.data, Storage::Shared(_))
-    }
-
-    /// Mutable access to the owned payload, converting shared storage
-    /// into an owned copy first (copy-on-write).
-    #[inline]
-    fn data_mut(&mut self) -> &mut Vec<f64> {
-        if let Storage::Shared(s) = &self.data {
-            self.data = Storage::Owned(s.as_slice().to_vec());
-        }
-        match &mut self.data {
-            Storage::Owned(v) => v,
-            Storage::Shared(_) => unreachable!("just converted to owned"),
-        }
+        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix from row slices. All rows must share a length.
@@ -146,7 +71,7 @@ impl Matrix {
         Matrix {
             rows: rows.len(),
             cols,
-            data: Storage::Owned(data),
+            data,
         }
     }
 
@@ -188,28 +113,27 @@ impl Matrix {
     /// Borrow the underlying row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// Mutably borrow the underlying row-major data.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data_mut()
+        &mut self.data
     }
 
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.rows);
-        &self.data.as_slice()[i * self.cols..(i + 1) * self.cols]
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutably borrow row `i` as a slice.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         debug_assert!(i < self.rows);
-        let cols = self.cols;
-        &mut self.data_mut()[i * cols..(i + 1) * cols]
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copies column `j` into a new vector.
@@ -478,7 +402,7 @@ impl Matrix {
     /// Panics if shapes differ.
     pub fn axpy(&mut self, s: f64, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data_mut().iter_mut().zip(other.as_slice()) {
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += s * b;
         }
     }
@@ -526,7 +450,7 @@ impl Index<(usize, usize)> for Matrix {
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols, "index out of bounds");
-        &self.data.as_slice()[i * self.cols + j]
+        &self.data[i * self.cols + j]
     }
 }
 
@@ -534,8 +458,7 @@ impl IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols, "index out of bounds");
-        let idx = i * self.cols + j;
-        &mut self.data_mut()[idx]
+        &mut self.data[i * self.cols + j]
     }
 }
 
@@ -741,64 +664,5 @@ mod tests {
         let s = format!("{m:?}");
         assert!(s.contains("Matrix 10x10"));
         assert!(s.contains('…'));
-    }
-
-    fn shared_copy(m: &Matrix) -> Matrix {
-        let owner = std::sync::Arc::new(m.as_slice().to_vec());
-        let (ptr, len) = (owner.as_ptr(), owner.len());
-        // SAFETY: the Arc'd Vec is never mutated and outlives the view.
-        let view = unsafe { crate::SharedF64s::from_raw_parts(owner, ptr, len) };
-        Matrix::from_shared(m.nrows(), m.ncols(), view)
-    }
-
-    #[test]
-    fn shared_matrix_kernels_match_owned_bit_for_bit() {
-        let a = Matrix::from_fn(7, 5, |i, j| ((i * 31 + j * 17) as f64).sin());
-        let b = Matrix::from_fn(5, 6, |i, j| ((i * 13 + j * 7) as f64).cos());
-        let (sa, sb) = (shared_copy(&a), shared_copy(&b));
-        assert!(sa.is_borrowed() && sb.is_borrowed());
-
-        let eager = a.matmul(&b);
-        let lazy = sa.matmul(&sb);
-        for (x, y) in eager.as_slice().iter().zip(lazy.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let v: Vec<f64> = (0..5).map(|k| k as f64 - 2.0).collect();
-        for (x, y) in a.matvec(&v).iter().zip(sa.matvec(&v)) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in a.gram().as_slice().iter().zip(sa.gram().as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.transpose(), sa.transpose());
-        assert_eq!(a.row(3), sa.row(3));
-        assert_eq!(a[(2, 4)], sa[(2, 4)]);
-    }
-
-    #[test]
-    fn shared_matrix_copies_on_first_write() {
-        let m = Matrix::from_fn(3, 3, |i, j| (i + j) as f64);
-        let mut s = shared_copy(&m);
-        assert!(s.is_borrowed());
-        s[(1, 1)] = 99.0;
-        assert!(!s.is_borrowed(), "mutation must detach from shared storage");
-        assert_eq!(s[(1, 1)], 99.0);
-        assert_eq!(m[(1, 1)], 2.0, "the original owner is untouched");
-
-        let mut t = shared_copy(&m);
-        t.axpy(2.0, &m);
-        assert!(!t.is_borrowed());
-        assert_eq!(t[(2, 2)], 12.0);
-    }
-
-    #[test]
-    fn equality_spans_storage_tiers() {
-        let m = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
-        let s = shared_copy(&m);
-        assert_eq!(m, s);
-        assert_eq!(s, s.clone());
-        let mut w = s.clone();
-        w[(0, 0)] += 1.0;
-        assert_ne!(m, w);
     }
 }

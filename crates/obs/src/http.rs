@@ -365,12 +365,6 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
         "",
         &s.persist.first_touch,
     );
-    gauge_u64(
-        &mut o,
-        "mfod_persist_mapped_bytes",
-        "Bytes currently memory-mapped by snapshot buffers.",
-        s.persist.mapped_bytes,
-    );
 
     counter(
         &mut o,

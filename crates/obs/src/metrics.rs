@@ -59,23 +59,6 @@ impl Gauge {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Adds `v` to the gauge (e.g. bytes mapped in).
-    #[inline]
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Subtracts `v`, saturating at zero under concurrent mixes (e.g.
-    /// bytes unmapped; a reset racing a release must not wrap).
-    #[inline]
-    pub fn sub(&self, v: u64) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(v))
-            });
-    }
-
     /// Resets to zero.
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
@@ -280,19 +263,6 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauge_add_sub_tracks_a_level_and_saturates() {
-        let g = Gauge::new();
-        g.add(4_096);
-        g.add(1_024);
-        assert_eq!(g.get(), 5_120);
-        g.sub(1_024);
-        assert_eq!(g.get(), 4_096);
-        // releases racing a reset must clamp at zero, never wrap
-        g.sub(1 << 40);
-        assert_eq!(g.get(), 0);
-    }
 
     #[test]
     fn bucket_index_is_bit_length() {

@@ -82,22 +82,20 @@ pub struct Metrics {
     pub registry_unchanged: Counter,
     /// Nanoseconds per watcher poll.
     pub registry_sweep_time: Histogram,
-    /// Nanoseconds per model install (`install_bytes`/`install_mapped`:
-    /// validate + decode + swap, excluding file discovery).
+    /// Nanoseconds per model install (`install_bytes`, also behind
+    /// `install_active` and the watcher): validate + decode + swap,
+    /// excluding the file read.
     pub registry_install_time: Histogram,
 
     // -- Snapshot decode (mfod_persist) -------------------------------
     /// Sections handed out whole by `LazySnapshot::section`: every
-    /// `from_bytes`/`from_shared` body decode and every eager walk.
+    /// `from_bytes` body decode and every eager walk.
     pub persist_sections_eager: Counter,
     /// Sections decoded and memoized on first touch by
     /// `LazySnapshot::section_value`.
     pub persist_sections_lazy: Counter,
     /// Nanoseconds per lazy first-touch section decode.
     pub persist_first_touch: Histogram,
-    /// Bytes currently memory-mapped (or owner-pinned) by snapshot
-    /// buffers: `add` on map, `sub` on release.
-    pub persist_mapped_bytes: Gauge,
 
     // -- Failure semantics (mfod-stream / mfod-persist) ---------------
     /// Typed errors surfaced by the serving path: failed or injected
@@ -174,7 +172,6 @@ impl Metrics {
             persist_sections_eager: Counter::new(),
             persist_sections_lazy: Counter::new(),
             persist_first_touch: Histogram::new(),
-            persist_mapped_bytes: Gauge::new(),
             errors_total: Counter::new(),
             quarantined_sessions: Counter::new(),
             registry_backoff: Gauge::new(),
@@ -219,7 +216,6 @@ impl Metrics {
         self.persist_sections_eager.reset();
         self.persist_sections_lazy.reset();
         self.persist_first_touch.reset();
-        self.persist_mapped_bytes.reset();
         self.errors_total.reset();
         self.quarantined_sessions.reset();
         self.registry_backoff.reset();
@@ -457,7 +453,6 @@ pub struct PersistSnapshot {
     pub sections_eager: u64,
     pub sections_lazy: u64,
     pub first_touch: HistogramSnapshot,
-    pub mapped_bytes: u64,
 }
 
 impl PersistSnapshot {
@@ -578,7 +573,6 @@ impl MetricsSnapshot {
                 sections_eager: m.persist_sections_eager.get(),
                 sections_lazy: m.persist_sections_lazy.get(),
                 first_touch: m.persist_first_touch.snapshot(),
-                mapped_bytes: m.persist_mapped_bytes.get(),
             },
             failures: FailureSnapshot {
                 errors: m.errors_total.get(),
@@ -703,8 +697,6 @@ impl MetricsSnapshot {
                     .sections_lazy
                     .saturating_sub(earlier.persist.sections_lazy),
                 first_touch: self.persist.first_touch.diff(&earlier.persist.first_touch),
-                // a level, not a rate: keep the later reading
-                mapped_bytes: self.persist.mapped_bytes,
             },
             failures: FailureSnapshot {
                 errors: self.failures.errors.saturating_sub(earlier.failures.errors),
@@ -786,7 +778,6 @@ impl MetricsSnapshot {
             true,
         );
         push_u64(&mut out, "sections_lazy", self.persist.sections_lazy, false);
-        push_u64(&mut out, "mapped_bytes", self.persist.mapped_bytes, false);
         push_hist(&mut out, "first_touch_ns", &self.persist.first_touch);
         out.push_str("},\n  \"failures\": {");
         push_u64(&mut out, "errors_total", self.failures.errors, true);
@@ -885,8 +876,8 @@ impl MetricsSnapshot {
             .unwrap_or_else(|| "n/a".into());
         let _ = writeln!(
             r,
-            "persist    sections: {} eager / {} lazy ({share} lazy) · {} bytes mapped",
-            pe.sections_eager, pe.sections_lazy, pe.mapped_bytes
+            "persist    sections: {} eager / {} lazy ({share} lazy)",
+            pe.sections_eager, pe.sections_lazy
         );
         hist_line(&mut r, "  1st touch ", &pe.first_touch);
 
@@ -1122,7 +1113,6 @@ mod tests {
         m.registry_generation.set(3);
         m.persist_sections_lazy.add(2);
         m.persist_sections_eager.add(6);
-        m.persist_mapped_bytes.add(4_096);
         m.persist_first_touch.record(10_000);
         m.registry_install_time.record(5_000_000);
         m.errors_total.add(5);
@@ -1145,7 +1135,6 @@ mod tests {
             "\"caller_steals\": 4",
             "\"generation\": 3",
             "\"sections_lazy\": 2",
-            "\"mapped_bytes\": 4096",
             "\"install_ns\"",
             "\"first_touch_ns\"",
             "\"failures\"",
@@ -1180,7 +1169,7 @@ mod tests {
             "stream",
             "batch lat",
             "registry   generation 3",
-            "persist    sections: 6 eager / 2 lazy (25.0% lazy) · 4096 bytes mapped",
+            "persist    sections: 6 eager / 2 lazy (25.0% lazy)",
             "failures   5 errors · 1 quarantined · backoff level 3",
             "store      7 promotions · 2 recoveries · 1 rollbacks · 3 quarantined · 4 fsck issues",
             "rejected/min",

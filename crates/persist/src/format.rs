@@ -18,17 +18,15 @@
 //! Section offsets are relative to the payload start and are validated
 //! against the payload bounds before any section is handed to a decoder.
 //! Table offsets are authoritative, so the inter-section alignment gaps
-//! are invisible to readers (they are covered by the CRC); they exist so
-//! `f64` runs inside a mapped file land 8-byte aligned and a container
-//! opened over the mapping ([`LazySnapshot::open_shared`],
-//! [`from_shared`]) can serve matrix payloads in place.
+//! are invisible to readers (they are covered by the CRC). Every section
+//! starts at an 8-aligned file offset; the gaps are part of the version-1
+//! layout, so the bytes a writer emits never change.
 //!
 //! ## One reader
 //!
-//! [`LazySnapshot`] is the only container reader. [`from_bytes`] (and
-//! [`load`], which reads the file first) opens it over owned bytes,
-//! [`from_shared`] over a [`SharedBytes`] mapping; after the open both
-//! run the same body decode: kind check, decode, exact consumption.
+//! [`LazySnapshot`] is the only container reader, opened over a byte
+//! slice. [`from_bytes`] (and [`load`], which reads the file first) opens
+//! it and runs the body decode: kind check, decode, exact consumption.
 //!
 //! ## Versioning policy
 //!
@@ -41,7 +39,6 @@
 //! treat a missing optional section as its default.
 
 use crate::error::PersistError;
-use crate::map::SharedBytes;
 use crate::wire::{Decode, Decoder, Encode, Encoder};
 use crate::Result;
 use std::any::Any;
@@ -326,13 +323,9 @@ impl SnapshotWriter {
     /// Serializes the container: header, table, payload, CRC trailer.
     ///
     /// Each section body is padded to start at a **file offset that is a
-    /// multiple of 8**, so that `f64` runs inside a section land 8-byte
-    /// aligned in a mapped file and a mapped open can serve them in
-    /// place. The padding is deterministic zero bytes living in
+    /// multiple of 8**. The padding is deterministic zero bytes living in
     /// the gaps *between* table-addressed sections — readers never see it
-    /// (table offsets are authoritative), the CRC covers it, and files
-    /// remain readable by any [`FORMAT_VERSION`] 1 reader, so this is
-    /// additive, not a version bump.
+    /// (table offsets are authoritative) and the CRC covers it.
     ///
     /// The container is sized first and written into one allocation:
     /// each section body is copied once, straight to its place.
@@ -376,12 +369,8 @@ impl SnapshotWriter {
 /// typed error (decode failures are never cached — every touch of a
 /// corrupt section re-fails identically).
 ///
-/// Opened over caller-held bytes ([`LazySnapshot::open`]) every decode
-/// copies; opened over a [`SharedBytes`] owner
-/// ([`LazySnapshot::open_shared`], typically a mapped file), section
-/// decoders are owner-aware, so `Matrix` payloads decode as zero-copy
-/// views into the map. [`from_bytes`] and [`from_shared`] are the two
-/// opens followed by one body decode.
+/// It borrows the caller's bytes, and every decoded value owns copies of
+/// what it read. [`from_bytes`] is an open followed by one body decode.
 ///
 /// A section is touched either whole through [`LazySnapshot::section`]
 /// (counted as `persist_sections_eager`) or memoized through
@@ -393,7 +382,6 @@ pub struct LazySnapshot<'a> {
     version: u32,
     /// `(id, body)` in file order.
     sections: Vec<(u32, &'a [u8])>,
-    shared: Option<&'a SharedBytes>,
     cells: Vec<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
@@ -401,18 +389,6 @@ impl<'a> LazySnapshot<'a> {
     /// Opens a container over caller-held bytes (CRC, magic, version and
     /// table validated now; sections decoded on touch).
     pub fn open(bytes: &'a [u8]) -> Result<Self> {
-        Self::parse(bytes, None)
-    }
-
-    /// Opens a container over owner-pinned bytes (a mapped snapshot
-    /// file): same validation as [`LazySnapshot::open`], plus zero-copy
-    /// matrix payloads in every section.
-    pub fn open_shared(shared: &'a SharedBytes) -> Result<Self> {
-        Self::parse(shared.as_slice(), Some(shared))
-    }
-
-    /// Validates magic, CRC, version and section bounds.
-    fn parse(bytes: &'a [u8], shared: Option<&'a SharedBytes>) -> Result<Self> {
         // trailer first: without an intact CRC nothing else is trusted
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PersistError::Truncated {
@@ -481,7 +457,6 @@ impl<'a> LazySnapshot<'a> {
             version,
             cells: (0..sections.len()).map(|_| OnceLock::new()).collect(),
             sections,
-            shared,
         })
     }
 
@@ -500,23 +475,17 @@ impl<'a> LazySnapshot<'a> {
         self.sections.iter().map(|&(id, _)| id).collect()
     }
 
-    /// Index and owner-aware decoder of a required section.
+    /// Index and decoder of a required section.
     fn find(&self, id: u32) -> Result<(usize, Decoder<'a>)> {
         let idx = self
             .sections
             .iter()
             .position(|&(sid, _)| sid == id)
             .ok_or(PersistError::MissingSection { id })?;
-        let body = self.sections[idx].1;
-        let dec = match self.shared {
-            Some(owner) => Decoder::with_owner(body, owner),
-            None => Decoder::new(body),
-        };
-        Ok((idx, dec))
+        Ok((idx, Decoder::new(self.sections[idx].1)))
     }
 
-    /// Decoder over a required section's body — owner-aware (zero-copy
-    /// capable) when the container was opened over [`SharedBytes`].
+    /// Decoder over a required section's body.
     pub fn section(&self, id: u32) -> Result<Decoder<'a>> {
         let (_, dec) = self.find(id)?;
         if let Some(m) = mfod_obs::active() {
@@ -582,17 +551,6 @@ pub fn to_bytes<T: Snapshot>(value: &T) -> Vec<u8> {
 /// integrity, artifact kind and exact body consumption.
 pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
     LazySnapshot::open(bytes)?.decode_body()
-}
-
-/// [`from_bytes`] over owner-pinned bytes: identical validation and
-/// identical decoded values (bit-for-bit), but matrix payloads come back
-/// as zero-copy views into the shared buffer wherever the layout's
-/// 8-byte alignment allows, each view holding the owner alive. The
-/// decoded value is `'static` — it owns its keep-alive handles — so it
-/// can outlive both `shared` and the call stack (e.g. live inside a
-/// `ModelRegistry` entry).
-pub fn from_shared<T: Snapshot>(shared: &SharedBytes) -> Result<T> {
-    LazySnapshot::open_shared(shared)?.decode_body()
 }
 
 /// Infix every writer-unique temp file carries between the original file
@@ -946,62 +904,14 @@ mod tests {
         let b = blob();
         let bytes = to_bytes(&b);
         let eager: Blob = from_bytes(&bytes).unwrap();
-        let shared = SharedBytes::from_vec(bytes.clone());
-        let lazy: Blob = from_shared(&shared).unwrap();
-        let snap = LazySnapshot::open_shared(&shared).unwrap();
+        let snap = LazySnapshot::open(&bytes).unwrap();
         let touched = snap.section_value::<Blob>(SECTION_BODY).unwrap();
-        for variant in [&eager, &lazy, touched] {
+        for variant in [&eager, touched] {
             assert_eq!(variant.tag, b.tag);
             let bits: Vec<u64> = variant.xs.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = b.xs.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, want);
         }
-    }
-
-    #[test]
-    fn mapped_decode_serves_matrices_zero_copy() {
-        #[derive(Debug)]
-        struct Weights {
-            m: mfod_linalg::Matrix,
-        }
-        impl Encode for Weights {
-            fn encode(&self, w: &mut Encoder) {
-                self.m.encode(w);
-            }
-        }
-        impl Decode for Weights {
-            fn decode(r: &mut Decoder<'_>) -> Result<Self> {
-                Ok(Weights {
-                    m: mfod_linalg::Matrix::decode(r)?,
-                })
-            }
-        }
-        impl Snapshot for Weights {
-            const KIND: u32 = 0x3333;
-            const NAME: &'static str = "weights";
-        }
-        let w = Weights {
-            m: mfod_linalg::Matrix::from_fn(16, 16, |i, j| ((i * 16 + j) as f64).sqrt()),
-        };
-        let dir = std::env::temp_dir().join(format!("mfod-lazy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("w.mfod");
-        save(&w, &path).unwrap();
-
-        let eager: Weights = load(&path).unwrap();
-        assert!(!eager.m.is_borrowed());
-        let mapped: Weights = from_shared(&SharedBytes::map(&path).unwrap()).unwrap();
-        assert!(
-            mapped.m.is_borrowed(),
-            "aligned matrix payload must be served from the map"
-        );
-        for (a, b) in eager.m.as_slice().iter().zip(mapped.m.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // the decoded value owns its keep-alive: reads work after the
-        // mapping handle and the file are gone
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(mapped.m[(3, 5)].to_bits(), w.m[(3, 5)].to_bits());
     }
 
     #[test]

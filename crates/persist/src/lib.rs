@@ -13,13 +13,12 @@
 //! * [`mod@format`] — the container: `MFOD` magic, format version, artifact
 //!   kind, section table, CRC-32 trailer ([`Snapshot`],
 //!   [`to_bytes`]/[`from_bytes`], atomic [`save`]/[`load`]). One reader,
-//!   [`LazySnapshot`], opens every container, over owned bytes or over a
-//!   memory-mapped file ([`map`], [`from_shared`]) whose matrix payloads
-//!   then decode as zero-copy views.
+//!   [`LazySnapshot`], opens every container over a byte slice.
 //! * [`registry`] — [`ModelRegistry`]: atomic hot-swap of the active
 //!   `Arc<T>` under live traffic, and a watcher thread that serves what a
 //!   model store's deployment log commits ([`Restorable`] bridges decoded
-//!   snapshots back to live artifacts).
+//!   snapshots back to live artifacts). Every install reads its file
+//!   into memory and decodes it with [`from_bytes`].
 //! * [`store`] — [`ModelStore`]: crash-consistent promotion, recovery,
 //!   rollback and `fsck` over one directory. Its append-only deployment
 //!   log ([`wal`]) is the only deployment state on disk; the catalog
@@ -63,7 +62,6 @@ pub mod error;
 pub mod format;
 pub mod hash;
 pub mod manifest;
-pub mod map;
 pub mod registry;
 pub mod store;
 pub mod wal;
@@ -71,12 +69,11 @@ pub mod wire;
 
 pub use error::PersistError;
 pub use format::{
-    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, ContentId, LazySnapshot,
-    Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
+    crc32, from_bytes, load, save, save_bytes, to_bytes, ContentId, LazySnapshot, Snapshot,
+    SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
 pub use hash::{hash_f64s, Fnv1a};
 pub use manifest::{Manifest, ManifestEntry};
-pub use map::SharedBytes;
 pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
 pub use store::{
     fsck_dir, generation_file, FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport,
@@ -91,12 +88,9 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::error::PersistError;
-    pub use crate::format::{
-        from_bytes, from_shared, load, save, to_bytes, LazySnapshot, Snapshot,
-    };
+    pub use crate::format::{from_bytes, load, save, to_bytes, LazySnapshot, Snapshot};
     pub use crate::hash::{hash_f64s, Fnv1a};
     pub use crate::manifest::{Manifest, ManifestEntry};
-    pub use crate::map::SharedBytes;
     pub use crate::registry::{
         ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
     };

@@ -5,7 +5,7 @@
 //! call [`ModelRegistry::active`] per batch — a read-lock plus an `Arc`
 //! clone, never blocked by a concurrent install for longer than the swap
 //! of one pointer — while an operator installs new generations with
-//! [`ModelRegistry::install`], [`install_mapped`] or
+//! [`ModelRegistry::install`], [`ModelRegistry::install_bytes`] or
 //! [`ModelStore::install_active`], or a watcher thread follows a model
 //! store's deployment log ([`watch_store`]). In-flight batches keep
 //! scoring against the `Arc` they already cloned; the swap is
@@ -17,16 +17,17 @@
 //! model is left untouched. A store generation installs only while its
 //! file still claims the length, kind and CRC-32 trailer its catalog
 //! entry records (an O(1) compare before any decode), and the open's one
-//! CRC pass then proves the trailer.
+//! CRC pass then proves the trailer. An install reads the whole file into
+//! memory first, so a file that shrinks or vanishes mid-install is a
+//! typed I/O or truncation error, and a served model owns its values
+//! outright.
 //!
-//! [`install_mapped`]: ModelRegistry::install_mapped
 //! [`watch_store`]: ModelRegistry::watch_store
 //! [`ModelStore::install_active`]: crate::store::ModelStore::install_active
 
 use crate::error::PersistError;
-use crate::format::{from_bytes, from_shared, Snapshot};
+use crate::format::{from_bytes, Snapshot};
 use crate::manifest::ManifestEntry;
-use crate::map::SharedBytes;
 use crate::store::{read_log, DEPLOY_LOG_FILE};
 use crate::Result;
 use rand::rngs::StdRng;
@@ -116,44 +117,38 @@ impl<T> ModelRegistry<T> {
 }
 
 impl<T: Restorable> ModelRegistry<T> {
-    /// Decodes, restores and installs a snapshot byte buffer.
+    /// Decodes, restores and installs a snapshot byte buffer. The active
+    /// model is untouched when the bytes fail any validation step.
     pub fn install_bytes(&self, bytes: &[u8]) -> Result<u64> {
-        self.install_decoded(|| from_bytes::<T::Snapshot>(bytes))
-    }
-
-    /// Memory-maps one snapshot file, validates it (header + table + CRC
-    /// over the mapped slice) and hot-swaps the restored model in.
-    /// Matrix payloads are served zero-copy out of the mapping wherever
-    /// alignment allows; the decoded model owns the keep-alive handles,
-    /// so the mapping lives exactly as long as any view into it. The
-    /// active model is untouched when the file fails any validation step.
-    pub fn install_mapped(&self, path: &Path) -> Result<u64> {
-        let shared = SharedBytes::map(path)?;
-        self.install_decoded(|| from_shared::<T::Snapshot>(&shared))
-    }
-
-    /// [`ModelRegistry::install_mapped`] for a store generation: the
-    /// mapped bytes must claim the length, kind and CRC-32 trailer its
-    /// catalog entry records, or the install fails with
-    /// [`PersistError::ContentMismatch`] before any decode and the active
-    /// model stays. The open's CRC pass then proves the trailer.
-    pub(crate) fn install_committed(&self, dir: &Path, entry: &ManifestEntry) -> Result<u64> {
-        let path = dir.join(&entry.file);
-        let shared = SharedBytes::map(&path)?;
-        entry.check_claimed(&path, shared.as_slice())?;
-        self.install_decoded(|| from_shared::<T::Snapshot>(&shared))
-    }
-
-    /// Decodes, restores and swaps in one snapshot, timing the install.
-    fn install_decoded(&self, decode: impl FnOnce() -> Result<T::Snapshot>) -> Result<u64> {
         let started = mfod_obs::active().map(|_| std::time::Instant::now());
-        let model = T::restore(decode()?).map_err(PersistError::Restore)?;
+        let snapshot = from_bytes::<T::Snapshot>(bytes)?;
+        let model = T::restore(snapshot).map_err(PersistError::Restore)?;
         let generation = self.install(Arc::new(model));
         if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
             m.registry_install_time
                 .record(t.elapsed().as_nanos() as u64);
         }
         Ok(generation)
+    }
+
+    /// Reads a store generation's file and installs it. The bytes must
+    /// claim the length, kind and CRC-32 trailer its catalog entry
+    /// records, or the install fails with [`PersistError::ContentMismatch`]
+    /// before any decode and the active model stays. The open's CRC pass
+    /// then proves the trailer. Fault point:
+    /// [`mfod_faultline::points::PERSIST_READ`] fails the read.
+    pub(crate) fn install_committed(&self, dir: &Path, entry: &ManifestEntry) -> Result<u64> {
+        let path = dir.join(&entry.file);
+        let io = |source| PersistError::Io {
+            path: path.clone(),
+            source,
+        };
+        if mfod_faultline::should_fire(mfod_faultline::points::PERSIST_READ) {
+            return Err(io(std::io::Error::other("injected fault: persist.read")));
+        }
+        let bytes = std::fs::read(&path).map_err(io)?;
+        entry.check_claimed(&path, &bytes)?;
+        self.install_bytes(&bytes)
     }
 }
 
@@ -489,7 +484,7 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{save, to_bytes};
+    use crate::format::to_bytes;
     use crate::store::{generation_file, ModelStore};
     use crate::wal::{frame, LogRecord};
     use crate::wire::{Decode, Decoder, Encode, Encoder};
@@ -670,30 +665,6 @@ mod tests {
         assert!(jittered >= Duration::from_millis(20) && jittered <= Duration::from_millis(25));
         // a huge interval saturates instead of overflowing
         assert_eq!(backoff_interval(Duration::MAX, 16, 1.0), Duration::MAX);
-    }
-
-    #[test]
-    fn install_mapped_swaps_from_a_mapped_file() {
-        let dir = tmpdir("mapped");
-        let path = dir.join("gen-001.mfod");
-        save(&WeightsSnapshot { w: vec![7.0, 8.0] }, &path).unwrap();
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        let generation = reg.install_mapped(&path).unwrap();
-        assert_eq!(generation, 1);
-        assert_eq!(reg.active().unwrap().w, vec![7.0, 8.0]);
-        // corrupt file: typed error, active model untouched
-        let mut corrupt = std::fs::read(&path).unwrap();
-        let n = corrupt.len();
-        corrupt[n / 2] ^= 0xFF;
-        let bad = dir.join("gen-002.mfod");
-        std::fs::write(&bad, &corrupt).unwrap();
-        assert!(reg.install_mapped(&bad).is_err());
-        assert_eq!(reg.active().unwrap().w, vec![7.0, 8.0]);
-        assert!(matches!(
-            reg.install_mapped(&dir.join("missing.mfod")),
-            Err(PersistError::Io { .. })
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

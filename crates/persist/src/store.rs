@@ -616,9 +616,9 @@ impl ModelStore {
         }
     }
 
-    /// Installs the generation the log commits as active into `registry`
-    /// via the mapped zero-copy path, provided its file still claims the
-    /// length, kind and CRC-32 trailer of its catalog entry (else
+    /// Installs the generation the log commits as active into `registry`:
+    /// reads its file, which must still claim the length, kind and CRC-32
+    /// trailer of its catalog entry (else
     /// [`PersistError::ContentMismatch`] before any decode, and the
     /// registry keeps what it serves) and the open's CRC pass agrees.
     /// Returns the installed **store** generation, or `None` when the
@@ -1132,6 +1132,45 @@ mod tests {
         let gen = store.install_active(&registry).unwrap();
         assert_eq!(gen, Some(1));
         assert_eq!(registry.active().unwrap().0, weights(7));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed read of the active generation's file (injected, then a
+    /// real missing file) is a typed I/O error that leaves the registry
+    /// serving what it served; after the injected one, the next install
+    /// reads the file and installs the generation.
+    #[test]
+    fn a_failed_snapshot_read_keeps_the_served_model() {
+        let dir = tmpdir("read-fault");
+        let (mut store, _) = ModelStore::open(&dir).unwrap();
+        let registry = ModelRegistry::<Live>::new();
+        store.promote(&weights(1), 1, "v1").unwrap();
+        assert_eq!(store.install_active(&registry).unwrap(), Some(1));
+        store.promote(&weights(2), 1, "v2").unwrap();
+
+        mfod_faultline::install(
+            FaultPlan::new(1).rule(points::PERSIST_READ, FaultRule::always().times(1)),
+        );
+        match store.install_active(&registry).unwrap_err() {
+            PersistError::Io { path, .. } => assert_eq!(path, dir.join(generation_file(2))),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        assert_eq!(registry.generation(), 1);
+        assert_eq!(registry.active().unwrap().0, weights(1));
+
+        assert_eq!(store.install_active(&registry).unwrap(), Some(2));
+        let report = mfod_faultline::disarm().unwrap();
+        assert_eq!(report.fires(points::PERSIST_READ), 1, "{report:?}");
+        assert_eq!(registry.generation(), 2);
+        assert_eq!(registry.active().unwrap().0, weights(2));
+
+        // a file gone from the directory fails the same way
+        std::fs::remove_file(dir.join(generation_file(2))).unwrap();
+        assert!(matches!(
+            store.install_active(&registry),
+            Err(PersistError::Io { .. })
+        ));
+        assert_eq!(registry.generation(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,9 +10,8 @@
 //! allocation.
 
 use crate::error::PersistError;
-use crate::map::SharedBytes;
 use crate::Result;
-use mfod_linalg::{Matrix, SharedF64s};
+use mfod_linalg::Matrix;
 
 /// Append-only byte sink for snapshot payloads.
 #[derive(Debug, Default)]
@@ -108,47 +107,17 @@ impl Encoder {
 }
 
 /// Bounds-checked reader over snapshot payload bytes.
-///
-/// A decoder over a section of a container opened over [`SharedBytes`]
-/// carries that owner; owner-aware decoders let payload decoders hand
-/// out zero-copy views whose memory is pinned by the owner (see
-/// [`Decoder::take_shared_f64s`]). Every read stays bounds-checked and
-/// allocation-guarded either way.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    owner: Option<&'a SharedBytes>,
 }
 
 impl<'a> Decoder<'a> {
     /// Reads from the start of `buf`.
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder {
-            buf,
-            pos: 0,
-            owner: None,
-        }
-    }
-
-    /// Reads `buf`, a sub-slice of `owner`'s memory, so matrix payloads
-    /// can decode as zero-copy views (used for sections of a mapped
-    /// container).
-    pub(crate) fn with_owner(buf: &'a [u8], owner: &'a SharedBytes) -> Self {
-        debug_assert!(
-            buf.is_empty() || {
-                let base = owner.as_slice().as_ptr() as usize;
-                let p = buf.as_ptr() as usize;
-                p >= base && p + buf.len() <= base + owner.len()
-            },
-            "decoder buffer must live inside its owner"
-        );
-        Decoder {
-            buf,
-            pos: 0,
-            owner: Some(owner),
-        }
+        Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -242,41 +211,6 @@ impl<'a> Decoder<'a> {
         let bytes = self.take_bytes(len, "string bytes")?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| PersistError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// Takes `count` f64s as a zero-copy view pinned by the decoder's
-    /// owner, or `None` when the caller must fall back to copying: the
-    /// decoder has no owner (plain in-memory bytes), the target is not
-    /// little-endian (the wire format is LE, so bits cannot be
-    /// reinterpreted in place), or the run is misaligned for `f64`.
-    /// Bounds violations are still typed errors, never `None`; on `None`
-    /// no bytes are consumed.
-    pub fn take_shared_f64s(
-        &mut self,
-        count: usize,
-        context: &'static str,
-    ) -> Result<Option<SharedF64s>> {
-        let needed = count.checked_mul(8).ok_or_else(|| {
-            PersistError::Malformed(format!("{context}: count {count} overflows"))
-        })?;
-        if needed > self.remaining() {
-            return Err(PersistError::Truncated {
-                context,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        let Some(owner) = self.owner else {
-            return Ok(None);
-        };
-        let start = self.buf[self.pos..].as_ptr() as usize - owner.as_slice().as_ptr() as usize;
-        match owner.f64s_at(start, count) {
-            Some(view) => {
-                self.pos += needed;
-                Ok(Some(view))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Asserts the decoder consumed the whole buffer (trailing garbage is
@@ -497,15 +431,6 @@ impl Decode for Matrix {
                 available: r.remaining(),
             });
         }
-        // Zero-copy: when the decoder reads out of an owner-pinned
-        // buffer (a mapped snapshot) and the run is 8-aligned, serve the
-        // payload directly from that memory; otherwise copy — bit-exact
-        // either way, since f64s travel as raw LE bit patterns.
-        if n > 0 {
-            if let Some(view) = r.take_shared_f64s(n, "matrix data")? {
-                return Ok(Matrix::from_shared(rows, cols, view));
-            }
-        }
         let data = r
             .take_bytes(n * 8, "matrix data")?
             .chunks_exact(8)
@@ -669,72 +594,6 @@ mod tests {
             mfod_linalg::Cholesky::decode(&mut r),
             Err(PersistError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn ownerless_decoders_never_yield_shared_views() {
-        let mut w = Encoder::new();
-        for v in [1.0f64, 2.0, 3.0] {
-            w.put_f64(v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = Decoder::new(&bytes);
-        assert!(r.take_shared_f64s(3, "run").unwrap().is_none());
-        // nothing consumed on the fallback signal
-        assert_eq!(r.remaining(), 24);
-        assert!(matches!(
-            r.take_shared_f64s(4, "run"),
-            Err(PersistError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn owner_aware_decoder_yields_pinned_views() {
-        use crate::map::SharedBytes;
-        let mut w = Encoder::new();
-        for v in [4.0f64, 5.0, 6.0] {
-            w.put_f64(v);
-        }
-        let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
-        let view = r
-            .take_shared_f64s(3, "run")
-            .unwrap()
-            .expect("aligned run over an owner must be zero-copy");
-        assert_eq!(view.as_slice(), &[4.0, 5.0, 6.0]);
-        assert_eq!(r.remaining(), 0);
-        // the view pins the owner by itself
-        drop(shared);
-        assert_eq!(view.as_slice()[2], 6.0);
-    }
-
-    #[test]
-    fn matrix_decode_is_zero_copy_from_shared_bytes() {
-        use crate::map::SharedBytes;
-        let m = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64 + 0.5);
-        let mut w = Encoder::new();
-        m.encode(&mut w);
-        let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
-        let back = Matrix::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert!(
-            back.is_borrowed(),
-            "16-byte header leaves the run 8-aligned"
-        );
-        assert_eq!(m, back);
-
-        // a misaligned run (extra leading byte) falls back to copying,
-        // with identical values
-        let mut w = Encoder::new();
-        w.put_u8(0);
-        m.encode(&mut w);
-        let shared = SharedBytes::from_vec(w.into_bytes());
-        let mut r = Decoder::with_owner(shared.as_slice(), &shared);
-        let _ = r.take_u8().unwrap();
-        let back = Matrix::decode(&mut r).unwrap();
-        assert!(!back.is_borrowed());
-        assert_eq!(m, back);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use mfod_linalg::Matrix;
 use mfod_persist::{
-    crc32, from_bytes, from_shared, to_bytes, Decode, Decoder, Encode, Encoder, LazySnapshot,
-    PersistError, SharedBytes, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC,
+    crc32, from_bytes, to_bytes, Decode, Decoder, Encode, Encoder, LazySnapshot, PersistError,
+    Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY,
 };
 use proptest::prelude::*;
 
@@ -148,10 +148,10 @@ proptest! {
         let original = mixed_from(bits, rows, cols, String::from("λ-payload"), flag);
         let bytes = to_bytes(&original);
         let eager: Mixed = from_bytes(&bytes).unwrap();
-        let shared = SharedBytes::from_vec(bytes.clone());
-        let lazy: Mixed = from_shared(&shared).unwrap();
-        // field-by-field bit equality across tiers (matrix equality spans
-        // owned and borrowed storage)
+        let snap = LazySnapshot::open(&bytes).unwrap();
+        let lazy: &Mixed = snap.section_value(SECTION_BODY).unwrap();
+        // field-by-field bit equality between the memoized touch and the
+        // one-shot decode
         prop_assert_eq!(bits_of(&eager.xs), bits_of(&lazy.xs));
         prop_assert_eq!(
             bits_of(eager.matrix.as_slice()),
@@ -162,7 +162,7 @@ proptest! {
         prop_assert_eq!(eager.flag, lazy.flag);
         prop_assert_eq!(eager.maybe.map(f64::to_bits), lazy.maybe.map(f64::to_bits));
         // and the lazy-decoded value re-encodes to the original file
-        prop_assert_eq!(to_bytes(&lazy), bytes);
+        prop_assert_eq!(to_bytes(lazy), bytes);
     }
 
     #[test]
@@ -176,9 +176,9 @@ proptest! {
         let at = at_permille * (bytes.len() - 1) / 1000;
         bytes[at] ^= flip as u8;
         let eager = from_bytes::<Mixed>(&bytes);
-        let shared = SharedBytes::from_vec(bytes);
-        let lazy = from_shared::<Mixed>(&shared);
-        // both tiers reject, with the same typed error family
+        let lazy = LazySnapshot::open(&bytes)
+            .and_then(|snap| snap.section_value::<Mixed>(SECTION_BODY).map(|_| ()));
+        // both paths reject, with the same typed error family
         prop_assert!(eager.is_err() && lazy.is_err());
         prop_assert_eq!(
             std::mem::discriminant(&eager.unwrap_err()),
@@ -309,8 +309,7 @@ fn every_byte_flip_is_rejected_at_lazy_open() {
 }
 
 /// Exhaustive sweep: **every** truncation of a multi-section snapshot is
-/// rejected by the lazy tier, through both the borrowed and the
-/// owner-pinned open paths.
+/// rejected by [`LazySnapshot::open`].
 #[test]
 fn every_truncation_is_rejected_at_lazy_open() {
     let good = multi_section_bytes();
@@ -318,11 +317,6 @@ fn every_truncation_is_rejected_at_lazy_open() {
         assert!(
             LazySnapshot::open(&good[..n]).is_err(),
             "truncation to {n} bytes survived open"
-        );
-        let shared = SharedBytes::from_vec(good[..n].to_vec());
-        assert!(
-            LazySnapshot::open_shared(&shared).is_err(),
-            "truncation to {n} bytes survived open_shared"
         );
     }
 }

@@ -1,13 +1,13 @@
 //! Seeded chaos soak for the supervised serving runtime.
 //!
 //! Each schedule arms a deterministic `mfod-faultline` plan covering every
-//! subsystem (persist reads, torn writes, mmap failures, CRC corruption,
-//! registry polls, stream flushes/delays/poison, pool panics/stragglers)
-//! and then drives a full serving session against it: a `ModelStore`
-//! promotes the models and a `ModelRegistry` watcher serves what its
-//! deployment log commits. These are the ten points that are not store
-//! crash points; the kill-and-recover sweep (`integration_crash.rs`)
-//! covers those four. Acceptance, per schedule:
+//! subsystem (persist reads, torn writes, CRC corruption, registry polls,
+//! stream flushes/delays/poison, pool panics/stragglers) and then drives
+//! a full serving session against it: a `ModelStore` promotes the models
+//! and a `ModelRegistry` watcher serves what its deployment log commits.
+//! These are the nine points that are not store crash points; the
+//! kill-and-recover sweep (`integration_crash.rs`) covers those four.
+//! Acceptance, per schedule:
 //!
 //! * **every armed point is hit**, except `persist.torn_write`: an
 //!   injected `persist.crc` fault can refuse the upgrade while it
@@ -145,10 +145,6 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
         (
             points::PERSIST_READ,
             FaultRule::with_probability(0.3).times(4),
-        ),
-        (
-            points::PERSIST_MMAP,
-            FaultRule::with_probability(0.5).times(4),
         ),
         (
             points::PERSIST_CRC,

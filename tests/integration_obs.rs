@@ -126,19 +126,15 @@ fn disabled_recorder_records_nothing() {
     fitted.par_score(test.samples()).unwrap();
     let pool = Pool::with_threads(2);
     pool.map(1000, |i| i + 1);
-    let dir = std::env::temp_dir().join(format!("mfod-it-obs-off-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("pipeline.mfod");
-    fitted.save(&path).unwrap();
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
-    registry.install_mapped(&path).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
+    registry
+        .install_bytes(&mfod::persist::to_bytes(&fitted.snapshot().unwrap()))
+        .unwrap();
     let snap = Recorder::snapshot();
     assert_eq!(snap.pool.maps, 0);
     assert_eq!(snap.pool.chunks_queued, 0);
     assert_eq!(snap.plan_cache.hits + snap.plan_cache.misses, 0);
     assert_eq!(snap.persist.sections_eager + snap.persist.sections_lazy, 0);
-    assert_eq!(snap.persist.mapped_bytes, 0);
     assert_eq!(snap.registry.install_time.count, 0);
     assert!(snap.phases.iter().all(|p| p.exclusive.count == 0));
 }
@@ -168,32 +164,20 @@ fn live_run_populates_every_report_section() {
         }
     }
     scorer.finish().unwrap();
+    // two installs, so the swap counter and the generation gauge move
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
-    registry
-        .install_bytes(&mfod::persist::to_bytes(&fitted.snapshot().unwrap()))
-        .unwrap();
-    // and a mapped install, so the lazy-tier metrics move too
-    let dir = std::env::temp_dir().join(format!("mfod-it-obs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("pipeline.mfod");
-    fitted.save(&path).unwrap();
-    registry.install_mapped(&path).unwrap();
-    let mapped = registry.active().unwrap();
-    // hold a mapping open so the resident-bytes gauge has a live level
-    // to report (a mapped install only pins pages while borrowed views
-    // survive the restore)
-    let held = mfod::persist::SharedBytes::map(&path).unwrap();
-    // a lazy first-touch decode, so the deferred-tier metrics move
+    let bytes = mfod::persist::to_bytes(&fitted.snapshot().unwrap());
+    for _ in 0..2 {
+        registry.install_bytes(&bytes).unwrap();
+    }
+    // a lazy first-touch decode, so the deferred-section metrics move
     let fleet = mfod_fixtures::persist::tenant_fleet_bytes(
         &mfod_fixtures::persist::TenantFleetConfig::default(),
     );
-    let shared = mfod::persist::SharedBytes::from_vec(fleet);
-    let lazy = mfod::persist::LazySnapshot::open_shared(&shared).unwrap();
+    let lazy = mfod::persist::LazySnapshot::open(&fleet).unwrap();
     mfod_fixtures::persist::lazy_tenant_digest(&lazy, 0).unwrap();
     let snap = Recorder::snapshot();
     Recorder::install(false);
-    drop(held);
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // fit + scoring phases were traced
     assert!(snap.phases[Phase::FitFeatures.index()].exclusive.count >= 1);
@@ -211,17 +195,11 @@ fn live_run_populates_every_report_section() {
     assert_eq!(snap.registry.swaps, 2);
     assert_eq!(snap.registry.generation, 2);
     assert_eq!(snap.registry.install_time.count, 2);
-    // the eager install decoded through the owned tier; the mapped
-    // install pinned the snapshot file while the model serves from it
-    assert!(snap.persist.sections_eager >= 1, "no eager section decodes");
-    assert!(
-        snap.persist.mapped_bytes > 0,
-        "mapped install left no bytes pinned"
-    );
+    // the installs decoded their bodies whole
+    assert!(snap.persist.sections_eager >= 2, "no eager section decodes");
     // the fleet touch decoded exactly one section lazily, and timed it
     assert_eq!(snap.persist.sections_lazy, 1);
     assert_eq!(snap.persist.first_touch.count, 1);
-    drop(mapped);
 
     // and both renderings carry the headline numbers
     let report = snap.format_report();
@@ -231,7 +209,6 @@ fn live_run_populates_every_report_section() {
         "hit rate",
         "registry   generation 2",
         "persist    sections:",
-        "bytes mapped",
         "p95",
     ] {
         assert!(
@@ -241,7 +218,7 @@ fn live_run_populates_every_report_section() {
     }
     let json = snap.to_json();
     assert!(json.contains("\"generation\": 2"));
-    assert!(json.contains("\"mapped_bytes\""));
+    assert!(json.contains("\"sections_eager\""));
     assert!(json.contains("\"install_ns\""));
     assert!(json.contains("\"p99\""));
 }

@@ -129,22 +129,25 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
 }
 
 #[test]
-fn mapped_install_hot_swaps_bit_identically_across_paths() {
-    let dir = tmpdir("mapped");
+fn installed_generations_hot_swap_bit_identically_and_outlive_their_files() {
+    let dir = tmpdir("installed");
     let (train, test) = ecg_split();
     let gen1 = ecg_fitted(&train);
     gen1.save(&dir.join("model-001.mfod")).unwrap();
     let eager = FittedPipeline::load(&dir.join("model-001.mfod")).unwrap();
 
-    // mmap-install into the registry (zero-copy decode tier)
+    // a caller that holds a path reads the file and installs its bytes
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
-    registry
-        .install_mapped(&dir.join("model-001.mfod"))
-        .unwrap();
-    let mapped = registry.active().unwrap();
+    let install = |file: &str| {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        registry.install_bytes(&bytes).unwrap()
+    };
+    install("model-001.mfod");
+    let installed = registry.active().unwrap();
 
-    // exact path, sequential and parallel: the mapped generation matches
-    // both the never-persisted original and the eager reload, bit for bit
+    // exact path, sequential and parallel: the installed generation
+    // matches both the never-persisted original and the eager reload,
+    // bit for bit
     let want = gen1.score(test.samples()).unwrap();
     assert_bits_eq(
         &want,
@@ -153,17 +156,17 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
     );
     assert_bits_eq(
         &want,
-        &mapped.score(test.samples()).unwrap(),
-        "mapped install (exact)",
+        &installed.score(test.samples()).unwrap(),
+        "install (exact)",
     );
     assert_bits_eq(
         &want,
-        &mapped.par_score(test.samples()).unwrap(),
-        "mapped install (parallel exact)",
+        &installed.par_score(test.samples()).unwrap(),
+        "install (parallel exact)",
     );
 
-    // hot-swap mid-stream: an in-flight batch keeps the mapped gen1
-    // while a mapped gen2 install lands; the next batch sees gen2
+    // hot-swap mid-stream: an in-flight batch keeps gen1 while the gen2
+    // install lands; the next batch sees gen2
     let gen2 = GeomOutlierPipeline::new(
         PipelineConfig::fast(),
         Arc::new(Curvature),
@@ -175,24 +178,22 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
     .fit(train.samples())
     .unwrap();
     gen2.save(&dir.join("model-002.mfod")).unwrap();
-    registry
-        .install_mapped(&dir.join("model-002.mfod"))
-        .unwrap();
-    let in_flight = mapped.score(test.samples()).unwrap();
-    assert_bits_eq(&want, &in_flight, "in-flight batch after mapped swap");
+    install("model-002.mfod");
+    let in_flight = installed.score(test.samples()).unwrap();
+    assert_bits_eq(&want, &in_flight, "in-flight batch after swap");
     assert_bits_eq(
         &registry.active().unwrap().score(test.samples()).unwrap(),
         &gen2.score(test.samples()).unwrap(),
-        "post-swap mapped generation",
+        "post-swap generation",
     );
 
-    // the decoded generations own their mappings: deleting every file
-    // must not disturb models already serving
+    // an install reads the whole file: deleting every file must not
+    // disturb models already serving
     std::fs::remove_dir_all(&dir).unwrap();
     assert_bits_eq(
         &want,
-        &mapped.score(test.samples()).unwrap(),
-        "mapped generation after file deletion",
+        &installed.score(test.samples()).unwrap(),
+        "generation after file deletion",
     );
 }
 
