@@ -23,9 +23,8 @@
 
 use criterion::{criterion_group, criterion_main, is_test_mode, Criterion};
 use mfod::linalg::par::{max_threads, Pool};
+use mfod_bench::paired_overhead;
 use mfod_faultline::{points, FaultPlan, FaultRule};
-use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Upper bound on the disarmed-path overhead, in percent (full mode).
 const OVERHEAD_CEILING_PCT: f64 = 2.0;
@@ -82,15 +81,17 @@ fn bench_hooks(c: &mut Criterion) {
     g.finish();
 }
 
-/// Explicit overhead report (min of k) with the pool parity gate, the
-/// full-mode ≤2% contract and the `BENCH_faultline.json` artifact for
-/// CI.
+/// Explicit overhead report (median of paired rounds, see
+/// [`paired_overhead`]) with the pool parity gate, the full-mode ≤2%
+/// contract and the `BENCH_faultline.json` artifact for CI.
 fn report_overhead(_c: &mut Criterion) {
     let smoke = is_test_mode();
-    let (n, unit, reps) = if smoke {
+    // Short runs, many rounds: a run of 8,192 items takes about 10 ms,
+    // so the machine's slow spells last across both runs of a round.
+    let (n, unit, rounds) = if smoke {
         (2_048usize, 8u32, 1usize)
     } else {
-        (65_536, 64, 5)
+        (8_192, 64, 168)
     };
     let hw = max_threads();
 
@@ -105,32 +106,22 @@ fn report_overhead(_c: &mut Criterion) {
     mfod_faultline::disarm();
     assert_eq!(off, on, "fault hooks changed pool outputs");
 
-    let time = |work: &dyn Fn() -> u64| -> Duration {
-        black_box(work()); // warm-up
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(work());
-                t0.elapsed()
-            })
-            .min()
-            .unwrap()
-    };
     let bare = &|| (0..n).map(|i| churn(i as f64 + 0.5, unit)).sum::<u64>();
     let hooked = &|| (0..n).map(|i| hooked_item(i, unit)).sum::<u64>();
 
     mfod_faultline::disarm();
-    let t_bare = time(bare);
-    let t_disarmed = time(hooked);
+    let disarmed = paired_overhead(rounds, bare, hooked);
     mfod_faultline::install(idle_plan());
-    let t_armed = time(hooked);
+    let armed = paired_overhead(rounds, bare, hooked);
     mfod_faultline::disarm();
 
-    let overhead_pct =
-        100.0 * (t_disarmed.as_secs_f64() - t_bare.as_secs_f64()) / t_bare.as_secs_f64();
-    let armed_pct = 100.0 * (t_armed.as_secs_f64() - t_bare.as_secs_f64()) / t_bare.as_secs_f64();
+    // Each percentage is the median of its own rounds' ratios, so it need
+    // not equal the ratio of the median times printed beside it.
+    let t_bare = disarmed.bare;
+    let (t_disarmed, overhead_pct) = (disarmed.hooked, disarmed.overhead_pct);
+    let (t_armed, armed_pct) = (armed.hooked, armed.overhead_pct);
     println!(
-        "faultline/overhead: items={n} unit={unit} hw={hw} · bare {:.3} ms · hooks disarmed \
+        "faultline/overhead: items={n} rounds={rounds} unit={unit} hw={hw} · bare {:.3} ms · hooks disarmed \
          {:.3} ms ({overhead_pct:+.2}%) · armed idle {:.3} ms ({armed_pct:+.2}%) · \
          pool outputs bit-identical",
         t_bare.as_secs_f64() * 1e3,
@@ -139,7 +130,7 @@ fn report_overhead(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"faultline_overhead\",\n  \"items\": {n},\n  \"unit\": {unit},\n  \
+        "{{\n  \"bench\": \"faultline_overhead\",\n  \"items\": {n},\n  \"rounds\": {rounds},\n  \"unit\": {unit},\n  \
          \"hw_threads\": {hw},\n  \
          \"bare_ms\": {:.4},\n  \"hooked_disarmed_ms\": {:.4},\n  \
          \"armed_idle_ms\": {:.4},\n  \
@@ -157,7 +148,7 @@ fn report_overhead(_c: &mut Criterion) {
 
     // The contract: with no plan armed, the injection points must cost
     // less than OVERHEAD_CEILING_PCT of the bare workload. Smoke mode
-    // is a single tiny rep — correctness only, no wall-clock gate.
+    // is a single tiny round — correctness only, no wall-clock gate.
     if !smoke {
         assert!(
             overhead_pct <= OVERHEAD_CEILING_PCT,

@@ -22,9 +22,9 @@
 
 use criterion::{criterion_group, criterion_main, is_test_mode, Criterion};
 use mfod::linalg::par::{max_threads, Pool};
+use mfod_bench::paired_overhead;
 use mfod_obs::Recorder;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bound on the disabled-path overhead, in percent (full mode).
 const OVERHEAD_CEILING_PCT: f64 = 2.0;
@@ -93,14 +93,17 @@ fn bench_hooks(c: &mut Criterion) {
     g.finish();
 }
 
-/// Explicit overhead report (min of k) with the pool parity gate, the
-/// full-mode ≤2% contract and the `BENCH_obs.json` artifact for CI.
+/// Explicit overhead report (median of paired rounds, see
+/// [`paired_overhead`]) with the pool parity gate, the full-mode ≤2%
+/// contract and the `BENCH_obs.json` artifact for CI.
 fn report_overhead(_c: &mut Criterion) {
     let smoke = is_test_mode();
-    let (n, unit, reps) = if smoke {
+    // Short runs, many rounds: a run of 8,192 items takes about 10 ms,
+    // so the machine's slow spells last across both runs of a round.
+    let (n, unit, rounds) = if smoke {
         (2_048usize, 8u32, 1usize)
     } else {
-        (65_536, 64, 5)
+        (8_192, 64, 168)
     };
     let hw = max_threads();
 
@@ -115,42 +118,30 @@ fn report_overhead(_c: &mut Criterion) {
     Recorder::install(false);
     assert_eq!(off, on, "instrumentation changed pool outputs");
 
-    let time = |work: &dyn Fn() -> u64| -> Duration {
-        black_box(work()); // warm-up
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(work());
-                t0.elapsed()
-            })
-            .min()
-            .unwrap()
-    };
     let bare = &|| (0..n).map(|i| churn(i as f64 + 0.5, unit)).sum::<u64>();
     let hooked = &|| (0..n).map(|i| hooked_item(i, unit)).sum::<u64>();
     let journaled = &|| (0..n).map(|i| journaled_item(i, unit)).sum::<u64>();
 
     Recorder::install(false);
-    let t_bare = time(bare);
-    let t_disabled = time(hooked);
+    let disabled = paired_overhead(rounds, bare, hooked);
     // The journal arm with the recorder disabled must degenerate to the
     // plain hook pattern (span_begin/span_end bail on the same gate), so
     // it shares the ≤2% contract implicitly; timed enabled below.
     Recorder::install(true);
-    let t_enabled = time(hooked);
+    let enabled = paired_overhead(rounds, bare, hooked);
     mfod_obs::journal::reset();
-    let t_journal = time(journaled);
+    let journal = paired_overhead(rounds, bare, journaled);
     mfod_obs::journal::reset();
     Recorder::install(false);
 
-    let overhead_pct =
-        100.0 * (t_disabled.as_secs_f64() - t_bare.as_secs_f64()) / t_bare.as_secs_f64();
-    let enabled_pct =
-        100.0 * (t_enabled.as_secs_f64() - t_bare.as_secs_f64()) / t_bare.as_secs_f64();
-    let journal_pct =
-        100.0 * (t_journal.as_secs_f64() - t_bare.as_secs_f64()) / t_bare.as_secs_f64();
+    // Each percentage is the median of its own rounds' ratios, so it need
+    // not equal the ratio of the median times printed beside it.
+    let t_bare = disabled.bare;
+    let (t_disabled, overhead_pct) = (disabled.hooked, disabled.overhead_pct);
+    let (t_enabled, enabled_pct) = (enabled.hooked, enabled.overhead_pct);
+    let (t_journal, journal_pct) = (journal.hooked, journal.overhead_pct);
     println!(
-        "obs/overhead: items={n} unit={unit} hw={hw} · bare {:.3} ms · hooks disabled \
+        "obs/overhead: items={n} rounds={rounds} unit={unit} hw={hw} · bare {:.3} ms · hooks disabled \
          {:.3} ms ({overhead_pct:+.2}%) · hooks enabled {:.3} ms ({enabled_pct:+.2}%) · \
          journal enabled {:.3} ms ({journal_pct:+.2}%) · pool outputs bit-identical",
         t_bare.as_secs_f64() * 1e3,
@@ -160,7 +151,7 @@ fn report_overhead(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"items\": {n},\n  \"unit\": {unit},\n  \
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"items\": {n},\n  \"rounds\": {rounds},\n  \"unit\": {unit},\n  \
          \"hw_threads\": {hw},\n  \
          \"bare_ms\": {:.4},\n  \"hooked_disabled_ms\": {:.4},\n  \
          \"hooked_enabled_ms\": {:.4},\n  \"hooked_journal_ms\": {:.4},\n  \
@@ -179,7 +170,7 @@ fn report_overhead(_c: &mut Criterion) {
 
     // The contract: with the recorder disabled, the hooks must cost
     // less than OVERHEAD_CEILING_PCT of the bare workload. Smoke mode
-    // is a single tiny rep — correctness only, no wall-clock gate.
+    // is a single tiny round — correctness only, no wall-clock gate.
     if !smoke {
         assert!(
             overhead_pct <= OVERHEAD_CEILING_PCT,

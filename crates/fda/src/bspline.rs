@@ -8,7 +8,6 @@
 //! Gauss–Legendre quadrature (the integrand is a polynomial of degree
 //! `≤ 2(k−1−q)` on each span).
 
-use crate::basis::Basis;
 use crate::error::FdaError;
 use crate::Result;
 use mfod_linalg::quadrature::gauss_legendre_on;
@@ -20,6 +19,10 @@ use mfod_linalg::Matrix;
 /// With `L` basis functions the knot vector has `L + k` entries: the first
 /// and last knot are repeated `k` times and `L − k` interior knots are
 /// placed uniformly. `L = k` yields the Bernstein basis on `[a, b]`.
+///
+/// Evaluation points outside the domain are clamped onto it: functional
+/// data are only defined on `T`, and clamping keeps downstream grid
+/// arithmetic robust against floating-point drift at the endpoints.
 #[derive(Debug, Clone)]
 pub struct BSplineBasis {
     knots: Vec<f64>,
@@ -55,44 +58,6 @@ impl BSplineBasis {
         for i in 1..=n_interior {
             knots.push(a + (b - a) * i as f64 / (n_interior + 1) as f64);
         }
-        knots.extend(std::iter::repeat_n(b, order));
-        Ok(BSplineBasis {
-            knots,
-            order,
-            len,
-            a,
-            b,
-        })
-    }
-
-    /// Creates a basis from explicit interior knots (sorted, strictly inside
-    /// `(a, b)`); boundary knots are repeated `order` times.
-    pub fn with_interior_knots(a: f64, b: f64, interior: &[f64], order: usize) -> Result<Self> {
-        if !a.is_finite() || !b.is_finite() || !interior.iter().all(|v| v.is_finite()) {
-            return Err(FdaError::NonFinite);
-        }
-        if a >= b {
-            return Err(FdaError::InvalidDomain { a, b });
-        }
-        if order == 0 {
-            return Err(FdaError::InvalidBasis("order must be >= 1".into()));
-        }
-        for w in interior.windows(2) {
-            if w[0] > w[1] {
-                return Err(FdaError::InvalidBasis(
-                    "interior knots must be sorted".into(),
-                ));
-            }
-        }
-        if interior.iter().any(|&t| t <= a || t >= b) {
-            return Err(FdaError::InvalidBasis(
-                "interior knots must lie strictly inside (a, b)".into(),
-            ));
-        }
-        let len = interior.len() + order;
-        let mut knots = Vec::with_capacity(len + order);
-        knots.extend(std::iter::repeat_n(a, order));
-        knots.extend_from_slice(interior);
         knots.extend(std::iter::repeat_n(b, order));
         Ok(BSplineBasis {
             knots,
@@ -234,18 +199,28 @@ impl BSplineBasis {
         }
         ders
     }
-}
 
-impl Basis for BSplineBasis {
-    fn len(&self) -> usize {
+    /// Number of basis functions `L`.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn domain(&self) -> (f64, f64) {
+    /// True when the basis holds no functions (never: `len >= order >= 1`).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The closed domain `[a, b]`.
+    pub fn domain(&self) -> (f64, f64) {
         (self.a, self.b)
     }
 
-    fn eval_into(&self, t: f64, deriv: usize, out: &mut [f64]) {
+    /// Evaluates the `deriv`-th derivative of every basis function at `t`,
+    /// writing into `out`; `deriv = 0` evaluates the functions themselves.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != self.len()`.
+    pub fn eval_into(&self, t: f64, deriv: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.len, "output buffer length mismatch");
         out.fill(0.0);
         let t = t.clamp(self.a, self.b);
@@ -268,7 +243,26 @@ impl Basis for BSplineBasis {
         }
     }
 
-    fn penalty(&self, q: usize) -> Matrix {
+    /// Evaluates the `deriv`-th derivative of all basis functions at `t`
+    /// into a fresh vector.
+    pub fn eval(&self, t: f64, deriv: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.len];
+        self.eval_into(t, deriv, &mut out);
+        out
+    }
+
+    /// Builds the `m x L` design matrix `Φ[j, l] = D^deriv φ_l(t_j)`.
+    pub fn design_matrix(&self, ts: &[f64], deriv: usize) -> Matrix {
+        let mut out = Matrix::zeros(ts.len(), self.len);
+        for (j, &t) in ts.iter().enumerate() {
+            self.eval_into(t, deriv, out.row_mut(j));
+        }
+        out
+    }
+
+    /// Penalty matrix `R_q[j, m] = ∫ D^q φ_j (t) · D^q φ_m (t) dt` over the
+    /// domain (Eq. 3; symmetric positive semi-definite).
+    pub fn penalty(&self, q: usize) -> Matrix {
         let l = self.len;
         let mut r = Matrix::zeros(l, l);
         let d = self.degree();
@@ -299,21 +293,6 @@ impl Basis for BSplineBasis {
             }
         }
         r
-    }
-
-    fn name(&self) -> &'static str {
-        "bspline"
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::BasisSnapshot> {
-        // Boundary knots are implied by (a, b, order); the interior knots
-        // are the stored state with_interior_knots rebuilds exactly.
-        Some(crate::snapshot::BasisSnapshot::BSpline {
-            a: self.a,
-            b: self.b,
-            order: self.order,
-            interior: self.knots[self.order..self.len].to_vec(),
-        })
     }
 }
 
@@ -525,18 +504,6 @@ mod tests {
         let b = cubic(8);
         let r = b.penalty(4);
         assert_eq!(r.max_abs(), 0.0);
-    }
-
-    #[test]
-    fn with_interior_knots_validation() {
-        assert!(BSplineBasis::with_interior_knots(0.0, 1.0, &[0.5, 0.2], 4).is_err());
-        assert!(BSplineBasis::with_interior_knots(0.0, 1.0, &[0.0], 4).is_err());
-        assert!(BSplineBasis::with_interior_knots(0.0, 1.0, &[1.5], 4).is_err());
-        let b = BSplineBasis::with_interior_knots(0.0, 1.0, &[0.3, 0.7], 4).unwrap();
-        assert_eq!(b.len(), 6);
-        // partition of unity still holds
-        let s: f64 = b.eval(0.5, 0).iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Functional data containers: raw measurements and fitted basis expansions,
 //! in both univariate (UFD) and multivariate (MFD) flavors.
 
-use crate::basis::Basis;
+use crate::bspline::BSplineBasis;
 use crate::error::FdaError;
 use crate::grid::Grid;
 use crate::Result;
@@ -182,18 +182,18 @@ impl RawSample {
     }
 }
 
-/// A fitted univariate functional datum: a basis expansion
+/// A fitted univariate functional datum: a B-spline expansion
 /// `x̃(t) = Σ_l α_l φ_l(t)` supporting analytic derivatives of any order.
 #[derive(Clone)]
 pub struct FunctionalDatum {
-    basis: Arc<dyn Basis>,
+    basis: Arc<BSplineBasis>,
     coefs: Vec<f64>,
 }
 
 impl std::fmt::Debug for FunctionalDatum {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FunctionalDatum")
-            .field("basis", &self.basis.name())
+            .field("order", &self.basis.order())
             .field("len", &self.coefs.len())
             .finish()
     }
@@ -201,7 +201,7 @@ impl std::fmt::Debug for FunctionalDatum {
 
 impl FunctionalDatum {
     /// Wraps a coefficient vector over a basis.
-    pub fn new(basis: Arc<dyn Basis>, coefs: Vec<f64>) -> Result<Self> {
+    pub fn new(basis: Arc<BSplineBasis>, coefs: Vec<f64>) -> Result<Self> {
         if coefs.len() != basis.len() {
             return Err(FdaError::InvalidParameter(format!(
                 "coefficient vector length {} != basis size {}",
@@ -216,7 +216,7 @@ impl FunctionalDatum {
     }
 
     /// The underlying basis.
-    pub fn basis(&self) -> &Arc<dyn Basis> {
+    pub fn basis(&self) -> &Arc<BSplineBasis> {
         &self.basis
     }
 
@@ -240,16 +240,6 @@ impl FunctionalDatum {
     pub fn eval_deriv(&self, t: f64, d: usize) -> f64 {
         let vals = self.basis.eval(t, d);
         vector::dot(&self.coefs, &vals)
-    }
-
-    /// Evaluates the function on a grid.
-    pub fn eval_grid(&self, grid: &Grid) -> Vec<f64> {
-        grid.iter().map(|t| self.eval(t)).collect()
-    }
-
-    /// Evaluates the `d`-th derivative on a grid.
-    pub fn eval_grid_deriv(&self, grid: &Grid, d: usize) -> Vec<f64> {
-        grid.iter().map(|t| self.eval_deriv(t, d)).collect()
     }
 }
 
@@ -305,27 +295,14 @@ impl MultiFunctionalDatum {
         &self.channels
     }
 
-    /// Borrow one channel.
-    pub fn channel(&self, k: usize) -> Option<&FunctionalDatum> {
-        self.channels.get(k)
-    }
-
-    /// Evaluates the path position `X(t) ∈ R^p`.
-    pub fn eval_point(&self, t: f64) -> Vec<f64> {
-        self.channels.iter().map(|c| c.eval(t)).collect()
-    }
-
-    /// Evaluates the `d`-th derivative `D^d X(t) ∈ R^p`.
-    pub fn eval_deriv_point(&self, t: f64, d: usize) -> Vec<f64> {
-        self.channels.iter().map(|c| c.eval_deriv(t, d)).collect()
-    }
-
     /// Evaluates on a grid into an `m x p` matrix (rows = grid points).
     pub fn eval_grid(&self, grid: &Grid) -> Matrix {
         self.eval_grid_deriv(grid, 0)
     }
 
-    /// Evaluates the `d`-th derivative on a grid into an `m x p` matrix.
+    /// Evaluates the `d`-th derivative on a grid into an `m x p` matrix:
+    /// row `j` is `D^d X(t_j)`, channel by channel through
+    /// [`FunctionalDatum::eval_deriv`].
     pub fn eval_grid_deriv(&self, grid: &Grid, d: usize) -> Matrix {
         let mut out = Matrix::zeros(grid.len(), self.dim());
         for (j, t) in grid.iter().enumerate() {
@@ -340,13 +317,15 @@ impl MultiFunctionalDatum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bspline::BSplineBasis;
-    use crate::polynomial::PolynomialBasis;
+
+    /// The order-2, 2-function B-spline basis {1 − t, t} on [0, 1].
+    fn hat_basis() -> Arc<BSplineBasis> {
+        Arc::new(BSplineBasis::uniform(0.0, 1.0, 2, 2).unwrap())
+    }
 
     fn linear_datum(slope: f64, intercept: f64) -> FunctionalDatum {
-        // exact representation in the monomial basis on [0, 1]
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        FunctionalDatum::new(basis, vec![intercept, slope]).unwrap()
+        // exact: the coefficients are the values at t = 0 and t = 1
+        FunctionalDatum::new(hat_basis(), vec![intercept, intercept + slope]).unwrap()
     }
 
     #[test]
@@ -399,23 +378,22 @@ mod tests {
         assert!((d.eval_deriv(0.7, 1) - 2.0).abs() < 1e-12);
         assert_eq!(d.eval_deriv(0.7, 5), 0.0);
         assert_eq!(d.domain(), (0.0, 1.0));
-        assert_eq!(d.coefs(), &[1.0, 2.0]);
+        assert_eq!(d.coefs(), &[1.0, 3.0]);
     }
 
     #[test]
     fn functional_datum_validation() {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
+        let basis = hat_basis();
         assert!(FunctionalDatum::new(Arc::clone(&basis), vec![1.0]).is_err());
         assert!(FunctionalDatum::new(basis, vec![1.0, f64::NAN]).is_err());
     }
 
     #[test]
     fn grid_evaluation() {
-        let d = linear_datum(1.0, 0.0);
+        let d = MultiFunctionalDatum::from_univariate(linear_datum(1.0, 0.0));
         let g = Grid::uniform(0.0, 1.0, 5).unwrap();
-        let v = d.eval_grid(&g);
-        assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-        let dv = d.eval_grid_deriv(&g, 1);
+        assert_eq!(d.eval_grid(&g).col(0), vec![0.0, 0.25, 0.5, 0.75, 1.0]);
+        let dv = d.eval_grid_deriv(&g, 1).col(0);
         assert!(dv.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }
 
@@ -424,23 +402,20 @@ mod tests {
         let mfd = MultiFunctionalDatum::new(vec![linear_datum(1.0, 0.0), linear_datum(-2.0, 1.0)])
             .unwrap();
         assert_eq!(mfd.dim(), 2);
-        let x = mfd.eval_point(0.5);
-        assert!((x[0] - 0.5).abs() < 1e-12);
-        assert!((x[1] - 0.0).abs() < 1e-12);
-        let dx = mfd.eval_deriv_point(0.5, 1);
-        assert_eq!(dx, vec![1.0, -2.0]);
         let g = Grid::uniform(0.0, 1.0, 3).unwrap();
         let m = mfd.eval_grid(&g);
         assert_eq!(m.shape(), (3, 2));
+        assert!((m[(1, 0)] - 0.5).abs() < 1e-12);
+        assert!(m[(1, 1)].abs() < 1e-12);
         assert!((m[(2, 1)] + 1.0).abs() < 1e-12);
-        assert!(mfd.channel(0).is_some());
-        assert!(mfd.channel(9).is_none());
+        let dm = mfd.eval_grid_deriv(&g, 1);
+        assert_eq!(dm.row(1), &[1.0, -2.0]);
     }
 
     #[test]
     fn multivariate_rejects_domain_mismatch() {
         let a = linear_datum(1.0, 0.0);
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 2.0, 2).unwrap());
+        let basis = Arc::new(BSplineBasis::uniform(0.0, 2.0, 2, 2).unwrap());
         let b = FunctionalDatum::new(basis, vec![0.0, 1.0]).unwrap();
         assert!(MultiFunctionalDatum::new(vec![a, b]).is_err());
         assert!(MultiFunctionalDatum::new(vec![]).is_err());

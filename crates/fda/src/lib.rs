@@ -16,11 +16,9 @@
 //! ## Modules
 //!
 //! * [`grid`] — strictly increasing evaluation grids.
-//! * [`basis`] — the [`basis::Basis`] trait and basis-matrix helpers.
-//! * [`bspline`] — B-spline bases (Cox–de Boor, arbitrary-order derivatives,
-//!   exact Gauss–Legendre penalty matrices).
-//! * [`fourier`] — Fourier bases for periodic data.
-//! * [`polynomial`] — monomial bases (mostly for testing and tiny problems).
+//! * [`bspline`] — the one basis, B-splines (Sec. 2.1): Cox–de Boor,
+//!   arbitrary-order derivatives, design matrices and exact Gauss–Legendre
+//!   penalty matrices.
 //! * [`smooth`] — the penalized least-squares smoother, LOOCV/GCV
 //!   diagnostics and automatic basis-size/λ selection.
 //! * [`selcache`] — grid-cached selection plans: the y-independent part of
@@ -28,6 +26,7 @@
 //! * [`datum`] — fitted single- and multi-channel functional data
 //!   ([`datum::FunctionalDatum`], [`datum::MultiFunctionalDatum`]) and raw
 //!   measurement containers ([`datum::RawCurve`], [`datum::RawSample`]).
+//! * [`snapshot`] — the selector's persistence codecs.
 //!
 //! ## Quickstart
 //!
@@ -54,45 +53,34 @@
 // loop index mirrors the textbook formulas being implemented.
 #![allow(clippy::needless_range_loop)]
 
-pub mod basis;
 pub mod bspline;
 pub mod datum;
 pub mod error;
-pub mod fourier;
 pub mod grid;
-pub mod polynomial;
 pub mod selcache;
 pub mod smooth;
 pub mod snapshot;
 
-pub use basis::Basis;
 pub use bspline::BSplineBasis;
 pub use datum::{FunctionalDatum, MultiFunctionalDatum, RawCurve, RawSample};
 pub use error::FdaError;
-pub use fourier::FourierBasis;
 pub use grid::Grid;
-pub use polynomial::PolynomialBasis;
 pub use selcache::SelectionPlan;
 pub use smooth::{
     BasisSelector, FitDiagnostics, PenalizedLeastSquares, SelectionCriterion, SelectionResult,
 };
-pub use snapshot::BasisSnapshot;
 
 /// Crate-wide `Result` alias.
 pub type Result<T> = std::result::Result<T, FdaError>;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::basis::Basis;
     pub use crate::bspline::BSplineBasis;
     pub use crate::datum::{FunctionalDatum, MultiFunctionalDatum, RawCurve, RawSample};
     pub use crate::error::FdaError;
-    pub use crate::fourier::FourierBasis;
     pub use crate::grid::Grid;
-    pub use crate::polynomial::PolynomialBasis;
     pub use crate::selcache::SelectionPlan;
     pub use crate::smooth::{
         BasisSelector, FitDiagnostics, PenalizedLeastSquares, SelectionCriterion, SelectionResult,
     };
-    pub use crate::snapshot::BasisSnapshot;
 }

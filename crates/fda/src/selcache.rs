@@ -30,7 +30,7 @@
 //! uncached ladder skips them (the factorization is y-independent, so the
 //! skip set cannot differ between curves).
 
-use crate::basis::Basis;
+use crate::bspline::BSplineBasis;
 use crate::datum::FunctionalDatum;
 use crate::error::FdaError;
 use crate::smooth::{
@@ -46,7 +46,7 @@ use std::sync::Arc;
 struct PlannedCandidate {
     size: usize,
     lambda: f64,
-    basis: Arc<dyn Basis>,
+    basis: Arc<BSplineBasis>,
     /// `m × L` design matrix on the plan's grid.
     phi: Matrix,
     /// Factorized normal equations `ΦᵀΦ + λR`.
@@ -109,12 +109,7 @@ impl SelectionPlan {
             if size > ts.len() {
                 continue; // cannot LOOCV an under-determined fit
             }
-            let basis: Arc<dyn Basis> = Arc::new(crate::bspline::BSplineBasis::uniform(
-                a,
-                b,
-                size,
-                selector.order,
-            )?);
+            let basis = Arc::new(BSplineBasis::uniform(a, b, size, selector.order)?);
             for &lambda in &selector.lambdas {
                 let smoother = PenalizedLeastSquares::with_arc(
                     Arc::clone(&basis),

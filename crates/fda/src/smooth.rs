@@ -14,7 +14,7 @@
 //! (`LOOCV = Σ ((y_j − ŷ_j)/(1 − h_jj))²`), which is how the paper selects
 //! basis sizes per sample and channel (Sec. 4.1).
 
-use crate::basis::Basis;
+use crate::bspline::BSplineBasis;
 use crate::datum::FunctionalDatum;
 use crate::error::FdaError;
 use crate::selcache::SelectionPlan;
@@ -48,11 +48,11 @@ pub struct FitDiagnostics {
     pub hat_diag: Vec<f64>,
 }
 
-/// A penalized least-squares smoother for a fixed basis, penalty order `q`
-/// and penalty weight `λ >= 0`.
+/// A penalized least-squares smoother for a fixed B-spline basis, penalty
+/// order `q` and penalty weight `λ >= 0`.
 #[derive(Clone)]
 pub struct PenalizedLeastSquares {
-    basis: Arc<dyn Basis>,
+    basis: Arc<BSplineBasis>,
     lambda: f64,
     penalty_order: usize,
     /// Cached penalty matrix `R_q` (λ-independent).
@@ -62,7 +62,7 @@ pub struct PenalizedLeastSquares {
 impl std::fmt::Debug for PenalizedLeastSquares {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PenalizedLeastSquares")
-            .field("basis", &self.basis.name())
+            .field("order", &self.basis.order())
             .field("len", &self.basis.len())
             .field("lambda", &self.lambda)
             .field("penalty_order", &self.penalty_order)
@@ -72,12 +72,12 @@ impl std::fmt::Debug for PenalizedLeastSquares {
 
 impl PenalizedLeastSquares {
     /// Creates a smoother that owns its basis.
-    pub fn new(basis: impl Basis + 'static, lambda: f64, penalty_order: usize) -> Result<Self> {
+    pub fn new(basis: BSplineBasis, lambda: f64, penalty_order: usize) -> Result<Self> {
         Self::with_arc(Arc::new(basis), lambda, penalty_order)
     }
 
     /// Creates a smoother sharing an existing basis.
-    pub fn with_arc(basis: Arc<dyn Basis>, lambda: f64, penalty_order: usize) -> Result<Self> {
+    pub fn with_arc(basis: Arc<BSplineBasis>, lambda: f64, penalty_order: usize) -> Result<Self> {
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(FdaError::InvalidParameter(format!(
                 "lambda must be finite and >= 0, got {lambda}"
@@ -93,7 +93,7 @@ impl PenalizedLeastSquares {
     }
 
     /// The basis used by this smoother.
-    pub fn basis(&self) -> &Arc<dyn Basis> {
+    pub fn basis(&self) -> &Arc<BSplineBasis> {
         &self.basis
     }
 
@@ -351,8 +351,6 @@ impl BasisSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bspline::BSplineBasis;
-    use crate::polynomial::PolynomialBasis;
 
     fn sine_data(m: usize, noise: f64) -> (Vec<f64>, Vec<f64>) {
         let ts: Vec<f64> = (0..m).map(|j| j as f64 / (m - 1) as f64).collect();
@@ -534,69 +532,5 @@ mod tests {
             ..BasisSelector::default()
         };
         assert!(sel.select(&[0.0, 0.5, 1.0], &[0.0, 1.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn works_with_other_bases() {
-        let ts: Vec<f64> = (0..30).map(|j| j as f64 / 29.0).collect();
-        let ys: Vec<f64> = ts.iter().map(|t| 2.0 * t + 1.0).collect();
-        let fit = PenalizedLeastSquares::new(PolynomialBasis::new(0.0, 1.0, 3).unwrap(), 0.0, 2)
-            .unwrap()
-            .fit(&ts, &ys)
-            .unwrap();
-        assert!((fit.eval(0.5) - 2.0).abs() < 1e-10);
-        assert!((fit.eval_deriv(0.3, 1) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fourier_basis_recovers_periodic_signal() {
-        use crate::fourier::FourierBasis;
-        // y = 2 sin(2πt) + cos(4πt), exactly representable with 5 Fourier fns
-        let m = 50;
-        let ts: Vec<f64> = (0..m).map(|j| j as f64 / m as f64).collect(); // [0, 1)
-        let ys: Vec<f64> = ts
-            .iter()
-            .map(|&t| {
-                2.0 * (std::f64::consts::TAU * t).sin() + (2.0 * std::f64::consts::TAU * t).cos()
-            })
-            .collect();
-        let basis = FourierBasis::new(0.0, 1.0, 5).unwrap();
-        let fit = PenalizedLeastSquares::new(basis, 0.0, 2)
-            .unwrap()
-            .fit(&ts, &ys)
-            .unwrap();
-        for &t in &[0.1, 0.35, 0.62, 0.9] {
-            let expect =
-                2.0 * (std::f64::consts::TAU * t).sin() + (2.0 * std::f64::consts::TAU * t).cos();
-            assert!((fit.eval(t) - expect).abs() < 1e-9, "t={t}");
-        }
-        // analytic derivative: 4π cos(2πt) − 4π sin(4πt)... checked at one point
-        let t = 0.2;
-        let expect = 2.0 * std::f64::consts::TAU * (std::f64::consts::TAU * t).cos()
-            - 2.0 * std::f64::consts::TAU * (2.0 * std::f64::consts::TAU * t).sin();
-        assert!((fit.eval_deriv(t, 1) - expect).abs() < 1e-7);
-    }
-
-    #[test]
-    fn penalized_fourier_damps_high_harmonics() {
-        use crate::fourier::FourierBasis;
-        // pure noise with a strong 2nd-derivative penalty: high harmonics
-        // (large penalty eigenvalues) should be suppressed the most
-        let m = 60;
-        let ts: Vec<f64> = (0..m).map(|j| j as f64 / m as f64).collect();
-        let ys: Vec<f64> = (0..m)
-            .map(|j| ((j as f64 * 37.7).sin() * 1713.7).fract() - 0.5)
-            .collect();
-        let basis = FourierBasis::new(0.0, 1.0, 9).unwrap();
-        let fit = PenalizedLeastSquares::new(basis, 10.0, 2)
-            .unwrap()
-            .fit(&ts, &ys)
-            .unwrap();
-        let coefs = fit.coefs();
-        // the top harmonic pair (indices 7, 8) must be far smaller than the
-        // first pair (indices 1, 2)
-        let low = coefs[1].abs().max(coefs[2].abs());
-        let high = coefs[7].abs().max(coefs[8].abs());
-        assert!(high < low, "high harmonics {high} not damped below {low}");
     }
 }

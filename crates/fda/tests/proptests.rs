@@ -111,18 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn fourier_orthonormality_partial(len in prop::sample::select(vec![3usize, 5, 7])) {
-        let b = FourierBasis::new(0.0, 1.0, len).unwrap();
-        let g = mfod_fda::fourier::gram_matrix_numeric(&b, 32, 8);
-        for i in 0..len {
-            for j in 0..len {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((g[(i, j)] - expect).abs() < 1e-8, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn grid_uniform_is_sorted_and_bounded(
         a in -100.0..100.0f64,
         width in 0.1..50.0f64,
@@ -222,16 +210,19 @@ proptest! {
         slope2 in -5.0..5.0f64,
     ) {
         use std::sync::Arc;
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
+        // order 2, two functions: the lines through (0, c₀) and (1, c₁)
+        let basis = Arc::new(BSplineBasis::uniform(0.0, 1.0, 2, 2).unwrap());
         let c1 = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, slope1]).unwrap();
-        let c2 = FunctionalDatum::new(basis, vec![1.0, slope2]).unwrap();
+        let c2 = FunctionalDatum::new(basis, vec![1.0, 1.0 + slope2]).unwrap();
         let mfd = MultiFunctionalDatum::new(vec![c1, c2]).unwrap();
         let g = Grid::uniform(0.0, 1.0, 7).unwrap();
         let m = mfd.eval_grid(&g);
         for (j, t) in g.iter().enumerate() {
-            let pt = mfd.eval_point(t);
-            prop_assert!((m[(j, 0)] - pt[0]).abs() < 1e-12);
-            prop_assert!((m[(j, 1)] - pt[1]).abs() < 1e-12);
+            for (k, c) in mfd.channels().iter().enumerate() {
+                prop_assert_eq!(m[(j, k)].to_bits(), c.eval(t).to_bits());
+            }
+            prop_assert!((m[(j, 0)] - slope1 * t).abs() < 1e-12);
+            prop_assert!((m[(j, 1)] - (1.0 + slope2 * t)).abs() < 1e-12);
         }
     }
 }

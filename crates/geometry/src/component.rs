@@ -2,10 +2,9 @@
 //! derivative) back out of the MFD. These serve as ablation baselines — the
 //! degenerate aggregation that ignores cross-channel geometry.
 
-use crate::mapping::MappingFunction;
+use crate::mapping::{MappingFunction, PathDerivatives};
 use crate::{GeometryError, Result};
-use mfod_fda::{Grid, MultiFunctionalDatum};
-use mfod_linalg::vector;
+use std::ops::RangeInclusive;
 
 /// Extracts channel `channel`'s `deriv`-th derivative evaluated on the grid.
 ///
@@ -53,38 +52,43 @@ impl MappingFunction for ComponentMapping {
         })
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        let channel = datum
-            .channel(self.channel)
-            .ok_or(GeometryError::ChannelOutOfRange {
+    fn orders(&self) -> RangeInclusive<usize> {
+        self.deriv..=self.deriv
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        if self.channel >= d.dim() {
+            return Err(GeometryError::ChannelOutOfRange {
                 channel: self.channel,
-                dim: datum.dim(),
-            })?;
-        let out = channel.eval_grid_deriv(grid, self.deriv);
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
+                dim: d.dim(),
+            });
         }
-        Ok(out)
+        Ok(d.order(self.deriv).col(self.channel))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfod_fda::prelude::*;
-    use std::sync::Arc;
+    use crate::mapping::closed_form::path;
+    use mfod_fda::Grid;
 
-    fn datum() -> MultiFunctionalDatum {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 3).unwrap());
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![1.0, 0.0, 0.0]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![0.0, 0.0, 1.0]).unwrap(); // t²
-        MultiFunctionalDatum::new(vec![x, y]).unwrap()
+    /// The path (1, t²).
+    fn datum(grid: &Grid) -> PathDerivatives {
+        path(grid, |t, d| match d {
+            0 => vec![1.0, t * t],
+            1 => vec![0.0, 2.0 * t],
+            2 => vec![0.0, 2.0],
+            _ => vec![0.0, 0.0],
+        })
     }
 
     #[test]
     fn value_extraction() {
         let grid = Grid::uniform(0.0, 1.0, 3).unwrap();
-        let v = ComponentMapping::value(1).map(&datum(), &grid).unwrap();
+        let v = ComponentMapping::value(1)
+            .map_derivatives(&datum(&grid))
+            .unwrap();
         assert_eq!(v.len(), 3);
         assert!((v[1] - 0.25).abs() < 1e-12);
         assert!((v[2] - 1.0).abs() < 1e-12);
@@ -96,7 +100,7 @@ mod tests {
     fn derivative_extraction() {
         let grid = Grid::uniform(0.0, 1.0, 3).unwrap();
         let m = ComponentMapping::derivative(1, 1);
-        let v = m.map(&datum(), &grid).unwrap();
+        let v = m.map_derivatives(&datum(&grid)).unwrap();
         // D(t²) = 2t
         assert!((v[1] - 1.0).abs() < 1e-12);
         assert!((v[2] - 2.0).abs() < 1e-12);
@@ -107,8 +111,8 @@ mod tests {
     fn out_of_range_channel() {
         let grid = Grid::uniform(0.0, 1.0, 3).unwrap();
         assert!(matches!(
-            ComponentMapping::value(7).map(&datum(), &grid),
-            Err(GeometryError::ChannelOutOfRange { .. })
+            ComponentMapping::value(7).map_derivatives(&datum(&grid)),
+            Err(GeometryError::ChannelOutOfRange { channel: 7, dim: 2 })
         ));
     }
 }

@@ -16,10 +16,10 @@
 //! use in the paper: a stationary point of a *smoothed* path is a
 //! measure-zero event and the downstream detector consumes grid samples.
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
-use mfod_fda::{Grid, MultiFunctionalDatum};
+use crate::mapping::{MappingFunction, PathDerivatives, SPEED_EPS};
+use crate::Result;
 use mfod_linalg::vector;
+use std::ops::RangeInclusive;
 
 /// Closed-form curvature `κ = √(‖X′‖²‖X″‖² − (X′·X″)²) / ‖X′‖³`.
 ///
@@ -59,18 +59,15 @@ impl MappingFunction for Curvature {
         2
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            out.push(curvature_from_derivatives(&v, &a));
-        }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+    fn orders(&self) -> RangeInclusive<usize> {
+        1..=2
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        Ok(d.rows(1)
+            .zip(d.rows(2))
+            .map(|(v, a)| curvature_from_derivatives(v, a))
+            .collect())
     }
 }
 
@@ -96,30 +93,29 @@ impl MappingFunction for CurvatureEq5 {
         2
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            let speed = vector::norm2(&v);
+    fn orders(&self) -> RangeInclusive<usize> {
+        1..=2
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        let unit_tangent_rate = |v: &[f64], a: &[f64]| {
+            let speed = vector::norm2(v);
             if speed < SPEED_EPS {
-                out.push(0.0);
-                continue;
+                return 0.0;
             }
             // T' = a/‖v‖ − v (v·a)/‖v‖³
-            let va = vector::dot(&v, &a);
+            let va = vector::dot(v, a);
             let mut tprime: Vec<f64> = a.iter().map(|ai| ai / speed).collect();
             let coef = va / (speed * speed * speed);
-            for (tp, vi) in tprime.iter_mut().zip(&v) {
+            for (tp, vi) in tprime.iter_mut().zip(v) {
                 *tp -= coef * vi;
             }
-            out.push(vector::norm2(&tprime) / speed);
-        }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+            vector::norm2(&tprime) / speed
+        };
+        Ok(d.rows(1)
+            .zip(d.rows(2))
+            .map(|(v, a)| unit_tangent_rate(v, a))
+            .collect())
     }
 }
 
@@ -141,10 +137,13 @@ impl MappingFunction for RadiusOfCurvature {
         2
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let kappa = Curvature.map(datum, grid)?;
-        Ok(kappa
+    fn orders(&self) -> RangeInclusive<usize> {
+        Curvature.orders()
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        Ok(Curvature
+            .formula(d)?
             .into_iter()
             .map(|k| {
                 if k < SPEED_EPS {
@@ -160,33 +159,15 @@ impl MappingFunction for RadiusOfCurvature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfod_fda::prelude::*;
-    use std::sync::Arc;
-
-    /// Builds the circle of radius `r` traversed once on [0, 1] as a
-    /// bivariate functional datum via the Fourier basis.
-    pub(crate) fn circle(r: f64) -> MultiFunctionalDatum {
-        // Orthonormal Fourier on [0,1]: φ₁ = √2 sin(2πt), φ₂ = √2 cos(2πt).
-        let basis: Arc<dyn Basis> = Arc::new(FourierBasis::new(0.0, 1.0, 3).unwrap());
-        let amp = r / 2.0_f64.sqrt();
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 0.0, amp]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![0.0, amp, 0.0]).unwrap();
-        MultiFunctionalDatum::new(vec![x, y]).unwrap()
-    }
-
-    /// Straight line path (x, y) = (t, 2t + 1).
-    fn line() -> MultiFunctionalDatum {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 1.0]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![1.0, 2.0]).unwrap();
-        MultiFunctionalDatum::new(vec![x, y]).unwrap()
-    }
+    use crate::mapping::closed_form::{circle, helix, line};
+    use crate::GeometryError;
+    use mfod_fda::Grid;
 
     #[test]
     fn circle_curvature_is_inverse_radius() {
         let grid = Grid::uniform(0.0, 1.0, 33).unwrap();
         for &r in &[0.5, 1.0, 2.0, 10.0] {
-            let k = Curvature.map(&circle(r), &grid).unwrap();
+            let k = Curvature.map_derivatives(&circle(r, &grid)).unwrap();
             for &ki in &k {
                 assert!((ki - 1.0 / r).abs() < 1e-8, "r={r}: κ={ki}");
             }
@@ -196,16 +177,18 @@ mod tests {
     #[test]
     fn line_curvature_is_zero() {
         let grid = Grid::uniform(0.0, 1.0, 17).unwrap();
-        let k = Curvature.map(&line(), &grid).unwrap();
+        let k = Curvature
+            .map_derivatives(&line(&[0.0, 1.0], &[1.0, 2.0], &grid))
+            .unwrap();
         assert!(k.iter().all(|&ki| ki.abs() < 1e-10), "{k:?}");
     }
 
     #[test]
     fn eq5_matches_closed_form() {
         let grid = Grid::uniform(0.0, 1.0, 25).unwrap();
-        let datum = circle(1.5);
-        let k1 = Curvature.map(&datum, &grid).unwrap();
-        let k2 = CurvatureEq5.map(&datum, &grid).unwrap();
+        let path = circle(1.5, &grid);
+        let k1 = Curvature.map_derivatives(&path).unwrap();
+        let k2 = CurvatureEq5.map_derivatives(&path).unwrap();
         for (a, b) in k1.iter().zip(&k2) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -215,8 +198,8 @@ mod tests {
     fn curvature_is_parametrization_dependent_scaling_invariant() {
         // Scaling the whole path by c scales curvature by 1/c.
         let grid = Grid::uniform(0.0, 1.0, 9).unwrap();
-        let k1 = Curvature.map(&circle(1.0), &grid).unwrap();
-        let k3 = Curvature.map(&circle(3.0), &grid).unwrap();
+        let k1 = Curvature.map_derivatives(&circle(1.0, &grid)).unwrap();
+        let k3 = Curvature.map_derivatives(&circle(3.0, &grid)).unwrap();
         for (a, b) in k1.iter().zip(&k3) {
             assert!((a / 3.0 - b).abs() < 1e-8);
         }
@@ -225,21 +208,22 @@ mod tests {
     #[test]
     fn radius_of_curvature_inverts() {
         let grid = Grid::uniform(0.0, 1.0, 9).unwrap();
-        let r = RadiusOfCurvature.map(&circle(2.0), &grid).unwrap();
+        let r = RadiusOfCurvature
+            .map_derivatives(&circle(2.0, &grid))
+            .unwrap();
         assert!(r.iter().all(|&ri| (ri - 2.0).abs() < 1e-7), "{r:?}");
         // straight line => capped radius
-        let r = RadiusOfCurvature.map(&line(), &grid).unwrap();
+        let r = RadiusOfCurvature
+            .map_derivatives(&line(&[0.0, 1.0], &[1.0, 2.0], &grid))
+            .unwrap();
         assert!(r.iter().all(|&ri| ri == 1.0 / SPEED_EPS));
     }
 
     #[test]
     fn univariate_input_rejected() {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let x = FunctionalDatum::new(basis, vec![0.0, 1.0]).unwrap();
-        let uni = MultiFunctionalDatum::from_univariate(x);
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
         assert!(matches!(
-            Curvature.map(&uni, &grid),
+            Curvature.map_derivatives(&line(&[0.0], &[1.0], &grid)),
             Err(GeometryError::DimensionUnsupported { .. })
         ));
     }
@@ -247,13 +231,11 @@ mod tests {
     #[test]
     fn stationary_path_maps_to_zero() {
         // constant path: X(t) = (1, 1): speed 0 everywhere
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let c = FunctionalDatum::new(Arc::clone(&basis), vec![1.0, 0.0]).unwrap();
-        let datum = MultiFunctionalDatum::new(vec![c.clone(), c]).unwrap();
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
-        let k = Curvature.map(&datum, &grid).unwrap();
+        let still = line(&[1.0, 1.0], &[0.0, 0.0], &grid);
+        let k = Curvature.map_derivatives(&still).unwrap();
         assert!(k.iter().all(|&ki| ki == 0.0));
-        let k = CurvatureEq5.map(&datum, &grid).unwrap();
+        let k = CurvatureEq5.map_derivatives(&still).unwrap();
         assert!(k.iter().all(|&ki| ki == 0.0));
     }
 
@@ -271,22 +253,13 @@ mod tests {
 
     #[test]
     fn helix_curvature_in_3d() {
-        // Helix (cos ωt, sin ωt, ct) has κ = ω²r/(ω²r² + c²) with r = 1.
-        // Build with Fourier (periodic channels) + polynomial z … simpler:
-        // evaluate the helper directly at analytic derivatives.
-        let omega = std::f64::consts::TAU;
-        let c = 0.5;
-        for i in 0..8 {
-            let t = i as f64 / 8.0;
-            let v = [-omega * (omega * t).sin(), omega * (omega * t).cos(), c];
-            let a = [
-                -omega * omega * (omega * t).cos(),
-                -omega * omega * (omega * t).sin(),
-                0.0,
-            ];
-            let k = curvature_from_derivatives(&v, &a);
-            let expect = omega * omega / (omega * omega + c * c);
-            assert!((k - expect).abs() < 1e-9, "t={t}");
+        // The helix (r cos ωt, r sin ωt, ct) has κ = rω² / (r²ω² + c²).
+        let (r, omega, c) = (1.0, std::f64::consts::TAU, 0.5);
+        let grid = Grid::uniform(0.0, 1.0, 9).unwrap();
+        let expect = r * omega * omega / (r * r * omega * omega + c * c);
+        for mapping in [&Curvature as &dyn MappingFunction, &CurvatureEq5] {
+            let k = mapping.map_derivatives(&helix(r, omega, c, &grid)).unwrap();
+            assert!(k.iter().all(|&ki| (ki - expect).abs() < 1e-9), "{k:?}");
         }
     }
 }

@@ -31,6 +31,9 @@ pub enum GeometryError {
         /// The unsupported capability.
         what: &'static str,
     },
+    /// Derivative values whose shapes disagree with the grid or with each
+    /// other, or that lack an order the mapping reads.
+    DerivativesMismatch(String),
     /// The mapped values are not finite (degenerate geometry not covered by
     /// the documented conventions).
     NonFinite,
@@ -52,6 +55,9 @@ impl fmt::Display for GeometryError {
             }
             GeometryError::Unsupported { mapping, what } => {
                 write!(f, "mapping {mapping} does not support {what}")
+            }
+            GeometryError::DerivativesMismatch(what) => {
+                write!(f, "derivative values do not fit: {what}")
             }
             GeometryError::NonFinite => write!(f, "mapping produced non-finite values"),
             GeometryError::Fda(e) => write!(f, "functional representation failure: {e}"),
@@ -93,6 +99,8 @@ mod tests {
             what: "snapshots",
         };
         assert!(e.to_string().contains("snapshots"));
+        let e = GeometryError::DerivativesMismatch("order 3 is (4, 2)".into());
+        assert!(e.to_string().contains("order 3"));
         let e: GeometryError = FdaError::NonFinite.into();
         assert!(e.to_string().contains("functional"));
         use std::error::Error;

@@ -6,10 +6,10 @@
 //! while arc length accumulates persistent deviations — together they cover
 //! the Hubert et al. taxonomy discussed in Sec. 1.1 of the paper.
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
-use mfod_fda::{Grid, MultiFunctionalDatum};
+use crate::mapping::{MappingFunction, PathDerivatives, SPEED_EPS};
+use crate::Result;
 use mfod_linalg::vector;
+use std::ops::RangeInclusive;
 
 /// Speed mapping `s(t) = ‖D¹X(t)‖`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,16 +24,12 @@ impl MappingFunction for Speed {
         Some(crate::snapshot::MappingSnapshot::Speed)
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let out: Vec<f64> = grid
-            .iter()
-            .map(|t| vector::norm2(&datum.eval_deriv_point(t, 1)))
-            .collect();
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+    fn orders(&self) -> RangeInclusive<usize> {
+        1..=1
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        Ok(d.rows(1).map(vector::norm2).collect())
     }
 }
 
@@ -51,8 +47,12 @@ impl MappingFunction for LogSpeed {
         Some(crate::snapshot::MappingSnapshot::LogSpeed)
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        let speed = Speed.map(datum, grid)?;
+    fn orders(&self) -> RangeInclusive<usize> {
+        Speed.orders()
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        let speed = Speed.formula(d)?;
         Ok(speed.into_iter().map(|s| (s + SPEED_EPS).ln()).collect())
     }
 }
@@ -71,9 +71,13 @@ impl MappingFunction for ArcLength {
         Some(crate::snapshot::MappingSnapshot::ArcLength)
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        let speed = Speed.map(datum, grid)?;
-        Ok(vector::cumtrapz(grid.points(), &speed))
+    fn orders(&self) -> RangeInclusive<usize> {
+        Speed.orders()
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        let speed = Speed.formula(d)?;
+        Ok(vector::cumtrapz(d.grid().points(), &speed))
     }
 }
 
@@ -90,16 +94,12 @@ impl MappingFunction for Acceleration {
         Some(crate::snapshot::MappingSnapshot::Acceleration)
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let out: Vec<f64> = grid
-            .iter()
-            .map(|t| vector::norm2(&datum.eval_deriv_point(t, 2)))
-            .collect();
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+    fn orders(&self) -> RangeInclusive<usize> {
+        2..=2
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        Ok(d.rows(2).map(vector::norm2).collect())
     }
 }
 
@@ -123,8 +123,12 @@ impl MappingFunction for SrvfNorm {
         Some(crate::snapshot::MappingSnapshot::SrvfNorm)
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        let speed = Speed.map(datum, grid)?;
+    fn orders(&self) -> RangeInclusive<usize> {
+        Speed.orders()
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        let speed = Speed.formula(d)?;
         Ok(speed.into_iter().map(f64::sqrt).collect())
     }
 }
@@ -152,15 +156,17 @@ impl MappingFunction for TurningAngle {
         2
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
+    fn orders(&self) -> RangeInclusive<usize> {
+        1..=1
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        let mut out = Vec::with_capacity(d.grid().len());
         let mut prev_raw: Option<f64> = None;
         let mut offset = 0.0;
         let mut last = 0.0;
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let angle = if vector::norm2(&v) < SPEED_EPS {
+        for v in d.rows(1) {
+            let angle = if vector::norm2(v) < SPEED_EPS {
                 last // carry the last well-defined angle forward
             } else {
                 let raw = v[1].atan2(v[0]);
@@ -182,9 +188,6 @@ impl MappingFunction for TurningAngle {
             last = angle;
             out.push(angle);
         }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
         Ok(out)
     }
 }
@@ -192,28 +195,18 @@ impl MappingFunction for TurningAngle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfod_fda::prelude::*;
-    use std::sync::Arc;
+    use crate::mapping::closed_form::{circle, line};
+    use crate::GeometryError;
+    use mfod_fda::Grid;
 
-    fn line(slope_x: f64, slope_y: f64) -> MultiFunctionalDatum {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, slope_x]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![0.0, slope_y]).unwrap();
-        MultiFunctionalDatum::new(vec![x, y]).unwrap()
-    }
-
-    fn circle(r: f64) -> MultiFunctionalDatum {
-        let basis: Arc<dyn Basis> = Arc::new(FourierBasis::new(0.0, 1.0, 3).unwrap());
-        let amp = r / 2.0_f64.sqrt();
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 0.0, amp]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![0.0, amp, 0.0]).unwrap();
-        MultiFunctionalDatum::new(vec![x, y]).unwrap()
+    fn line_2d(slope_x: f64, slope_y: f64, grid: &Grid) -> PathDerivatives {
+        line(&[0.0, 0.0], &[slope_x, slope_y], grid)
     }
 
     #[test]
     fn speed_of_line_is_constant() {
         let grid = Grid::uniform(0.0, 1.0, 11).unwrap();
-        let s = Speed.map(&line(3.0, 4.0), &grid).unwrap();
+        let s = Speed.map_derivatives(&line_2d(3.0, 4.0, &grid)).unwrap();
         assert!(s.iter().all(|&v| (v - 5.0).abs() < 1e-10), "{s:?}");
     }
 
@@ -221,7 +214,7 @@ mod tests {
     fn speed_of_circle_is_circumference_rate() {
         // circle of radius r traversed once in unit time: speed = 2πr
         let grid = Grid::uniform(0.0, 1.0, 11).unwrap();
-        let s = Speed.map(&circle(2.0), &grid).unwrap();
+        let s = Speed.map_derivatives(&circle(2.0, &grid)).unwrap();
         let expect = std::f64::consts::TAU * 2.0;
         assert!(s.iter().all(|&v| (v - expect).abs() < 1e-8), "{s:?}");
     }
@@ -229,9 +222,9 @@ mod tests {
     #[test]
     fn log_speed_is_log_of_speed() {
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
-        let datum = line(3.0, 4.0);
-        let s = Speed.map(&datum, &grid).unwrap();
-        let ls = LogSpeed.map(&datum, &grid).unwrap();
+        let path = line_2d(3.0, 4.0, &grid);
+        let s = Speed.map_derivatives(&path).unwrap();
+        let ls = LogSpeed.map_derivatives(&path).unwrap();
         for (a, b) in s.iter().zip(&ls) {
             assert!(((a + SPEED_EPS).ln() - b).abs() < 1e-12);
         }
@@ -240,7 +233,9 @@ mod tests {
     #[test]
     fn arc_length_of_line_is_distance() {
         let grid = Grid::uniform(0.0, 1.0, 101).unwrap();
-        let l = ArcLength.map(&line(3.0, 4.0), &grid).unwrap();
+        let l = ArcLength
+            .map_derivatives(&line_2d(3.0, 4.0, &grid))
+            .unwrap();
         assert_eq!(l[0], 0.0);
         assert!((l[100] - 5.0).abs() < 1e-9);
         // monotone non-decreasing
@@ -252,14 +247,16 @@ mod tests {
     #[test]
     fn arc_length_of_circle_is_circumference() {
         let grid = Grid::uniform(0.0, 1.0, 201).unwrap();
-        let l = ArcLength.map(&circle(1.0), &grid).unwrap();
+        let l = ArcLength.map_derivatives(&circle(1.0, &grid)).unwrap();
         assert!((l[200] - std::f64::consts::TAU).abs() < 1e-6, "{}", l[200]);
     }
 
     #[test]
     fn acceleration_of_line_is_zero() {
         let grid = Grid::uniform(0.0, 1.0, 7).unwrap();
-        let a = Acceleration.map(&line(1.0, 2.0), &grid).unwrap();
+        let a = Acceleration
+            .map_derivatives(&line_2d(1.0, 2.0, &grid))
+            .unwrap();
         assert!(a.iter().all(|&v| v.abs() < 1e-10));
     }
 
@@ -267,7 +264,7 @@ mod tests {
     fn acceleration_of_circle_is_centripetal() {
         // ‖a‖ = ω²r with ω = 2π, r = 1
         let grid = Grid::uniform(0.0, 1.0, 7).unwrap();
-        let a = Acceleration.map(&circle(1.0), &grid).unwrap();
+        let a = Acceleration.map_derivatives(&circle(1.0, &grid)).unwrap();
         let expect = std::f64::consts::TAU * std::f64::consts::TAU;
         assert!(a.iter().all(|&v| (v - expect).abs() < 1e-7), "{a:?}");
     }
@@ -275,7 +272,9 @@ mod tests {
     #[test]
     fn turning_angle_of_line_is_constant() {
         let grid = Grid::uniform(0.0, 1.0, 9).unwrap();
-        let th = TurningAngle.map(&line(1.0, 1.0), &grid).unwrap();
+        let th = TurningAngle
+            .map_derivatives(&line_2d(1.0, 1.0, &grid))
+            .unwrap();
         let expect = std::f64::consts::FRAC_PI_4;
         assert!(th.iter().all(|&v| (v - expect).abs() < 1e-10), "{th:?}");
     }
@@ -285,7 +284,7 @@ mod tests {
         // Full traversal of a circle turns the tangent by 2π total without
         // jumps larger than the grid step would imply.
         let grid = Grid::uniform(0.0, 1.0, 101).unwrap();
-        let th = TurningAngle.map(&circle(1.0), &grid).unwrap();
+        let th = TurningAngle.map_derivatives(&circle(1.0, &grid)).unwrap();
         let total = th[100] - th[0];
         assert!(
             (total.abs() - std::f64::consts::TAU).abs() < 1e-6,
@@ -299,11 +298,8 @@ mod tests {
     #[test]
     fn turning_angle_requires_exactly_2d() {
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let c = FunctionalDatum::new(basis, vec![0.0, 1.0]).unwrap();
-        let tri = MultiFunctionalDatum::new(vec![c.clone(), c.clone(), c]).unwrap();
         assert!(matches!(
-            TurningAngle.map(&tri, &grid),
+            TurningAngle.map_derivatives(&line(&[0.0; 3], &[1.0; 3], &grid)),
             Err(GeometryError::DimensionUnsupported { .. })
         ));
     }
@@ -311,15 +307,14 @@ mod tests {
     #[test]
     fn srvf_norm_is_sqrt_speed() {
         let grid = Grid::uniform(0.0, 1.0, 7).unwrap();
-        let datum = line(3.0, 4.0);
-        let q = SrvfNorm.map(&datum, &grid).unwrap();
+        let q = SrvfNorm.map_derivatives(&line_2d(3.0, 4.0, &grid)).unwrap();
         // ‖X′‖ = 5 everywhere ⇒ ‖q‖ = √5
         assert!(
             q.iter().all(|&v| (v - 5.0f64.sqrt()).abs() < 1e-10),
             "{q:?}"
         );
         // circle of radius r: speed 2πr ⇒ √(2πr)
-        let q = SrvfNorm.map(&circle(2.0), &grid).unwrap();
+        let q = SrvfNorm.map_derivatives(&circle(2.0, &grid)).unwrap();
         let expect = (std::f64::consts::TAU * 2.0).sqrt();
         assert!(q.iter().all(|&v| (v - expect).abs() < 1e-7));
         assert_eq!(SrvfNorm.name(), "srvf-norm");
@@ -328,10 +323,9 @@ mod tests {
     #[test]
     fn speed_works_for_univariate() {
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let c = FunctionalDatum::new(basis, vec![0.0, -2.0]).unwrap();
-        let uni = MultiFunctionalDatum::from_univariate(c);
-        let s = Speed.map(&uni, &grid).unwrap();
+        let s = Speed
+            .map_derivatives(&line(&[0.0], &[-2.0], &grid))
+            .unwrap();
         assert!(s.iter().all(|&v| (v - 2.0).abs() < 1e-12));
     }
 }

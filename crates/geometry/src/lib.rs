@@ -23,13 +23,19 @@
 //! the "one example of mapping function" of the paper a family, and power
 //! the ablation experiments.
 //!
+//! Each mapping is a formula over the path's derivative values on the grid
+//! ([`mapping::PathDerivatives`]); [`MappingFunction::map`] evaluates the
+//! orders the formula reads and checks the result.
+//!
 //! ```
 //! use mfod_geometry::prelude::*;
 //! use mfod_fda::prelude::*;
 //! use std::sync::Arc;
 //!
 //! // The straight path (t, 2t) has zero curvature and constant speed √5.
-//! let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
+//! // An order-2 B-spline with two functions spans the lines on [0, 1]; its
+//! // coefficients are the values at t = 0 and t = 1.
+//! let basis = Arc::new(BSplineBasis::uniform(0.0, 1.0, 2, 2).unwrap());
 //! let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 1.0]).unwrap();
 //! let y = FunctionalDatum::new(basis, vec![0.0, 2.0]).unwrap();
 //! let path = MultiFunctionalDatum::new(vec![x, y]).unwrap();
@@ -53,7 +59,7 @@ pub use component::ComponentMapping;
 pub use curvature::{Curvature, CurvatureEq5, RadiusOfCurvature};
 pub use error::GeometryError;
 pub use kinematics::{Acceleration, ArcLength, LogSpeed, Speed, SrvfNorm, TurningAngle};
-pub use mapping::MappingFunction;
+pub use mapping::{MappingFunction, PathDerivatives};
 pub use snapshot::{snapshot_mapping, MappingSnapshot};
 pub use torsion::Torsion;
 
@@ -66,7 +72,7 @@ pub mod prelude {
     pub use crate::curvature::{Curvature, CurvatureEq5, RadiusOfCurvature};
     pub use crate::error::GeometryError;
     pub use crate::kinematics::{Acceleration, ArcLength, LogSpeed, Speed, SrvfNorm, TurningAngle};
-    pub use crate::mapping::MappingFunction;
+    pub use crate::mapping::{MappingFunction, PathDerivatives};
     pub use crate::snapshot::{snapshot_mapping, MappingSnapshot};
     pub use crate::torsion::Torsion;
 }

@@ -218,12 +218,11 @@ mod tests {
             fn name(&self) -> &'static str {
                 "custom"
             }
-            fn map(
-                &self,
-                _datum: &mfod_fda::MultiFunctionalDatum,
-                grid: &mfod_fda::Grid,
-            ) -> Result<Vec<f64>> {
-                Ok(vec![0.0; grid.len()])
+            fn orders(&self) -> std::ops::RangeInclusive<usize> {
+                0..=0
+            }
+            fn formula(&self, d: &crate::PathDerivatives) -> Result<Vec<f64>> {
+                Ok(vec![0.0; d.grid().len()])
             }
         }
         assert!(matches!(

@@ -1,9 +1,9 @@
 //! Torsion mapping for space curves (`p = 3`).
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
-use mfod_fda::{Grid, MultiFunctionalDatum};
+use crate::mapping::{MappingFunction, PathDerivatives, SPEED_EPS};
+use crate::Result;
 use mfod_linalg::vector;
+use std::ops::RangeInclusive;
 
 /// Torsion `τ(t) = ((X′ × X″) · X‴) / ‖X′ × X″‖²` of a path in `R³`: the
 /// rate at which the curve leaves its osculating plane. Planar curves have
@@ -48,41 +48,35 @@ impl MappingFunction for Torsion {
         3
     }
 
-    fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
-        self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            let j = datum.eval_deriv_point(t, 3);
-            out.push(torsion_from_derivatives(&v, &a, &j));
-        }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+    fn orders(&self) -> RangeInclusive<usize> {
+        1..=3
+    }
+
+    fn formula(&self, d: &PathDerivatives) -> Result<Vec<f64>> {
+        Ok(d.rows(1)
+            .zip(d.rows(2))
+            .zip(d.rows(3))
+            .map(|((v, a), j)| torsion_from_derivatives(v, a, j))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfod_fda::prelude::*;
-    use std::sync::Arc;
+    use crate::mapping::closed_form::{helix, line, path};
+    use crate::GeometryError;
+    use mfod_fda::Grid;
 
     #[test]
     fn helix_torsion_analytic() {
-        // Helix (r cos ωt, r sin ωt, ct): τ = cω / (r²ω² + c²) … with unit
-        // angular rate parametrization τ = c/(r² + c²) when ω = 1.
-        let (r, c) = (2.0, 0.5);
-        for i in 0..10 {
-            let t = i as f64;
-            let v = [-r * t.sin(), r * t.cos(), c];
-            let a = [-r * t.cos(), -r * t.sin(), 0.0];
-            let j = [r * t.sin(), -r * t.cos(), 0.0];
-            let tau = torsion_from_derivatives(&v, &a, &j);
-            let expect = c / (r * r + c * c);
-            assert!((tau - expect).abs() < 1e-10, "t={t}: {tau}");
+        // The helix (r cos ωt, r sin ωt, ct) has τ = cω / (r²ω² + c²).
+        let (r, omega, c) = (2.0, 1.0, 0.5);
+        let grid = Grid::uniform(0.0, 9.0, 10).unwrap();
+        let tau = Torsion.map_derivatives(&helix(r, omega, c, &grid)).unwrap();
+        let expect = c * omega / (r * r * omega * omega + c * c);
+        for (t, ti) in grid.iter().zip(&tau) {
+            assert!((ti - expect).abs() < 1e-10, "t={t}: {ti}");
         }
     }
 
@@ -105,35 +99,30 @@ mod tests {
 
     #[test]
     fn mapping_requires_3d() {
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
-        let c = FunctionalDatum::new(basis, vec![0.0, 1.0]).unwrap();
-        let bi = MultiFunctionalDatum::new(vec![c.clone(), c.clone()]).unwrap();
         let grid = Grid::uniform(0.0, 1.0, 5).unwrap();
         assert!(matches!(
-            Torsion.map(&bi, &grid),
+            Torsion.map_derivatives(&line(&[0.0; 2], &[1.0; 2], &grid)),
             Err(GeometryError::DimensionUnsupported { .. })
         ));
-        let quad = MultiFunctionalDatum::new(vec![c.clone(), c.clone(), c.clone(), c]).unwrap();
-        assert!(Torsion.map(&quad, &grid).is_err());
+        assert!(Torsion
+            .map_derivatives(&line(&[0.0; 4], &[1.0; 4], &grid))
+            .is_err());
     }
 
     #[test]
     fn cubic_twisted_curve_maps_finite() {
         // twisted cubic (t, t², t³): τ = 3/(9t⁴ + 9t² + 1)
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 4).unwrap());
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 1.0, 0.0, 0.0]).unwrap();
-        let y = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 0.0, 1.0, 0.0]).unwrap();
-        let z = FunctionalDatum::new(basis, vec![0.0, 0.0, 0.0, 1.0]).unwrap();
-        let datum = MultiFunctionalDatum::new(vec![x, y, z]).unwrap();
         let grid = Grid::uniform(0.0, 1.0, 11).unwrap();
-        let tau = Torsion.map(&datum, &grid).unwrap();
-        for (i, t) in grid.iter().enumerate() {
+        let cubic = path(&grid, |t, d| match d {
+            0 => vec![t, t * t, t * t * t],
+            1 => vec![1.0, 2.0 * t, 3.0 * t * t],
+            2 => vec![0.0, 2.0, 6.0 * t],
+            _ => vec![0.0, 0.0, 6.0],
+        });
+        let tau = Torsion.map_derivatives(&cubic).unwrap();
+        for (t, ti) in grid.iter().zip(&tau) {
             let expect = 3.0 / (9.0 * t.powi(4) + 9.0 * t * t + 1.0);
-            assert!(
-                (tau[i] - expect).abs() < 1e-8,
-                "t={t}: {} vs {expect}",
-                tau[i]
-            );
+            assert!((ti - expect).abs() < 1e-8, "t={t}: {ti} vs {expect}");
         }
     }
 }

@@ -6,18 +6,23 @@ use mfod_geometry::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Random smooth bivariate path from low-order polynomial channels.
+/// The bivariate path whose channels have the given coefficients in the
+/// cubic Bernstein basis: `BSplineBasis::uniform(0, 1, 4, 4)` spans the
+/// cubic polynomials on [0, 1].
+fn cubic_path(cx: Vec<f64>, cy: Vec<f64>) -> MultiFunctionalDatum {
+    let basis = Arc::new(BSplineBasis::uniform(0.0, 1.0, 4, 4).unwrap());
+    let x = FunctionalDatum::new(Arc::clone(&basis), cx).unwrap();
+    let y = FunctionalDatum::new(basis, cy).unwrap();
+    MultiFunctionalDatum::new(vec![x, y]).unwrap()
+}
+
+/// Random smooth bivariate path from cubic channels.
 fn poly_path() -> impl Strategy<Value = MultiFunctionalDatum> {
     (
         prop::collection::vec(-3.0..3.0f64, 4),
         prop::collection::vec(-3.0..3.0f64, 4),
     )
-        .prop_map(|(cx, cy)| {
-            let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 4).unwrap());
-            let x = FunctionalDatum::new(Arc::clone(&basis), cx).unwrap();
-            let y = FunctionalDatum::new(basis, cy).unwrap();
-            MultiFunctionalDatum::new(vec![x, y]).unwrap()
-        })
+        .prop_map(|(cx, cy)| cubic_path(cx, cy))
 }
 
 proptest! {
@@ -50,19 +55,14 @@ proptest! {
         let grid = Grid::uniform(0.0, 1.0, 13).unwrap();
         let k_orig = Curvature.map(&path, &grid).unwrap();
 
-        // Rebuild rotated channels in the same polynomial basis: rotation is
-        // linear so coefficients rotate likewise; translation shifts the
-        // constant coefficient.
+        // Rebuild rotated channels in the same basis: rotation is linear so
+        // coefficients rotate likewise; the basis is a partition of unity,
+        // so translation adds to every coefficient.
         let cx = path.channels()[0].coefs();
         let cy = path.channels()[1].coefs();
-        let mut rx: Vec<f64> = (0..4).map(|i| c * cx[i] - s * cy[i]).collect();
-        let mut ry: Vec<f64> = (0..4).map(|i| s * cx[i] + c * cy[i]).collect();
-        rx[0] += dx;
-        ry[0] += dy;
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 4).unwrap());
-        let x = FunctionalDatum::new(Arc::clone(&basis), rx).unwrap();
-        let y = FunctionalDatum::new(basis, ry).unwrap();
-        let moved = MultiFunctionalDatum::new(vec![x, y]).unwrap();
+        let rx: Vec<f64> = (0..4).map(|i| c * cx[i] - s * cy[i] + dx).collect();
+        let ry: Vec<f64> = (0..4).map(|i| s * cx[i] + c * cy[i] + dy).collect();
+        let moved = cubic_path(rx, ry);
         let k_moved = Curvature.map(&moved, &grid).unwrap();
         for (a, b) in k_orig.iter().zip(&k_moved) {
             prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
@@ -73,12 +73,9 @@ proptest! {
     fn curvature_scales_inversely(path in poly_path(), scale in 0.5..4.0f64) {
         let grid = Grid::uniform(0.0, 1.0, 13).unwrap();
         let k_orig = Curvature.map(&path, &grid).unwrap();
-        let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 4).unwrap());
         let sx: Vec<f64> = path.channels()[0].coefs().iter().map(|v| v * scale).collect();
         let sy: Vec<f64> = path.channels()[1].coefs().iter().map(|v| v * scale).collect();
-        let x = FunctionalDatum::new(Arc::clone(&basis), sx).unwrap();
-        let y = FunctionalDatum::new(basis, sy).unwrap();
-        let scaled = MultiFunctionalDatum::new(vec![x, y]).unwrap();
+        let scaled = cubic_path(sx, sy);
         let k_scaled = Curvature.map(&scaled, &grid).unwrap();
         for (a, b) in k_orig.iter().zip(&k_scaled) {
             // κ(cX) = κ(X)/c wherever the speed is not degenerate
@@ -111,9 +108,8 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-12);
         }
         // arc length >= straight-line distance between endpoints
-        let p0 = path.eval_point(0.0);
-        let p1 = path.eval_point(1.0);
-        let chord = mfod_linalg::vector::dist2(&p0, &p1);
+        let ends = path.eval_grid(&Grid::new(vec![0.0, 1.0]).unwrap());
+        let chord = mfod_linalg::vector::dist2(ends.row(0), ends.row(1));
         prop_assert!(l[40] >= chord - 1e-6, "arc {} < chord {chord}", l[40]);
     }
 

@@ -22,8 +22,8 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`mfod_linalg`] | dense matrices, Cholesky/LU/QR/eigen, quadrature |
-//! | [`mfod_fda`] | bases (B-spline/Fourier/polynomial), penalized smoothing, LOOCV selection |
+//! | [`mfod_linalg`] | dense matrices, Cholesky, quadrature, the worker pool |
+//! | [`mfod_fda`] | B-spline bases, penalized smoothing, LOOCV selection |
 //! | [`mfod_geometry`] | mapping functions: curvature, speed, arc length, torsion, … |
 //! | [`mfod_depth`] | baselines: FUNTA, Dir.out, integrated/infimum depth, MBD |
 //! | [`mfod_detect`] | detectors: iForest, ν-OCSVM (SMO), LOF, Mahalanobis |

@@ -12,10 +12,12 @@ use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A planar path that starts almost straight and then turns sharply:
-    // x(t) = t, y(t) = exp-like ramp implemented in a polynomial basis.
-    // y = t⁴ bends gently near 0 and hard near 1.
-    let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 5)?);
-    let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 1.0, 0.0, 0.0, 0.0])?;
+    // x(t) = t, y(t) = t⁴, which is nearly flat near 0, bends hardest near
+    // t = 0.5 and straightens again as it steepens. The quartic Bernstein
+    // basis (an order-5 B-spline with 5 functions) spans both channels: t
+    // has coefficients k/4, and t⁴ is the last basis function.
+    let basis = Arc::new(BSplineBasis::uniform(0.0, 1.0, 5, 5)?);
+    let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 0.25, 0.5, 0.75, 1.0])?;
     let y = FunctionalDatum::new(basis, vec![0.0, 0.0, 0.0, 0.0, 1.0])?;
     let path = MultiFunctionalDatum::new(vec![x, y])?;
 
@@ -32,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The figure's statement: where the tangent direction changes slowly the
     // circle is large (small κ); where it turns fast the circle is small.
     let early = kappa[2]; // t = 0.1: nearly straight
-    let late = kappa[18]; // t = 0.9: strong bend
+    let bend = kappa[10]; // t = 0.5: the sharpest bend
     println!("\n# κ(0.1) = {early:.5} (large tangent circle)");
-    println!("# κ(0.9) = {late:.5} (small tangent circle)");
+    println!("# κ(0.5) = {bend:.5} (small tangent circle)");
     assert!(
-        late > early * 3.0,
+        bend > early * 3.0,
         "curvature must grow sharply along this path"
     );
 
